@@ -1,23 +1,26 @@
-"""Penalty multistart optimizer over product-state manifolds (internal).
+"""Multistart optimizer over product-state manifolds (internal).
 
 Parametrization: qubit factors as Bloch angles (theta, phi) with the global
 phase fixed; higher-dimensional factors as unit vectors whose first component
 is real (2d - 1 real parameters), which removes the gauge freedom that stalls
-quasi-Newton steps.  Equality constraints are handled by a quadratic penalty
-with a geometric schedule followed by a Gauss-Newton projection onto the
-constraint set.
+quasi-Newton steps.
+
+Unconstrained bounds run plain L-BFGS on -sign*<L>.  A bound with the
+equality constraint <C> = c runs one SLSQP solve per restart, which holds the
+constraint directly: the start is projected onto the constraint set by
+Gauss-Newton, SLSQP maximizes from there, and its result is projected again,
+so every restart is scored at a point on the constraint set.  There is no
+penalty weight and no escalation.
 
 Everything here is deterministic: restart i draws its start from a Philox
 stream keyed by (base_key, i), and the best candidate is selected by value
-with ties broken by lowest restart index, so results do not depend on
-execution order or thread count.
+with ties broken by lowest restart index.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,11 +36,13 @@ __all__ = [
     "optimize_product_bound",
 ]
 
-PENALTY_SCHEDULE = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7)
-REFINE_CYCLES = 3
-REFINE_VALUE_TOL = 1e-12
+MAXITER = 250
+SLSQP_FTOL = 1e-12
+# a restart whose SLSQP solve stopped without success still counts as
+# converged when a second solve from its projected point gains no more, and
+# a bound counts as converged when a converged restart comes this close to it
+STALL_GAIN_TOL = 1e-12
 PROJECTION_TOL = 1e-12
-PROJECTION_OK = 1e-8
 FLAT_GRADIENT_TOL = 1e-18
 RESIDUAL_OK = 1e-6
 GRAD_OK = 1e-6
@@ -47,23 +52,17 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Multistart / penalty configuration shared by all bound computations."""
+    """Multistart configuration shared by all bound computations."""
 
     restarts: int = 64
     warm_restarts: int = 8
-    penalty_schedule: tuple[float, ...] = PENALTY_SCHEDULE
-    maxiter: int = 250
     seed: Optional[int] = None
-    threads: int = 1
 
     def as_dict(self) -> dict:
         return {
             "restarts": self.restarts,
             "warm_restarts": self.warm_restarts,
-            "penalty_schedule": list(self.penalty_schedule),
-            "maxiter": self.maxiter,
             "seed": self.seed,
-            "threads": self.threads,
         }
 
 
@@ -244,17 +243,6 @@ class PairObjective:
         return self._value_grad(self.c_mat, psi, factors, jacs)
 
 
-def penalized_value_and_grad(
-    objective: PairObjective, params: np.ndarray, c_value: float, mu: float, sign: float = 1.0
-) -> tuple[float, np.ndarray]:
-    """Value and gradient of  sign*<L> - mu (<C> - c)^2  (the quantity maximized)."""
-    v_l, g_l, v_c, g_c = objective.eval(params)
-    if v_c is None:
-        return sign * v_l, sign * g_l
-    r = v_c - c_value
-    return sign * v_l - mu * r * r, sign * g_l - 2.0 * mu * r * g_c
-
-
 def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_value: float, max_iter: int = 120) -> np.ndarray:
     """Gauss-Newton projection of a point onto {<C> = c}.
 
@@ -299,57 +287,62 @@ def _solve_from(
     x0: np.ndarray,
     c_value: Optional[float],
     sign: float,
-    settings: OptimizerSettings,
     index: int,
 ) -> _Candidate:
-    options = {"maxiter": settings.maxiter, "ftol": 1e-14, "gtol": 1e-10}
-    x = np.asarray(x0, dtype=np.float64)
-
-    def negated(p, mu):
-        f, g = penalized_value_and_grad(objective, p, c_value or 0.0, mu, sign)
-        return -f, -g
-
-    def stationary(p, mu) -> bool:
-        # L-BFGS line searches can fail on flat plateaus after converging;
-        # accept the point when the penalized gradient is already tiny
-        _, g = negated(p, mu)
-        return float(np.max(np.abs(g))) <= GRAD_OK
-
     if c_value is None:
-        res = minimize(negated, x, args=(0.0,), jac=True, method="L-BFGS-B", options=options)
-        x = res.x
-        ok = bool(res.success) or stationary(x, 0.0)
-        v_l, _ = objective.values(x)
-        return _Candidate(index, x, sign * v_l, 0.0, ok)
+        def negated(p):
+            v_l, g_l, _, _ = objective.eval(p)
+            return -sign * v_l, -sign * g_l
 
-    # project the start onto the constraint set first, then refine at the top
-    # penalty weight: low-mu stages would funnel every start into the basin of
-    # the unconstrained optimum and destroy multistart diversity
-    x = _project_onto_constraint(objective, x, c_value)
-    _, v_c0 = objective.values(x)
-    if abs(v_c0 - c_value) > PROJECTION_OK:
-        # projection could not reach the constraint set from this start;
-        # fall back to the geometric penalty schedule to pull it in
-        for mu in settings.penalty_schedule:
-            res = minimize(negated, x, args=(mu,), jac=True, method="L-BFGS-B", options=options)
-            x = res.x
-    # the penalized optimum is biased off the constraint set; alternate exact
-    # projection with re-optimization at the top penalty weight
-    mu_top = settings.penalty_schedule[-1]
-    res = None
-    v_prev = None
-    for _ in range(REFINE_CYCLES):
-        res = minimize(negated, x, args=(mu_top,), jac=True, method="L-BFGS-B", options=options)
-        x = _project_onto_constraint(objective, res.x, c_value)
-        v_l, _ = objective.values(x)
-        if v_prev is not None and abs(v_l - v_prev) <= REFINE_VALUE_TOL:
-            break
-        v_prev = v_l
-    # stationarity must be judged before projection: at the projected point the
-    # penalty term no longer balances the plain objective gradient
-    ok = bool(res.success) or stationary(res.x, mu_top)
-    v_l, v_c = objective.values(x)
-    return _Candidate(index, x, sign * v_l, abs(v_c - c_value), ok)
+        options = {"maxiter": MAXITER, "ftol": 1e-14, "gtol": 1e-10}
+        res = minimize(negated, x0, jac=True, method="L-BFGS-B", options=options)
+        # L-BFGS line searches can fail on flat plateaus after converging;
+        # accept the point when the gradient is already tiny
+        ok = bool(res.success) or float(np.max(np.abs(res.jac))) <= GRAD_OK
+        v_l, _ = objective.values(res.x)
+        return _Candidate(index, res.x, sign * v_l, 0.0, ok)
+
+    def solve(p):
+        res = _slsqp(objective, p, c_value, sign)
+        p = _project_onto_constraint(objective, res.x, c_value)
+        v_l, v_c = objective.values(p)
+        return _Candidate(index, p, sign * v_l, abs(v_c - c_value), bool(res.success))
+
+    cand = solve(_project_onto_constraint(objective, x0, c_value))
+    if not cand.local_ok:
+        # where the constraint gradient vanishes on the feasible set (the ends
+        # of the attainable range) SLSQP reports a singular subproblem while
+        # already at the optimum; a second solve tells a stall from a miss
+        again = solve(cand.params)
+        ok = again.local_ok or again.value - cand.value <= STALL_GAIN_TOL
+        cand = replace(max(cand, again, key=lambda c: c.value), local_ok=ok)
+    return cand
+
+
+def _slsqp(objective: PairObjective, x0: np.ndarray, c_value: float, sign: float):
+    """One SLSQP maximization of sign*<L> subject to <C> = c_value."""
+    last: dict = {}
+
+    def evaluated(p):
+        # objective, constraint and both gradients come from one eval per point
+        if "x" not in last or not np.array_equal(p, last["x"]):
+            last["x"] = np.array(p, copy=True)
+            last["out"] = objective.eval(p)
+        return last["out"]
+
+    constraint = {
+        "type": "eq",
+        "fun": lambda p: evaluated(p)[2] - c_value,
+        "jac": lambda p: evaluated(p)[3][None, :],
+    }
+    return minimize(
+        lambda p: -sign * evaluated(p)[0],
+        x0,
+        jac=lambda p: -sign * evaluated(p)[1],
+        method="SLSQP",
+        constraints=[constraint],
+        options={"maxiter": MAXITER, "ftol": SLSQP_FTOL},
+    )
 
 
 def optimize_product_bound(
@@ -366,9 +359,9 @@ def optimize_product_bound(
 ) -> RawBound:
     """Multistart supremum (or infimum) of <L> over the product manifold.
 
-    With `c_mat`/`c_value` given, maximizes subject to <C> = c via the
-    penalty schedule plus projection polish.  `warm_params` are extra start
-    points tried before the random restarts.
+    With `c_mat`/`c_value` given, maximizes subject to <C> = c with one
+    SLSQP solve per start.  `warm_params` are extra start points tried
+    before the random restarts.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
@@ -389,16 +382,9 @@ def optimize_product_bound(
     for i in range(restarts):
         starts.append(manifold.random_params(_restart_rng(base_key, i)))
 
-    def run(pair):
-        idx, x0 = pair
-        return _solve_from(objective, x0, c_value, sign, settings, idx)
-
-    jobs = list(enumerate(starts))
-    if settings.threads > 1:
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            candidates = list(pool.map(run, jobs))
-    else:
-        candidates = [run(j) for j in jobs]
+    candidates = [
+        _solve_from(objective, x0, c_value, sign, idx) for idx, x0 in enumerate(starts)
+    ]
 
     feasible = [c for c in candidates if c.residual <= RESIDUAL_OK]
     pool_ = feasible if feasible else candidates
@@ -406,7 +392,9 @@ def optimize_product_bound(
     factors = manifold.factors(best.params)
     v_l, v_c = objective.values(best.params)
     residual = 0.0 if c_value is None else abs(v_c - c_value)
-    converged = best.local_ok and residual <= RESIDUAL_OK
+    # a stalled best restart is confirmed by a converged one that ties it
+    confirmed = any(c.local_ok and best.value - c.value <= STALL_GAIN_TOL for c in pool_)
+    converged = confirmed and residual <= RESIDUAL_OK
     return RawBound(
         params=best.params,
         factors=tuple(factors),

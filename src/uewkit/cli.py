@@ -70,8 +70,6 @@ def _settings(args) -> OptimizerSettings:
     kw = {}
     if getattr(args, "restarts", None):
         kw["restarts"] = args.restarts
-    if getattr(args, "threads", None):
-        kw["threads"] = args.threads
     if getattr(args, "seed", None) is not None:
         kw["seed"] = args.seed
     return OptimizerSettings(**kw)
@@ -96,7 +94,9 @@ def cmd_curve(args) -> int:
     _, l_op, c_op = _operator_pair(args)
     report = povm.uew_admissibility_check(c_op, l_op)
     lo, hi = witness.attainable_constraint_range(c_op, settings)
-    grid = np.linspace(lo, hi, args.grid)
+    # solve at the 12-digit c each CSV row states: g is infinitely steep at
+    # the ends of the range, so a bound at the unrounded c may miss g there
+    grid = np.array([float(f"{c:.12g}") for c in np.linspace(lo, hi, args.grid)])
     curve = witness.separability_curve(witness.TestOperator(l_op), c_op, grid, settings)
     sew = witness.sew_bound(witness.TestOperator(l_op), settings=settings)
 
@@ -321,7 +321,6 @@ def _add_pair_flags(p):
 
 def _add_opt_flags(p):
     p.add_argument("--restarts", type=int, default=None, help="multistart restarts override")
-    p.add_argument("--threads", type=int, default=None, help="worker threads for restarts")
     p.add_argument("--seed", type=int, default=None, help="seed for optimizer restarts")
 
 

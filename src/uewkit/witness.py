@@ -19,12 +19,9 @@ import numpy as np
 
 from ._optimize import (
     OptimizerSettings,
-    PairObjective,
-    ProductManifold,
     RawBound,
     fingerprint_operators,
     optimize_product_bound,
-    penalized_value_and_grad,
 )
 from .qcore import HermitianOperator, ProductState, PureState
 
@@ -50,7 +47,6 @@ __all__ = [
     "optimal_entangled_state",
     "witness_from_bound",
     "semianalytic_pair_bound",
-    "make_penalized_objective",
     "curve_to_csv",
     "curve_from_csv",
 ]
@@ -266,8 +262,8 @@ def constrained_bound(
 
     Optimizing over pure product states only is sufficient: the constrained
     separable optimum is always attained by a pure product state on the
-    constraint surface.  Quadratic-penalty multistart with a projection
-    polish; `feasibility_residual` reports |<C> - c| at the returned point.
+    constraint surface.  Multistart SLSQP with the constraint held directly;
+    `feasibility_residual` reports |<C> - c| at the returned point.
     """
     dims = l_op.op.dims
     if dims != constraint.op.dims:
@@ -334,9 +330,9 @@ def separability_curve(
 ) -> SeparabilityCurve:
     """Constrained bound at every grid value, warm-starting along the grid.
 
-    Concavity is enforced post hoc with a chord test; offending points are
-    re-run with escalated restarts.  If any point stays unconverged or
-    non-concave, the curve is marked unreliable.
+    Concavity is checked post hoc with a chord test: if any point is
+    unconverged or sits below a neighbor chord, the curve is marked
+    unreliable.
     """
     settings = settings or OptimizerSettings()
     grid = np.asarray(list(c_grid), dtype=np.float64)
@@ -366,25 +362,8 @@ def separability_curve(
         prev_params = _params_of(res.maximizer)
 
     # chord test: a concave curve sits on or above every neighbor chord
-    for _ in range(3):
-        bad = _concavity_violations(grid, [r.value for r in results])
-        if not bad:
-            break
-        for j in bad:
-            warm = [_params_of(results[k].maximizer) for k in (j - 1, j + 1)]
-            rerun = constrained_bound(
-                l_op,
-                ConstraintSpec(c_op, float(grid[j])),
-                settings=settings,
-                warm_params=warm,
-                attainable=attainable,
-                n_restarts=max(settings.restarts, 2 * settings.warm_restarts),
-            )
-            if rerun.value > results[j].value:
-                results[j] = rerun
-
-    still_bad = _concavity_violations(grid, [r.value for r in results])
-    reliable = not still_bad and all(r.converged for r in results)
+    bad = _concavity_violations(grid, [r.value for r in results])
+    reliable = not bad and all(r.converged for r in results)
     points = tuple(
         CurvePoint(float(c), r.value, r.converged, r.restarts_used)
         for c, r in zip(grid, results)
@@ -613,27 +592,6 @@ def semianalytic_pair_bound(x: float, c: float, refine: int = 200001) -> float:
         return float(m(0.0) * np.max(m(grid)))
     grid = np.linspace(c / x, x, refine)
     return float(np.max(m(grid) * m(c / grid)))
-
-
-def make_penalized_objective(
-    l_op: TestOperator,
-    c_op: HermitianOperator,
-    c_value: float,
-    mu: float,
-):
-    """Penalized objective  <L> - mu (<C> - c)^2  with its analytic gradient.
-
-    Returns (fun, manifold) where fun(params) -> (value, grad).  Used by the
-    gradient-consistency audit, which compares grad against central finite
-    differences of the value alone.
-    """
-    manifold = ProductManifold(l_op.op.dims)
-    objective = PairObjective(manifold, l_op.op.mat, c_op.mat)
-
-    def fun(params: np.ndarray) -> tuple[float, np.ndarray]:
-        return penalized_value_and_grad(objective, params, c_value, mu)
-
-    return fun, manifold
 
 
 # ---------------------------------------------------------------------------

@@ -39,3 +39,33 @@ def bell_state():
     vec = np.zeros(4)
     vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
     return uk.PureState((2, 2), vec)
+
+
+def random_hermitian(n, rng):
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2.0
+
+
+def gradient_rel_errors(block_dims, l_mat, c_mat, rng, n_points, h=1e-6):
+    """Worst relative errors of the analytic <L> and <C> gradients of
+    PairObjective.eval against central differences, each checked on its own."""
+    from uewkit._optimize import PairObjective, ProductManifold
+
+    manifold = ProductManifold(block_dims)
+    objective = PairObjective(manifold, l_mat, c_mat)
+    worst_l = worst_c = 0.0
+    for _ in range(n_points):
+        p = manifold.random_params(rng)
+        _, g_l, _, g_c = objective.eval(p)
+        fd_l = np.empty_like(g_l)
+        fd_c = np.empty_like(g_c)
+        for i in range(p.size):
+            e = np.zeros_like(p)
+            e[i] = h
+            l_plus, c_plus = objective.values(p + e)
+            l_minus, c_minus = objective.values(p - e)
+            fd_l[i] = (l_plus - l_minus) / (2 * h)
+            fd_c[i] = (c_plus - c_minus) / (2 * h)
+        worst_l = max(worst_l, float(np.max(np.abs(g_l - fd_l)) / max(np.max(np.abs(fd_l)), 1e-12)))
+        worst_c = max(worst_c, float(np.max(np.abs(g_c - fd_c)) / max(np.max(np.abs(fd_c)), 1e-12)))
+    return worst_l, worst_c

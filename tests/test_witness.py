@@ -5,7 +5,7 @@ import pytest
 
 import uewkit as uk
 
-from conftest import bell_state
+from conftest import bell_state, gradient_rel_errors, random_hermitian
 
 X = 2.0 / 3.0
 C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
@@ -376,20 +376,12 @@ class TestSemianalytic:
             uk.semianalytic_pair_bound(1.2, 0.1)
 
 
-def test_gradient_matches_finite_differences(pair23):
-    l_op, c_op = pair23
-    fun, manifold = uk.witness.make_penalized_objective(
-        uk.TestOperator(l_op), c_op, c_value=0.1, mu=1e3
-    )
+def test_gradient_matches_finite_differences():
+    # one block, two blocks, and the general contraction for three or more
     rng = np.random.default_rng(99)
-    h = 1e-6
-    for _ in range(20):
-        p = manifold.random_params(rng)
-        _, grad = fun(p)
-        fd = np.empty_like(grad)
-        for i in range(p.size):
-            e = np.zeros_like(p)
-            e[i] = h
-            fd[i] = (fun(p + e)[0] - fun(p - e)[0]) / (2 * h)
-        denom = max(np.max(np.abs(fd)), 1e-12)
-        assert np.max(np.abs(grad - fd)) / denom <= 1e-5
+    for block_dims in [(4,), (2, 2), (2, 2, 4)]:
+        n = int(np.prod(block_dims))
+        l_mat, c_mat = random_hermitian(n, rng), random_hermitian(n, rng)
+        worst_l, worst_c = gradient_rel_errors(block_dims, l_mat, c_mat, rng, n_points=10)
+        assert worst_l <= 1e-5, block_dims
+        assert worst_c <= 1e-5, block_dims
