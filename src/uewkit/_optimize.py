@@ -20,6 +20,7 @@ with ties broken by lowest restart index.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -155,6 +156,23 @@ class ProductManifold:
 
     def factors(self, params: np.ndarray) -> list[np.ndarray]:
         return self.factors_and_jacobians(params)[0]
+
+    def params_of(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """Parameters whose `factors` are the given unit vectors, up to phase."""
+        parts = []
+        for dim, v in zip(self.block_dims, factors):
+            if dim == 2:
+                a0, a1 = v
+                theta = 2.0 * math.atan2(abs(a1), abs(a0))
+                phi = math.atan2(a1.imag, a1.real) - math.atan2(a0.imag, a0.real)
+                parts.extend([theta, phi % (2.0 * math.pi)])
+            else:
+                ph = v[0] / abs(v[0]) if abs(v[0]) > 1e-12 else 1.0
+                v = v / ph
+                parts.append(v[0].real)
+                for z in v[1:]:
+                    parts.extend([z.real, z.imag])
+        return np.array(parts, dtype=np.float64)
 
     def state_vector(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         psi = factors[0]
@@ -353,15 +371,16 @@ def optimize_product_bound(
     c_value: Optional[float] = None,
     direction: str = "sup",
     settings: Optional[OptimizerSettings] = None,
-    warm_params: Sequence[np.ndarray] = (),
+    warm_factors: Sequence[Sequence[np.ndarray]] = (),
     base_key: Optional[tuple[int, int]] = None,
-    n_restarts: Optional[int] = None,
 ) -> RawBound:
     """Multistart supremum (or infimum) of <L> over the product manifold.
 
     With `c_mat`/`c_value` given, maximizes subject to <C> = c with one
-    SLSQP solve per start.  `warm_params` are extra start points tried
-    before the random restarts.
+    SLSQP solve per start, and raises ValueError when no start reaches
+    |<C> - c| <= RESIDUAL_OK, i.e. when c is not attainable by product
+    states.  `warm_factors` are extra start points, one sequence of factor
+    vectors each, tried before the `settings.restarts` random restarts.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
@@ -377,9 +396,8 @@ def optimize_product_bound(
     if settings.seed is not None:
         base_key = ((base_key[0] ^ settings.seed) & _MASK64, base_key[1])
 
-    restarts = settings.restarts if n_restarts is None else n_restarts
-    starts: list[np.ndarray] = [np.asarray(w, dtype=np.float64) for w in warm_params]
-    for i in range(restarts):
+    starts = [manifold.params_of(w) for w in warm_factors]
+    for i in range(settings.restarts):
         starts.append(manifold.random_params(_restart_rng(base_key, i)))
 
     candidates = [
@@ -387,19 +405,20 @@ def optimize_product_bound(
     ]
 
     feasible = [c for c in candidates if c.residual <= RESIDUAL_OK]
-    pool_ = feasible if feasible else candidates
-    best = max(pool_, key=lambda c: (c.value, -c.index))
-    factors = manifold.factors(best.params)
-    v_l, v_c = objective.values(best.params)
-    residual = 0.0 if c_value is None else abs(v_c - c_value)
+    if not feasible:
+        closest = min(c.residual for c in candidates)
+        raise ValueError(
+            f"constraint value {c_value} not attainable by product states: "
+            f"the smallest residual |<C> - c| reached is {closest:.3e}"
+        )
+    best = max(feasible, key=lambda c: (c.value, -c.index))
     # a stalled best restart is confirmed by a converged one that ties it
-    confirmed = any(c.local_ok and best.value - c.value <= STALL_GAIN_TOL for c in pool_)
-    converged = confirmed and residual <= RESIDUAL_OK
+    converged = any(c.local_ok and best.value - c.value <= STALL_GAIN_TOL for c in feasible)
     return RawBound(
         params=best.params,
-        factors=tuple(factors),
-        value=v_l,
-        residual=residual,
+        factors=tuple(manifold.factors(best.params)),
+        value=sign * best.value,
+        residual=best.residual,
         converged=converged,
         restarts_used=len(starts),
     )

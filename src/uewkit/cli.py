@@ -94,9 +94,7 @@ def cmd_curve(args) -> int:
     _, l_op, c_op = _operator_pair(args)
     report = povm.uew_admissibility_check(c_op, l_op)
     lo, hi = witness.attainable_constraint_range(c_op, settings)
-    # solve at the 12-digit c each CSV row states: g is infinitely steep at
-    # the ends of the range, so a bound at the unrounded c may miss g there
-    grid = np.array([float(f"{c:.12g}") for c in np.linspace(lo, hi, args.grid)])
+    grid = np.linspace(lo, hi, args.grid)
     curve = witness.separability_curve(witness.TestOperator(l_op), c_op, grid, settings)
     sew = witness.sew_bound(witness.TestOperator(l_op), settings=settings)
 
@@ -123,7 +121,7 @@ def cmd_curve(args) -> int:
         )
     if abs(args.x - 2.0 / 3.0) < 1e-12 and tuple(args.c_indices) == (1, 1) and tuple(args.l_indices) == (2, 2):
         summary["entangled_max"] = [
-            {"c": float(c), "value": witness.entangled_max(float(c))} for c in grid
+            {"c": float(c), "value": witness.entangled_max(float(c))} for c in curve.c_values
         ]
     _write_json(out_csv.with_suffix(".json"), summary)
     print(f"curve: {len(curve.points)} points, g_s={sew.value:.12g}, reliable={curve.reliable}")
@@ -136,12 +134,8 @@ def cmd_certify(args) -> int:
     counts = sampler.load_counts(args.counts)
     curve_path = Path(args.curve)
     sidecar = curve_path.with_suffix(".json")
-    fingerprint, reliable = "", None
-    if sidecar.exists():
-        meta = qcore.load_json(sidecar)
-        fingerprint = meta.get("fingerprint", "")
-        reliable = meta.get("reliable")
-    curve = witness.curve_from_csv(curve_path, fingerprint=fingerprint, reliable=reliable)
+    fingerprint = qcore.load_json(sidecar).get("fingerprint", "") if sidecar.exists() else ""
+    curve = witness.curve_from_csv(curve_path, fingerprint=fingerprint)
     if not curve.reliable:
         raise UnreliableComputation("curve file is marked unreliable")
     est = sampler.estimate(counts, args.c_indices, args.l_indices)

@@ -260,4 +260,4 @@ def numeric_partition_bound(
         c_value=min(max(float(c), 0.0), x_max),
         settings=settings,
     )
-    return _bound_from_raw(raw, block_dims)
+    return _bound_from_raw(raw, [(2,) * len(b) for b in partition.blocks])

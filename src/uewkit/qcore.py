@@ -87,7 +87,7 @@ class Operator:
         n = int(np.prod(dims))
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if not np.all(np.isfinite(mat.view(np.float64))):
+        if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", _freeze(mat))
@@ -134,7 +134,7 @@ class PureState:
         vec = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         if vec.shape[0] != int(np.prod(dims)):
             raise ValueError(f"amplitude length {vec.shape[0]} does not match dims {dims}")
-        if not np.all(np.isfinite(vec.view(np.float64))):
+        if not np.all(np.isfinite(vec)):
             raise ValueError("amplitudes must be finite")
         nrm = np.linalg.norm(vec)
         if abs(nrm - 1.0) > NORM_TOL:

@@ -95,8 +95,6 @@ class SeparabilityCurve:
 
     points: tuple[CurvePoint, ...]
     operator_fingerprint: str
-    optimizer_settings: Optional[OptimizerSettings]
-    reliable: bool
 
     def __post_init__(self):
         cs = self.c_values
@@ -116,6 +114,16 @@ class SeparabilityCurve:
     @property
     def c_range(self) -> tuple[float, float]:
         return self.points[0].c, self.points[-1].c
+
+    @property
+    def reliable(self) -> bool:
+        """Every point converged and every interior point sits on or above
+        its neighbor chord, as a concave curve does."""
+        cs, gs = self.c_values, self.g_values
+        t = (cs[1:-1] - cs[:-2]) / (cs[2:] - cs[:-2])
+        chords = (1.0 - t) * gs[:-2] + t * gs[2:]
+        concave = not np.any(gs[1:-1] < chords - CHORD_TOL)
+        return concave and all(p.converged for p in self.points)
 
     @property
     def peak(self) -> CurvePoint:
@@ -200,13 +208,9 @@ class TightenResult:
     improvement: float
 
 
-def _bound_from_raw(raw: RawBound, block_dims: Sequence[int]) -> BoundResult:
-    factors = tuple(
-        PureState((d,) if d == 2 else (2,) * int(round(math.log2(d))), vec)
-        if _is_power_of_two(d)
-        else PureState((d,), vec)
-        for d, vec in zip(block_dims, raw.factors)
-    )
+def _bound_from_raw(raw: RawBound, factor_dims: Sequence[Sequence[int]]) -> BoundResult:
+    """BoundResult whose maximizer factors carry the caller's subsystem dims."""
+    factors = tuple(PureState(dims, vec) for dims, vec in zip(factor_dims, raw.factors))
     return BoundResult(
         value=raw.value,
         maximizer=ProductState(factors),
@@ -214,10 +218,6 @@ def _bound_from_raw(raw: RawBound, block_dims: Sequence[int]) -> BoundResult:
         restarts_used=raw.restarts_used,
         converged=raw.converged,
     )
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
 
 
 def sew_bound(
@@ -236,13 +236,13 @@ def sew_bound(
     raw = optimize_product_bound(
         l_op.op.mat, dims, direction=direction, settings=settings
     )
-    return _bound_from_raw(raw, dims)
+    return _bound_from_raw(raw, [(d,) for d in dims])
 
 
 def attainable_constraint_range(
     c_op: HermitianOperator, settings: Optional[OptimizerSettings] = None
 ) -> tuple[float, float]:
-    """Range of <C> over pure product states (pre-scan for constraint values)."""
+    """Multistart estimate of the range of <C> over pure product states."""
     settings = settings or OptimizerSettings()
     scan = replace(settings, restarts=max(16, settings.restarts // 2))
     lo = optimize_product_bound(c_op.mat, c_op.dims, direction="inf", settings=scan).value
@@ -254,36 +254,29 @@ def constrained_bound(
     l_op: TestOperator,
     constraint: ConstraintSpec,
     settings: Optional[OptimizerSettings] = None,
-    warm_params: Sequence[np.ndarray] = (),
-    attainable: Optional[tuple[float, float]] = None,
-    n_restarts: Optional[int] = None,
+    warm_factors: Sequence[Sequence[np.ndarray]] = (),
 ) -> BoundResult:
     """Supremum of <L> over pure product states with <C> = c.
 
     Optimizing over pure product states only is sufficient: the constrained
     separable optimum is always attained by a pure product state on the
     constraint surface.  Multistart SLSQP with the constraint held directly;
-    `feasibility_residual` reports |<C> - c| at the returned point.
+    `feasibility_residual` reports |<C> - c| at the returned point.  Raises
+    ValueError when no restart reaches <C> = c, i.e. c is not attainable.
+    `warm_factors` are extra starts, one sequence of factor vectors each.
     """
     dims = l_op.op.dims
     if dims != constraint.op.dims:
         raise ValueError("test and constraint operators must share dims")
-    lo, hi = attainable if attainable is not None else attainable_constraint_range(constraint.op, settings)
-    c = float(constraint.value)
-    slack = 1e-9
-    if c < lo - slack or c > hi + slack:
-        raise ValueError(f"constraint value {c} not attainable by product states (range [{lo}, {hi}])")
-    c = min(max(c, lo), hi)
     raw = optimize_product_bound(
         l_op.op.mat,
         dims,
         c_mat=constraint.op.mat,
-        c_value=c,
+        c_value=float(constraint.value),
         settings=settings,
-        warm_params=warm_params,
-        n_restarts=n_restarts,
+        warm_factors=warm_factors,
     )
-    return _bound_from_raw(raw, dims)
+    return _bound_from_raw(raw, [(d,) for d in dims])
 
 
 def constrained_pure_state_sup(
@@ -312,14 +305,7 @@ def constrained_pure_state_sup(
         c_value=min(max(float(c), lo), hi),
         settings=settings,
     )
-    factor = PureState(l_op.dims, raw.factors[0])
-    return BoundResult(
-        value=raw.value,
-        maximizer=ProductState((factor,)),
-        feasibility_residual=raw.residual,
-        restarts_used=raw.restarts_used,
-        converged=raw.converged,
-    )
+    return _bound_from_raw(raw, [l_op.dims])
 
 
 def separability_curve(
@@ -330,74 +316,33 @@ def separability_curve(
 ) -> SeparabilityCurve:
     """Constrained bound at every grid value, warm-starting along the grid.
 
-    Concavity is checked post hoc with a chord test: if any point is
-    unconverged or sits below a neighbor chord, the curve is marked
-    unreliable.
+    Each grid value is first snapped to the digits `curve_to_csv` writes, so
+    every stored row bounds g at the c it states.  The first point runs
+    `settings.restarts` random restarts, later points `settings.warm_restarts`
+    plus the previous point's maximizer.  A c no product state attains raises
+    ValueError; the curve's `reliable` is read from its points.
     """
     settings = settings or OptimizerSettings()
-    grid = np.asarray(list(c_grid), dtype=np.float64)
+    grid = np.array([float(_csv_number(c)) for c in c_grid])
     if grid.size < 3:
         raise ValueError("need at least 3 grid points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("c grid must be sorted strictly increasing")
-    attainable = attainable_constraint_range(c_op, settings)
-    if grid[0] < attainable[0] - 1e-9 or grid[-1] > attainable[1] + 1e-9:
-        raise ValueError(f"grid outside attainable constraint range {attainable}")
 
     fingerprint = fingerprint_operators(l_op.op.mat, c_op.mat)
-    results: list[BoundResult] = []
-    prev_params: Optional[np.ndarray] = None
-    for j, c in enumerate(grid):
-        warm = [] if prev_params is None else [prev_params]
-        n_restarts = settings.restarts if j == 0 else settings.warm_restarts
+    warm_settings = replace(settings, restarts=settings.warm_restarts)
+    points = []
+    warm: list[list[np.ndarray]] = []
+    for c in grid:
         res = constrained_bound(
             l_op,
             ConstraintSpec(c_op, float(c)),
-            settings=settings,
-            warm_params=warm,
-            attainable=attainable,
-            n_restarts=n_restarts,
+            settings=warm_settings if warm else settings,
+            warm_factors=warm,
         )
-        results.append(res)
-        prev_params = _params_of(res.maximizer)
-
-    # chord test: a concave curve sits on or above every neighbor chord
-    bad = _concavity_violations(grid, [r.value for r in results])
-    reliable = not bad and all(r.converged for r in results)
-    points = tuple(
-        CurvePoint(float(c), r.value, r.converged, r.restarts_used)
-        for c, r in zip(grid, results)
-    )
-    return SeparabilityCurve(points, fingerprint, settings, reliable)
-
-
-def _params_of(state: ProductState) -> np.ndarray:
-    """Recover optimizer parameters of a product state of qubit factors."""
-    parts = []
-    for f in state.factors:
-        if f.total_dim == 2:
-            a0, a1 = f.amplitudes
-            theta = 2.0 * math.atan2(abs(a1), abs(a0))
-            phi = math.atan2(a1.imag, a1.real) - math.atan2(a0.imag, a0.real)
-            parts.extend([theta, phi % (2.0 * math.pi)])
-        else:
-            v = f.amplitudes
-            ph = v[0] / abs(v[0]) if abs(v[0]) > 1e-12 else 1.0
-            v = v / ph
-            parts.append(v[0].real)
-            for z in v[1:]:
-                parts.extend([z.real, z.imag])
-    return np.array(parts, dtype=np.float64)
-
-
-def _concavity_violations(grid: np.ndarray, values: Sequence[float]) -> list[int]:
-    bad = []
-    for j in range(1, len(grid) - 1):
-        t = (grid[j] - grid[j - 1]) / (grid[j + 1] - grid[j - 1])
-        chord = (1.0 - t) * values[j - 1] + t * values[j + 1]
-        if values[j] < chord - CHORD_TOL:
-            bad.append(j)
-    return bad
+        points.append(CurvePoint(float(c), res.value, res.converged, res.restarts_used))
+        warm = [[f.amplitudes for f in res.maximizer.factors]]
+    return SeparabilityCurve(tuple(points), fingerprint)
 
 
 def branch_bounds(curve: SeparabilityCurve, c: float) -> tuple[float, float]:
@@ -505,9 +450,7 @@ def tighten(
     attainable = attainable_constraint_range(c_op, settings)
     c_used = min(max(c_meas, attainable[0]), attainable[1])
     old = sew_bound(l_op, settings=settings)
-    new = constrained_bound(
-        l_op, ConstraintSpec(c_op, c_used), settings=settings, attainable=attainable
-    )
+    new = constrained_bound(l_op, ConstraintSpec(c_op, c_used), settings=settings)
     return TightenResult(
         c=c_used,
         g_of_c=new.value,
@@ -600,24 +543,20 @@ def semianalytic_pair_bound(x: float, c: float, refine: int = 200001) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _csv_number(value: float) -> str:
+    return f"{value:.12g}"
+
+
 def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["c", "g", "converged", "restarts"])
         for p in curve.points:
-            writer.writerow([f"{p.c:.12g}", f"{p.g:.12g}", str(p.converged).lower(), p.restarts])
+            writer.writerow([_csv_number(p.c), _csv_number(p.g), str(p.converged).lower(), p.restarts])
 
 
-def curve_from_csv(
-    path: Union[str, Path],
-    fingerprint: str = "",
-    reliable: Optional[bool] = None,
-) -> SeparabilityCurve:
-    """Load a curve written by curve_to_csv.
-
-    Without an explicit `reliable` flag the curve is trusted iff every row
-    converged and the grid passes the concavity chord test.
-    """
+def curve_from_csv(path: Union[str, Path], fingerprint: str = "") -> SeparabilityCurve:
+    """Load a curve written by curve_to_csv; its `reliable` is read from the rows."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -632,9 +571,4 @@ def curve_from_csv(
                     restarts=int(row["restarts"]),
                 )
             )
-    grid = np.array([p.c for p in points])
-    if reliable is None:
-        reliable = all(p.converged for p in points) and not _concavity_violations(
-            grid, [p.g for p in points]
-        )
-    return SeparabilityCurve(tuple(points), fingerprint, None, reliable)
+    return SeparabilityCurve(tuple(points), fingerprint)

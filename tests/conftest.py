@@ -30,11 +30,6 @@ def fast():
     return uk.OptimizerSettings(restarts=16, warm_restarts=4)
 
 
-@pytest.fixture(scope="session")
-def attainable23(pair23, fast):
-    return uk.attainable_constraint_range(pair23[1], fast)
-
-
 def bell_state():
     vec = np.zeros(4)
     vec[0] = vec[3] = 1.0 / np.sqrt(2.0)

@@ -7,6 +7,8 @@ import pytest
 import uewkit as uk
 from uewkit.cli import main
 
+from conftest import random_hermitian
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -173,6 +175,15 @@ def test_bound_operator_files(tmp_path, pair23):
     payload = json.loads(out.read_text())
     assert payload["value"] == pytest.approx(uk.semianalytic_pair_bound(2 / 3, 0.2), abs=1e-4)
 
+    # maximizer factors keep the operators' party dims, also for a qudit party
+    rng = np.random.default_rng(3)
+    l_mat = np.kron(random_hermitian(4, rng), random_hermitian(2, rng))
+    save_json(l_path, operator_to_dict(uk.HermitianOperator((4, 2), l_mat)))
+    save_json(c_path, operator_to_dict(uk.identity((4, 2))))
+    assert run("bound", "--L", l_path, "--C", c_path, "--restarts", 4, "--out", out) == 0
+    payload = json.loads(out.read_text())
+    assert [f["dims"] for f in payload["maximizer"]] == [[4], [2]]
+
 
 class TestErrorExits:
     def test_missing_counts_file(self, curve_files, tmp_path):
@@ -200,6 +211,9 @@ class TestErrorExits:
             json.dumps({"shots": 10, "parties": 2, "outcomes_per_party": [3, 3], "counts": {"2,2": 10}})
         )
         assert run("certify", "--counts", counts, "--curve", curve) == 3
+        # reliability is read from the rows, never from the summary JSON
+        curve.with_suffix(".json").write_text(json.dumps({"fingerprint": "", "reliable": True}))
+        assert run("certify", "--counts", counts, "--curve", curve) == 3
 
     def test_bad_state_preset_combo(self, tmp_path):
         assert run("simulate", "--x", "2/3", "--out", tmp_path / "c.json") == 2
@@ -218,13 +232,23 @@ def test_curve_determinism(tmp_path):
     assert outs[0].with_suffix(".json").read_bytes() == outs[1].with_suffix(".json").read_bytes()
 
 
+@pytest.mark.parametrize("path", ["cli", "library"])
 @pytest.mark.parametrize("device", [("2/3", "0"), ("1/2", "0.3")])
-def test_curve_rows_bound_g_at_stated_c(tmp_path, device):
+def test_curve_rows_bound_g_at_stated_c(tmp_path, device, path):
     # each row must hold at the c it states, not at the unrounded grid value:
     # g is infinitely steep at the ends of the range
     x, theta = device
     out = tmp_path / "curve.csv"
-    assert run("curve", "--x", x, "--theta", theta, "--grid", 21, "--out", out) == 0
+    if path == "cli":
+        assert run("curve", "--x", x, "--theta", theta, "--grid", 21, "--out", out) == 0
+    else:
+        dev = uk.build_three_outcome(uk.ThreeOutcomeParams(float(Fraction(x)), float(theta)))
+        l_op = uk.product_operator([dev, dev], [2, 2])
+        c_op = uk.product_operator([dev, dev], [1, 1])
+        lo, hi = uk.attainable_constraint_range(c_op)
+        curve = uk.separability_curve(uk.TestOperator(l_op), c_op, np.linspace(lo, hi, 21))
+        assert curve.reliable
+        uk.curve_to_csv(curve, out)
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 21
     for row in rows:

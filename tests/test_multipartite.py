@@ -197,13 +197,12 @@ class TestNumericPartitionBound:
         ]
         assert max(vals) - min(vals) <= 2e-3
 
-    def test_singleton_partition_matches_bipartite_curve(self, pair23, fast, attainable23):
+    def test_singleton_partition_matches_bipartite_curve(self, pair23, fast):
         part = uk.Partition.parse("1|2")
         for c in [0.1, 0.3]:
             res = uk.numeric_partition_bound(X, 2, part, c=c, settings=fast)
             ref = uk.constrained_bound(
-                uk.TestOperator(pair23[0]), uk.ConstraintSpec(pair23[1], c), fast,
-                attainable=attainable23,
+                uk.TestOperator(pair23[0]), uk.ConstraintSpec(pair23[1], c), fast
             )
             assert res.value == pytest.approx(ref.value, abs=2e-3)
 

@@ -182,6 +182,16 @@ class TestInvariantValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             uk.Operator((2,), np.array([[np.nan, 0], [0, 1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            uk.PureState((2,), np.array([1.0, complex(0.0, np.inf)]))
+
+    def test_accepts_non_contiguous_arrays(self):
+        m = np.array([[1.0, 1j], [-1j, 2.0]])
+        op = uk.HermitianOperator((2,), m.T)
+        np.testing.assert_array_equal(op.mat, m.T)
+        v = np.linalg.eigh(m)[1]
+        state = uk.PureState((2,), v[:, -1])
+        np.testing.assert_array_equal(state.amplitudes, v[:, -1])
 
     def test_rejects_small_dims(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,46 +60,36 @@ class TestConstrainedBound:
             (C_STAR, 4 / 9, 1e-4),
         ],
     )
-    def test_anchors(self, pair23, fast, attainable23, c, expected, tol):
+    def test_anchors(self, pair23, fast, c, expected, tol):
         l_op, c_op = pair23
-        res = uk.constrained_bound(
-            uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c), fast, attainable=attainable23
-        )
+        res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c), fast)
         assert res.converged
         assert res.feasibility_residual <= 1e-6
         assert res.value == pytest.approx(expected, abs=tol)
 
-    def test_maximizer_is_feasible_product_state(self, pair23, fast, attainable23):
+    def test_maximizer_is_feasible_product_state(self, pair23, fast):
         l_op, c_op = pair23
-        res = uk.constrained_bound(
-            uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.2), fast, attainable=attainable23
-        )
+        res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.2), fast)
         assert isinstance(res.maximizer, uk.ProductState)
         assert len(res.maximizer.factors) == 2
         assert uk.expectation(c_op, res.maximizer) == pytest.approx(0.2, abs=1e-6)
         assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-9)
 
-    def test_matches_semianalytic_reduction(self, pair23, fast, attainable23):
+    def test_matches_semianalytic_reduction(self, pair23, fast):
         l_op, c_op = pair23
         for c in [0.05, 0.15, 0.3, 0.42]:
-            res = uk.constrained_bound(
-                uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c), fast, attainable=attainable23
-            )
+            res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c), fast)
             assert res.value == pytest.approx(uk.semianalytic_pair_bound(X, c), abs=1e-6)
 
-    def test_unattainable_c(self, pair23, fast, attainable23):
+    def test_unattainable_c(self, pair23, fast):
         l_op, c_op = pair23
-        with pytest.raises(ValueError):
-            uk.constrained_bound(
-                uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.6), fast, attainable=attainable23
-            )
+        with pytest.raises(ValueError, match=r"constraint value 0\.6 not attainable.*smallest residual"):
+            uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.6), fast)
 
-    def test_deterministic(self, pair23, fast, attainable23):
+    def test_deterministic(self, pair23, fast):
         l_op, c_op = pair23
         runs = [
-            uk.constrained_bound(
-                uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.1), fast, attainable=attainable23
-            )
+            uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.1), fast)
             for _ in range(2)
         ]
         assert runs[0].value == runs[1].value
@@ -236,9 +227,10 @@ class TestDetect:
         assert not v.entangled
 
     def test_unreliable_curve_rejected(self, small_curve):
-        bad = uk.SeparabilityCurve(
-            small_curve.points, small_curve.operator_fingerprint, None, reliable=False
-        )
+        points = list(small_curve.points)
+        points[3] = replace(points[3], converged=False)
+        bad = uk.SeparabilityCurve(tuple(points), small_curve.operator_fingerprint)
+        assert not bad.reliable
         with pytest.raises(ValueError):
             uk.detect(bad, 0.1, 0.5)
 
@@ -338,11 +330,9 @@ class TestWitnessOperator:
         w = uk.witness_from_bound(l_op, bound)
         assert np.max(np.abs(w.op.mat)) <= 1e-8
 
-    def test_detects_optimal_entangled_state(self, pair23, fast, attainable23):
+    def test_detects_optimal_entangled_state(self, pair23, fast):
         l_op, c_op = pair23
-        bound = uk.constrained_bound(
-            uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.0), fast, attainable=attainable23
-        )
+        bound = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.0), fast)
         w = uk.witness_from_bound(uk.TestOperator(l_op), bound)
         val = uk.expectation(w.op, uk.optimal_entangled_state(0.0, 0.0))
         # g(0) - E(0) = 1/3 - 5/12 = -1/12
