@@ -53,11 +53,17 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Multistart configuration shared by all bound computations."""
+    """Random starts per bound: `restarts` cold, `warm_restarts` beside warm-start factors."""
 
     restarts: int = 64
     warm_restarts: int = 8
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.warm_restarts < 0:
+            raise ValueError(f"warm_restarts must be >= 0, got {self.warm_restarts}")
 
     def as_dict(self) -> dict:
         return {
@@ -379,8 +385,8 @@ def optimize_product_bound(
     With `c_mat`/`c_value` given, maximizes subject to <C> = c with one
     SLSQP solve per start, and raises ValueError when no start reaches
     |<C> - c| <= RESIDUAL_OK, i.e. when c is not attainable by product
-    states.  `warm_factors` are extra start points, one sequence of factor
-    vectors each, tried before the `settings.restarts` random restarts.
+    states.  `warm_factors` are extra starts (factor vectors), tried before
+    `settings.warm_restarts` random ones; without them `settings.restarts`.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
@@ -397,7 +403,7 @@ def optimize_product_bound(
         base_key = ((base_key[0] ^ settings.seed) & _MASK64, base_key[1])
 
     starts = [manifold.params_of(w) for w in warm_factors]
-    for i in range(settings.restarts):
+    for i in range(settings.warm_restarts if warm_factors else settings.restarts):
         starts.append(manifold.random_params(_restart_rng(base_key, i)))
 
     candidates = [

@@ -68,7 +68,7 @@ def _indices(text: str) -> tuple[int, ...]:
 
 def _settings(args) -> OptimizerSettings:
     kw = {}
-    if getattr(args, "restarts", None):
+    if getattr(args, "restarts", None) is not None:
         kw["restarts"] = args.restarts
     if getattr(args, "seed", None) is not None:
         kw["seed"] = args.seed
@@ -91,9 +91,9 @@ def _operator_pair(args, parties: int = 2):
 
 def cmd_curve(args) -> int:
     settings = _settings(args)
-    _, l_op, c_op = _operator_pair(args)
+    povms, l_op, c_op = _operator_pair(args)
     report = povm.uew_admissibility_check(c_op, l_op)
-    lo, hi = witness.attainable_constraint_range(c_op, settings)
+    lo, hi = witness.attainable_constraint_range(povms, args.c_indices)
     grid = np.linspace(lo, hi, args.grid)
     curve = witness.separability_curve(witness.TestOperator(l_op), c_op, grid, settings)
     sew = witness.sew_bound(witness.TestOperator(l_op), settings=settings)

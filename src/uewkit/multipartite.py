@@ -21,7 +21,7 @@ import numpy as np
 from ._optimize import OptimizerSettings, optimize_product_bound
 from .povm import ThreeOutcomeParams, build_three_outcome, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState
-from .witness import BoundResult, _bound_from_raw
+from .witness import BoundResult, _bound_from_raw, attainable_constraint_range
 
 __all__ = [
     "Partition",
@@ -250,14 +250,14 @@ def numeric_partition_bound(
     l_op = product_operator(povms, [2] * n_agents)
     c_op = product_operator(povms, [1] * n_agents)
     block_dims = [2 ** len(b) for b in partition.blocks]
-    x_max = float(np.prod([p.x for p in plist]))
-    if c < -1e-12 or c > x_max + 1e-12:
-        raise ValueError(f"c={c} outside attainable range [0, {x_max}]")
+    lo, hi = attainable_constraint_range(povms, [1] * n_agents)
+    if c < lo - 1e-12 or c > hi + 1e-12:
+        raise ValueError(f"c={c} outside attainable range [{lo}, {hi}]")
     raw = optimize_product_bound(
         l_op.mat,
         block_dims,
         c_mat=c_op.mat,
-        c_value=min(max(float(c), 0.0), x_max),
+        c_value=min(max(float(c), lo), hi),
         settings=settings,
     )
     return _bound_from_raw(raw, [(2,) * len(b) for b in partition.blocks])

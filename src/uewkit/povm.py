@@ -158,14 +158,7 @@ def build_three_outcome(params: ThreeOutcomeParams) -> ThreeOutcomePovm:
     return ThreeOutcomePovm(effects=effects, params=params, chi_plus=chi_p, chi_minus=chi_m)
 
 
-def product_operator(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> HermitianOperator:
-    """Tensor product of selected effects, one per party (1-based outcomes).
-
-    With the three-outcome device this builds the constraint operator
-    C = (x)Pi_1 x Pi_1 x ... for indices (1,...,1) and the test operator
-    L = Pi_2 x Pi_2 x ... for indices (2,...,2); arbitrary index tuples are
-    allowed.
-    """
+def _selected_effects(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> list[Effect]:
     povms = list(povms)
     outcome_indices = list(outcome_indices)
     if len(povms) != len(outcome_indices):
@@ -174,8 +167,18 @@ def product_operator(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> H
         )
     if not povms:
         raise ValueError("at least one party is required")
-    ops = [p.effect(i).op for p, i in zip(povms, outcome_indices)]
-    out = tensor(ops)
+    return [p.effect(i) for p, i in zip(povms, outcome_indices)]
+
+
+def product_operator(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> HermitianOperator:
+    """Tensor product of selected effects, one per party (1-based outcomes).
+
+    With the three-outcome device this builds the constraint operator
+    C = (x)Pi_1 x Pi_1 x ... for indices (1,...,1) and the test operator
+    L = Pi_2 x Pi_2 x ... for indices (2,...,2); arbitrary index tuples are
+    allowed.
+    """
+    out = tensor([e.op for e in _selected_effects(povms, outcome_indices)])
     assert isinstance(out, HermitianOperator)
     return out
 

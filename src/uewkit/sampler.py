@@ -27,7 +27,6 @@ __all__ = [
     "CountsTable",
     "EstimateResult",
     "sample_product_state",
-    "sample_bloch_angles",
     "scatter",
     "random_density_matrix",
     "simulate_counts",
@@ -141,13 +140,6 @@ def sample_product_state(dims: Sequence[int], seed: int, task: int = 0) -> Produ
         vec = _bloch_vectors(rng, 1)[0] if d == 2 else _haar_vectors(rng, 1, d)[0]
         factors.append(PureState((d,), vec))
     return ProductState(tuple(factors))
-
-
-def sample_bloch_angles(n: int, n_parties: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, n_parties, 2) array of (theta, phi) Bloch angles."""
-    cos_t = rng.uniform(-1.0, 1.0, size=(n, n_parties))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=(n, n_parties))
-    return np.stack([np.arccos(cos_t), phi], axis=-1)
 
 
 def _batched_product_states(rng: np.random.Generator, n: int, dims: Sequence[int]) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -23,6 +23,7 @@ from ._optimize import (
     fingerprint_operators,
     optimize_product_bound,
 )
+from .povm import Povm, _selected_effects
 from .qcore import HermitianOperator, ProductState, PureState
 
 __all__ = [
@@ -240,14 +241,16 @@ def sew_bound(
 
 
 def attainable_constraint_range(
-    c_op: HermitianOperator, settings: Optional[OptimizerSettings] = None
+    povms: Sequence[Povm], outcome_indices: Sequence[int]
 ) -> tuple[float, float]:
-    """Multistart estimate of the range of <C> over pure product states."""
-    settings = settings or OptimizerSettings()
-    scan = replace(settings, restarts=max(16, settings.restarts // 2))
-    lo = optimize_product_bound(c_op.mat, c_op.dims, direction="inf", settings=scan).value
-    hi = optimize_product_bound(c_op.mat, c_op.dims, direction="sup", settings=scan).value
-    return lo, hi
+    """Exact range of <C> over product states, C = product_operator(povms, outcome_indices).
+
+    Each party's <a|E|a> ranges over the spectrum of its PSD effect E, so the
+    range is [prod lambda_min(E), prod lambda_max(E)], reached by products of
+    bottom and top eigenvectors.
+    """
+    spectra = [np.linalg.eigvalsh(e.op.mat) for e in _selected_effects(povms, outcome_indices)]
+    return math.prod(float(s[0]) for s in spectra), math.prod(float(s[-1]) for s in spectra)
 
 
 def constrained_bound(
@@ -263,7 +266,7 @@ def constrained_bound(
     constraint surface.  Multistart SLSQP with the constraint held directly;
     `feasibility_residual` reports |<C> - c| at the returned point.  Raises
     ValueError when no restart reaches <C> = c, i.e. c is not attainable.
-    `warm_factors` are extra starts, one sequence of factor vectors each.
+    `warm_factors` (factor vectors) add starts and switch to `warm_restarts`.
     """
     dims = l_op.op.dims
     if dims != constraint.op.dims:
@@ -294,8 +297,8 @@ def constrained_pure_state_sup(
     """
     if l_op.dims != c_op.dims:
         raise ValueError("operators must share dims")
-    lo = float(np.linalg.eigvalsh(c_op.mat)[0])
-    hi = float(np.linalg.eigvalsh(c_op.mat)[-1])
+    spectrum = np.linalg.eigvalsh(c_op.mat)
+    lo, hi = float(spectrum[0]), float(spectrum[-1])
     if c < lo - RANGE_TOL or c > hi + RANGE_TOL:
         raise ValueError(f"c={c} outside the spectrum range [{lo}, {hi}] of C")
     raw = optimize_product_bound(
@@ -322,7 +325,6 @@ def separability_curve(
     plus the previous point's maximizer.  A c no product state attains raises
     ValueError; the curve's `reliable` is read from its points.
     """
-    settings = settings or OptimizerSettings()
     grid = np.array([float(_csv_number(c)) for c in c_grid])
     if grid.size < 3:
         raise ValueError("need at least 3 grid points")
@@ -330,15 +332,11 @@ def separability_curve(
         raise ValueError("c grid must be sorted strictly increasing")
 
     fingerprint = fingerprint_operators(l_op.op.mat, c_op.mat)
-    warm_settings = replace(settings, restarts=settings.warm_restarts)
     points = []
     warm: list[list[np.ndarray]] = []
     for c in grid:
         res = constrained_bound(
-            l_op,
-            ConstraintSpec(c_op, float(c)),
-            settings=warm_settings if warm else settings,
-            warm_factors=warm,
+            l_op, ConstraintSpec(c_op, float(c)), settings=settings, warm_factors=warm
         )
         points.append(CurvePoint(float(c), res.value, res.converged, res.restarts_used))
         warm = [[f.amplitudes for f in res.maximizer.factors]]
@@ -422,9 +420,9 @@ def tighten(
     re-optimized over product states with <C> = c.  The result is never worse
     than the unconstrained bound: improvement >= 0 up to solver tolerance.
 
-    Finite-shot frequencies can fall slightly outside the attainable range of
-    <C> over product states (where the constrained set would be empty); the
-    measured value is clipped to the attainable range.
+    Finite-shot frequencies can fall slightly outside the range of <C> over
+    product states (where the constrained set would be empty); the measured
+    value is clipped to the exact range from `attainable_constraint_range`.
     """
     from .povm import product_operator
 
@@ -447,7 +445,7 @@ def tighten(
             raise ValueError(f"no measured value for constraint pair {key}")
         c_meas = float(data[key])
 
-    attainable = attainable_constraint_range(c_op, settings)
+    attainable = attainable_constraint_range(povms, constraint_pair)
     c_used = min(max(c_meas, attainable[0]), attainable[1])
     old = sew_bound(l_op, settings=settings)
     new = constrained_bound(l_op, ConstraintSpec(c_op, c_used), settings=settings)

@@ -39,9 +39,9 @@ def ops():
 @pytest.fixture(scope="module")
 def full_curve(ops):
     """201-point production curve plus its build time and the SEW bound."""
-    _, l_op, c_op = ops
+    device, l_op, c_op = ops
     settings = uk.OptimizerSettings()
-    lo, hi = uk.attainable_constraint_range(c_op, settings)
+    lo, hi = uk.attainable_constraint_range([device, device], (1, 1))
     t0 = time.perf_counter()
     curve = uk.separability_curve(
         uk.TestOperator(l_op), c_op, np.linspace(lo, hi, 201), settings
@@ -105,7 +105,7 @@ def test_criterion_02_curve_anchors_and_oracles(ops, full_curve):
     device = uk.build_three_outcome(uk.ThreeOutcomeParams(0.5, 0.3))
     l_half = uk.product_operator([device, device], [2, 2])
     c_half = uk.product_operator([device, device], [1, 1])
-    lo, hi = uk.attainable_constraint_range(c_half)
+    lo, hi = uk.attainable_constraint_range([device, device], (1, 1))
     half = uk.separability_curve(uk.TestOperator(l_half), c_half, np.linspace(lo, hi, 201))
     assert half.reliable
     semi_half = np.array([uk.semianalytic_pair_bound(0.5, c) for c in half.c_values])

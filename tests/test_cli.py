@@ -221,6 +221,10 @@ class TestErrorExits:
     def test_bad_x(self, tmp_path):
         assert run("curve", "--x", "1.5", "--grid", 3, "--out", tmp_path / "c.csv") == 2
 
+    def test_zero_restarts(self, tmp_path, capsys):
+        assert run("bound", "--x", "2/3", "--restarts", 0, "--out", tmp_path / "b.json") == 2
+        assert "restarts must be >= 1, got 0" in capsys.readouterr().err
+
 
 def test_curve_determinism(tmp_path):
     outs = []
@@ -245,12 +249,16 @@ def test_curve_rows_bound_g_at_stated_c(tmp_path, device, path):
         dev = uk.build_three_outcome(uk.ThreeOutcomeParams(float(Fraction(x)), float(theta)))
         l_op = uk.product_operator([dev, dev], [2, 2])
         c_op = uk.product_operator([dev, dev], [1, 1])
-        lo, hi = uk.attainable_constraint_range(c_op)
+        lo, hi = uk.attainable_constraint_range([dev, dev], (1, 1))
         curve = uk.separability_curve(uk.TestOperator(l_op), c_op, np.linspace(lo, hi, 21))
         assert curve.reliable
         uk.curve_to_csv(curve, out)
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 21
+    # the grid spans the exact product-state range [0, x^2]
+    x_sq = float(Fraction(x)) ** 2
+    assert rows[0].split(",")[0] == "0"
+    assert rows[-1].split(",")[0] == f"{x_sq:.12g}"
     for row in rows:
         c, g = (float(v) for v in row.split(",")[:2])
         oracle = uk.semianalytic_pair_bound(float(Fraction(x)), c)

@@ -98,6 +98,51 @@ class TestConstrainedBound:
         )
 
 
+class TestAttainableRange:
+    @pytest.mark.parametrize("x", [0.5, 2.0 / 3.0, 0.8])
+    def test_default_device_exact(self, x):
+        device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, 0.3))
+        assert uk.attainable_constraint_range([device, device], (1, 1)) == (0.0, x * x)
+
+    def test_general_effects_reached_and_never_exceeded(self):
+        rng = np.random.default_rng(11)
+        u = np.linalg.eigh(random_hermitian(3, rng))[1]
+        p_mat = u @ np.diag([0.15, 0.5, 0.85]) @ u.conj().T
+        qutrit = uk.Povm(
+            (uk.Effect(uk.HermitianOperator((3,), p_mat)),
+             uk.Effect(uk.HermitianOperator((3,), np.eye(3) - p_mat)))
+        )
+        device = uk.build_three_outcome(uk.ThreeOutcomeParams(X, 0.0))
+        povms, indices = [qutrit, device, qutrit], (1, 2, 2)
+        lo, hi = uk.attainable_constraint_range(povms, indices)
+        c_op = uk.product_operator(povms, indices)
+        effects = [p.effect(i).op.mat for p, i in zip(povms, indices)]
+        for end, column in ((lo, 0), (hi, -1)):
+            psi = np.ones(1)
+            for e in effects:
+                psi = np.kron(psi, np.linalg.eigh(e)[1][:, column])
+            assert float((psi.conj() @ c_op.mat @ psi).real) == pytest.approx(end, abs=1e-12)
+        cs = uk.scatter(c_op, c_op, n=5000, seed=3)[:, 0]
+        assert np.all(cs >= lo - 1e-12) and np.all(cs <= hi + 1e-12)
+
+    def test_length_mismatch_uses_product_operator_message(self, povm23):
+        with pytest.raises(ValueError, match="2 parties but 1 outcome indices"):
+            uk.attainable_constraint_range([povm23, povm23], (1,))
+
+
+def test_optimizer_settings_validation(pair23):
+    with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+        uk.OptimizerSettings(restarts=0)
+    with pytest.raises(ValueError, match="restarts must be >= 1, got -2"):
+        uk.OptimizerSettings(restarts=-2)
+    with pytest.raises(ValueError, match="warm_restarts must be >= 0, got -1"):
+        uk.OptimizerSettings(warm_restarts=-1)
+    # warm points may run on the previous maximizer alone
+    settings = uk.OptimizerSettings(restarts=4, warm_restarts=0)
+    curve = uk.separability_curve(uk.TestOperator(pair23[0]), pair23[1], [0.1, 0.2, 0.3], settings)
+    assert [p.restarts for p in curve.points] == [4, 1, 1]
+
+
 class TestSeparabilityCurve:
     def test_anchor_grid(self, pair23, fast):
         l_op, c_op = pair23
