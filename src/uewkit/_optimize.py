@@ -6,26 +6,28 @@ is real (2d - 1 real parameters), which removes the gauge freedom that stalls
 quasi-Newton steps.
 
 Unconstrained bounds run plain L-BFGS on -sign*<L>.  A bound with the
-equality constraint <C> = c runs one SLSQP solve per restart, which holds the
-constraint directly: the start is projected onto the constraint set by
-Gauss-Newton, SLSQP maximizes from there, and its result is projected again,
-so every restart is scored at a point on the constraint set.  There is no
-penalty weight and no escalation.
+equality constraint <C> = c first checks c against the spectrum of C, then
+runs one SLSQP solve per restart, which holds the constraint directly: the
+start is projected onto the constraint set by Gauss-Newton, SLSQP maximizes
+from there, and its result is projected again, so every restart is scored at
+a point on the constraint set.  There is no penalty weight and no escalation.
 
-Everything here is deterministic: restart i draws its start from a Philox
-stream keyed by (base_key, i), and the best candidate is selected by value
-with ties broken by lowest restart index.
+Everything here is deterministic: restart i draws its start from
+`sampler.stream(base_key[0], base_key[1] + i)`, and the best candidate is
+selected by value with ties broken by lowest restart index.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
+
+from .sampler import stream
 
 __all__ = [
     "OptimizerSettings",
@@ -39,14 +41,14 @@ __all__ = [
 
 MAXITER = 250
 SLSQP_FTOL = 1e-12
-# a restart whose SLSQP solve stopped without success still counts as
-# converged when a second solve from its projected point gains no more, and
-# a bound counts as converged when a converged restart comes this close to it
+# a restart converged when its local solver reports success; a bound
+# converged when a feasible converged restart comes this close to the best
 STALL_GAIN_TOL = 1e-12
 PROJECTION_TOL = 1e-12
 FLAT_GRADIENT_TOL = 1e-18
 RESIDUAL_OK = 1e-6
-GRAD_OK = 1e-6
+# slack on the spectrum of C before a constraint value counts as unattainable
+RANGE_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
 
@@ -90,13 +92,6 @@ def derive_key(fingerprint: str, extra: float | int = 0) -> tuple[int, int]:
         int.from_bytes(h[:8], "little") & _MASK64,
         int.from_bytes(h[8:16], "little") & _MASK64,
     )
-
-
-def _restart_rng(base_key: tuple[int, int], index: int) -> np.random.Generator:
-    key = np.array(
-        [base_key[0] & _MASK64, (base_key[1] + index) & _MASK64], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 class ProductManifold:
@@ -189,19 +184,12 @@ class ProductManifold:
 
 def _contract_leaving(y_t: np.ndarray, conj_factors: Sequence[np.ndarray], keep: int) -> np.ndarray:
     """Contract all tensor axes of y against conj factors except axis `keep`."""
+    # in axis order, every axis before m is gone except `keep`, so axis m sits
+    # at position 0 before `keep` and at 1 after it
     t = y_t
-    positions = list(range(len(conj_factors)))
     for m, cf in enumerate(conj_factors):
-        if m == keep:
-            continue
-        ax = positions[m]
-        t = np.tensordot(cf, t, axes=([0], [ax]))
-        # tensordot puts the surviving axes after the contracted factor's none;
-        # contracting a vector removes axis `ax` and keeps order of the rest
-        for j in range(len(positions)):
-            if positions[j] is not None and positions[j] > ax:
-                positions[j] -= 1
-        positions[m] = None
+        if m != keep:
+            t = np.tensordot(cf, t, axes=([0], [int(m > keep)]))
     return t
 
 
@@ -320,27 +308,13 @@ def _solve_from(
 
         options = {"maxiter": MAXITER, "ftol": 1e-14, "gtol": 1e-10}
         res = minimize(negated, x0, jac=True, method="L-BFGS-B", options=options)
-        # L-BFGS line searches can fail on flat plateaus after converging;
-        # accept the point when the gradient is already tiny
-        ok = bool(res.success) or float(np.max(np.abs(res.jac))) <= GRAD_OK
         v_l, _ = objective.values(res.x)
-        return _Candidate(index, res.x, sign * v_l, 0.0, ok)
+        return _Candidate(index, res.x, sign * v_l, 0.0, bool(res.success))
 
-    def solve(p):
-        res = _slsqp(objective, p, c_value, sign)
-        p = _project_onto_constraint(objective, res.x, c_value)
-        v_l, v_c = objective.values(p)
-        return _Candidate(index, p, sign * v_l, abs(v_c - c_value), bool(res.success))
-
-    cand = solve(_project_onto_constraint(objective, x0, c_value))
-    if not cand.local_ok:
-        # where the constraint gradient vanishes on the feasible set (the ends
-        # of the attainable range) SLSQP reports a singular subproblem while
-        # already at the optimum; a second solve tells a stall from a miss
-        again = solve(cand.params)
-        ok = again.local_ok or again.value - cand.value <= STALL_GAIN_TOL
-        cand = replace(max(cand, again, key=lambda c: c.value), local_ok=ok)
-    return cand
+    res = _slsqp(objective, _project_onto_constraint(objective, x0, c_value), c_value, sign)
+    p = _project_onto_constraint(objective, res.x, c_value)
+    v_l, v_c = objective.values(p)
+    return _Candidate(index, p, sign * v_l, abs(v_c - c_value), bool(res.success))
 
 
 def _slsqp(objective: PairObjective, x0: np.ndarray, c_value: float, sign: float):
@@ -383,15 +357,26 @@ def optimize_product_bound(
     """Multistart supremum (or infimum) of <L> over the product manifold.
 
     With `c_mat`/`c_value` given, maximizes subject to <C> = c with one
-    SLSQP solve per start, and raises ValueError when no start reaches
-    |<C> - c| <= RESIDUAL_OK, i.e. when c is not attainable by product
-    states.  `warm_factors` are extra starts (factor vectors), tried before
+    SLSQP solve per start.  Raises ValueError before any start when c lies
+    more than RANGE_TOL outside the spectrum of C (no state attains it), and
+    after the starts when none reaches |<C> - c| <= RESIDUAL_OK (no product
+    state attains it).  The bound is converged when a feasible start whose
+    local solver succeeded comes within STALL_GAIN_TOL of the best one.
+    `warm_factors` are extra starts (factor vectors), tried before
     `settings.warm_restarts` random ones; without them `settings.restarts`.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
     if (c_mat is None) != (c_value is None):
         raise ValueError("c_mat and c_value must be given together")
+    if c_mat is not None:
+        spectrum = np.linalg.eigvalsh(c_mat)
+        lo, hi = float(spectrum[0]), float(spectrum[-1])
+        if not lo - RANGE_TOL <= c_value <= hi + RANGE_TOL:
+            raise ValueError(
+                f"constraint value {c_value} outside the spectrum [{lo:.12g}, {hi:.12g}] "
+                "of C: no state attains it"
+            )
     settings = settings or OptimizerSettings()
     manifold = ProductManifold(block_dims)
     objective = PairObjective(manifold, l_mat, c_mat)
@@ -404,7 +389,7 @@ def optimize_product_bound(
 
     starts = [manifold.params_of(w) for w in warm_factors]
     for i in range(settings.warm_restarts if warm_factors else settings.restarts):
-        starts.append(manifold.random_params(_restart_rng(base_key, i)))
+        starts.append(manifold.random_params(stream(base_key[0], base_key[1] + i)))
 
     candidates = [
         _solve_from(objective, x0, c_value, sign, idx) for idx, x0 in enumerate(starts)
@@ -418,7 +403,6 @@ def optimize_product_bound(
             f"the smallest residual |<C> - c| reached is {closest:.3e}"
         )
     best = max(feasible, key=lambda c: (c.value, -c.index))
-    # a stalled best restart is confirmed by a converged one that ties it
     converged = any(c.local_ok and best.value - c.value <= STALL_GAIN_TOL for c in feasible)
     return RawBound(
         params=best.params,

@@ -46,7 +46,7 @@ def _fmt(value):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_fmt(payload), indent=2, sort_keys=True) + "\n")
+    qcore.save_json(path, _fmt(payload))
 
 
 def _number(text: str) -> float:
@@ -223,16 +223,18 @@ def cmd_multiparty(args) -> int:
         multipartite.closed_form_bound(args.x, args.agents, m)
         for m in range(1, args.agents + 1)
     ]
+    if args.partition:
+        # bad input must fail before the table is written
+        part = multipartite.Partition.parse(args.partition)
+        res = multipartite.numeric_partition_bound(
+            args.x, args.agents, part, c=args.c, theta=args.theta, settings=_settings(args)
+        )
     with open(args.out, "w") as fh:
         fh.write("N,M_k,g\n")
         for r in rows:
             fh.write(f"{r.n_agents},{r.largest_block},{r.g:.12g}\n")
     print(f"bounds table for N={args.agents} -> {args.out}")
     if args.partition:
-        part = multipartite.Partition.parse(args.partition)
-        res = multipartite.numeric_partition_bound(
-            args.x, args.agents, part, c=args.c, theta=args.theta, settings=_settings(args)
-        )
         payload = {
             "partition": part.label,
             "normalized": multipartite.Partition.format_blocks(part.blocks),

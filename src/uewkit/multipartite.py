@@ -21,7 +21,7 @@ import numpy as np
 from ._optimize import OptimizerSettings, optimize_product_bound
 from .povm import ThreeOutcomeParams, build_three_outcome, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState
-from .witness import BoundResult, _bound_from_raw, attainable_constraint_range
+from .witness import BoundResult, _bound_from_raw
 
 __all__ = [
     "Partition",
@@ -234,7 +234,10 @@ def numeric_partition_bound(
     Multistart supremum of <L> over block-wise pure states (each block a unit
     vector in its 2^M dimensional space) with <C> = c.  The c > 0 case is a
     numeric extension beyond the closed form, which exists for c = 0 only.
-    Non-convergence is flagged on the result, never silently ignored.
+    C is a product of PSD effects, so its spectrum [prod lambda_min,
+    prod lambda_max] is the attainable range; a c outside it raises
+    ValueError before any restart.  Non-convergence is flagged on the
+    result, never silently ignored.
     """
     if partition.n_agents != n_agents:
         raise ValueError(f"partition covers {partition.n_agents} agents, expected {n_agents}")
@@ -250,14 +253,7 @@ def numeric_partition_bound(
     l_op = product_operator(povms, [2] * n_agents)
     c_op = product_operator(povms, [1] * n_agents)
     block_dims = [2 ** len(b) for b in partition.blocks]
-    lo, hi = attainable_constraint_range(povms, [1] * n_agents)
-    if c < lo - 1e-12 or c > hi + 1e-12:
-        raise ValueError(f"c={c} outside attainable range [{lo}, {hi}]")
     raw = optimize_product_bound(
-        l_op.mat,
-        block_dims,
-        c_mat=c_op.mat,
-        c_value=min(max(float(c), lo), hi),
-        settings=settings,
+        l_op.mat, block_dims, c_mat=c_op.mat, c_value=float(c), settings=settings
     )
     return _bound_from_raw(raw, [(2,) * len(b) for b in partition.blocks])

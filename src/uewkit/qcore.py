@@ -208,10 +208,6 @@ def tensor(ops: Sequence[Operator]) -> Operator:
     return cls(dims, mat)
 
 
-def _state_vector(state: Union[PureState, ProductState]) -> np.ndarray:
-    return state.amplitudes
-
-
 def expectation(op: HermitianOperator, state: State) -> float:
     """Real expectation value Tr(O rho) or <psi|O|psi>.
 
@@ -225,7 +221,7 @@ def expectation(op: HermitianOperator, state: State) -> float:
             raise ValueError(f"dimension mismatch: {op.total_dim} vs {state.total_dim}")
         val = np.einsum("ij,ji->", op.mat, state.mat)
     elif isinstance(state, (PureState, ProductState)):
-        vec = _state_vector(state)
+        vec = state.amplitudes
         if vec.shape[0] != op.total_dim:
             raise ValueError(f"dimension mismatch: {op.total_dim} vs {vec.shape[0]}")
         val = vec.conj() @ (op.mat @ vec)
@@ -274,7 +270,7 @@ def is_ppt(rho: DensityMatrix, cut: int = 0) -> bool:
 
 def pure_density(state: Union[PureState, ProductState]) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a pure state."""
-    vec = _state_vector(state)
+    vec = state.amplitudes
     return DensityMatrix(state.dims, np.outer(vec, vec.conj()))
 
 
@@ -316,7 +312,7 @@ def operator_from_dict(d: dict, hermitian: bool = True) -> Operator:
 
 
 def state_to_dict(state: Union[PureState, ProductState]) -> dict:
-    return {"dims": list(state.dims), "entries": _array_to_entries(_state_vector(state))}
+    return {"dims": list(state.dims), "entries": _array_to_entries(state.amplitudes)}
 
 
 def state_from_dict(d: dict) -> PureState:

@@ -9,7 +9,6 @@ test vectors are pinned in the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
 from .povm import Povm
-from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, is_ppt, tensor
+from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, is_ppt, load_json, save_json, tensor
 
 __all__ = [
     "stream",
@@ -160,6 +159,8 @@ def scatter(
     """(n, 2) array of (<C>, <L>) over random pure product states."""
     if l_op.dims != c_op.dims:
         raise ValueError("operators must share dims")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     rng = stream(seed, task)
     psi = _batched_product_states(rng, n, l_op.dims)
     c_vals = np.einsum("ni,ij,nj->n", psi.conj(), c_op.mat, psi).real
@@ -430,8 +431,8 @@ def counts_from_dict(d: dict) -> CountsTable:
 
 
 def save_counts(path: Union[str, Path], counts: CountsTable) -> None:
-    Path(path).write_text(json.dumps(counts_to_dict(counts), indent=2, sort_keys=True) + "\n")
+    save_json(path, counts_to_dict(counts))
 
 
 def load_counts(path: Union[str, Path]) -> CountsTable:
-    return counts_from_dict(json.loads(Path(path).read_text()))
+    return counts_from_dict(load_json(path))

@@ -2,9 +2,12 @@
 
 The central object is the separability curve g(c): the supremum of the test
 operator expectation over pure product states whose constraint expectation
-equals c.  Points strictly above the curve certify entanglement; the curve is
-concave, peaks at the unconstrained optimum, and never exceeds the
-unconstrained separable bound g_s.
+equals c.  Points strictly above the curve certify entanglement; the curve
+peaks at the unconstrained optimum and never exceeds the unconstrained
+separable bound g_s.  It is concave for the default pair at x = 1/2 and
+x = 2/3, but not in general (at x = 0.8, g(0.256) lies 1.2e-3 below the chord
+from g(0.192) to g(0.320)); a curve that fails the chord test is unreliable,
+because the bound over mixed separable states is the concave hull of g.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ._optimize import (
+    RANGE_TOL,
     OptimizerSettings,
     RawBound,
     fingerprint_operators,
@@ -54,7 +58,6 @@ __all__ = [
 
 CHORD_TOL = 1e-6
 TANGENCY_TOL = 1e-8
-RANGE_TOL = 1e-9
 X_CLOSED_FORM = 2.0 / 3.0
 
 
@@ -92,7 +95,7 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SeparabilityCurve:
-    """Sampled concave bound g(c) with optimizer metadata."""
+    """Sampled bound g(c) with optimizer metadata."""
 
     points: tuple[CurvePoint, ...]
     operator_fingerprint: str
@@ -265,8 +268,10 @@ def constrained_bound(
     separable optimum is always attained by a pure product state on the
     constraint surface.  Multistart SLSQP with the constraint held directly;
     `feasibility_residual` reports |<C> - c| at the returned point.  Raises
-    ValueError when no restart reaches <C> = c, i.e. c is not attainable.
-    `warm_factors` (factor vectors) add starts and switch to `warm_restarts`.
+    ValueError when c lies outside the spectrum of C (checked before any
+    restart) or when no restart reaches <C> = c (no product state attains
+    it).  `warm_factors` (factor vectors) add starts and switch to
+    `warm_restarts`.
     """
     dims = l_op.op.dims
     if dims != constraint.op.dims:
@@ -293,20 +298,13 @@ def constrained_pure_state_sup(
     The whole system is treated as a single block, so the optimization runs
     over the full Hilbert sphere.  Used to quantify the gap between entangled
     states and the separable curve, and to verify that commuting pairs give
-    no gap at all.
+    no gap at all.  With a single block the spectrum of C is exactly the
+    attainable range, so a c outside it raises ValueError before any restart.
     """
     if l_op.dims != c_op.dims:
         raise ValueError("operators must share dims")
-    spectrum = np.linalg.eigvalsh(c_op.mat)
-    lo, hi = float(spectrum[0]), float(spectrum[-1])
-    if c < lo - RANGE_TOL or c > hi + RANGE_TOL:
-        raise ValueError(f"c={c} outside the spectrum range [{lo}, {hi}] of C")
     raw = optimize_product_bound(
-        l_op.mat,
-        [l_op.total_dim],
-        c_mat=c_op.mat,
-        c_value=min(max(float(c), lo), hi),
-        settings=settings,
+        l_op.mat, [l_op.total_dim], c_mat=c_op.mat, c_value=float(c), settings=settings
     )
     return _bound_from_raw(raw, [l_op.dims])
 

@@ -225,6 +225,22 @@ class TestErrorExits:
         assert run("bound", "--x", "2/3", "--restarts", 0, "--out", tmp_path / "b.json") == 2
         assert "restarts must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_unattainable_bound_c(self, tmp_path, capsys):
+        assert run("bound", "--x", "2/3", "--c", "0.6", "--out", tmp_path / "b.json") == 2
+        err = capsys.readouterr().err
+        assert "constraint value 0.6 outside the spectrum [0, 0.444444444444] of C" in err
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_bad_sample_size(self, tmp_path, capsys, n):
+        assert run("sample", "--n", n, "--out", tmp_path / "s.csv") == 2
+        assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+
+    def test_multiparty_bad_c_writes_nothing(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        argv = ("multiparty", "--agents", 3, "--partition", "1|2|3", "--c", "-0.5", "--out", out)
+        assert run(*argv) == 2
+        assert not out.exists()
+
 
 def test_curve_determinism(tmp_path):
     outs = []

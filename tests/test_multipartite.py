@@ -220,5 +220,5 @@ class TestNumericPartitionBound:
         with pytest.raises(ValueError):
             uk.numeric_partition_bound(X, 2, uk.Partition.parse("1|2"), c=0.6, settings=fast)
         plist = [uk.ThreeOutcomeParams(0.5, 0.0), uk.ThreeOutcomeParams(0.8, 0.0)]
-        with pytest.raises(ValueError, match=r"c=0.41 outside attainable range \[0.0, 0.4\]"):
+        with pytest.raises(ValueError, match=r"constraint value 0\.41 outside the spectrum \[0, 0\.4\] of C"):
             uk.numeric_partition_bound(plist, 2, uk.Partition.parse("1|2"), c=0.41, settings=fast)

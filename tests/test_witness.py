@@ -83,8 +83,22 @@ class TestConstrainedBound:
 
     def test_unattainable_c(self, pair23, fast):
         l_op, c_op = pair23
-        with pytest.raises(ValueError, match=r"constraint value 0\.6 not attainable.*smallest residual"):
+        # outside the spectrum of C: rejected before any restart
+        with pytest.raises(
+            ValueError,
+            match=r"constraint value 0\.6 outside the spectrum \[0, 0\.444444444444\] of C",
+        ):
             uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.6), fast)
+        with pytest.raises(
+            ValueError,
+            match=r"constraint value 0\.5 outside the spectrum \[0, 0\.444444444444\] of C",
+        ):
+            uk.constrained_pure_state_sup(l_op, c_op, 0.5, fast)
+        # inside the spectrum [0, 1] of a Bell projector, but product states
+        # reach only [0, 1/2]: the multistart's residual rule rejects it
+        bell = uk.HermitianOperator((2, 2), uk.pure_density(bell_state()).mat)
+        with pytest.raises(ValueError, match=r"constraint value 0\.8 not attainable.*smallest residual"):
+            uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(bell, 0.8), fast)
 
     def test_deterministic(self, pair23, fast):
         l_op, c_op = pair23
@@ -278,6 +292,16 @@ class TestDetect:
         assert not bad.reliable
         with pytest.raises(ValueError):
             uk.detect(bad, 0.1, 0.5)
+        # g is not concave at x = 0.8: every point converged, yet the chord
+        # test must fail, since the secant envelope majorizes a concave g only
+        cs = np.linspace(0.0, 0.64, 11)
+        exact = uk.SeparabilityCurve(
+            tuple(uk.CurvePoint(float(c), uk.semianalytic_pair_bound(0.8, float(c)), True, 8) for c in cs),
+            "",
+        )
+        assert not exact.reliable
+        with pytest.raises(ValueError):
+            uk.detect(exact, 0.256, 0.3)
 
     def test_negative_k_rejected(self, small_curve):
         with pytest.raises(ValueError):
