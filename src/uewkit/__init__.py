@@ -8,7 +8,7 @@ certifies entanglement.  Independent brute-force and partial-transpose
 oracles cross-validate every bound.
 """
 
-from ._optimize import OptimizerSettings
+from ._optimize import BoundResult, OptimizerSettings
 from .multipartite import (
     MultiBound,
     Partition,
@@ -62,11 +62,8 @@ from .sampler import (
     weighted_estimate,
 )
 from .witness import (
-    BoundResult,
-    ConstraintSpec,
     CurvePoint,
     SeparabilityCurve,
-    TestOperator,
     TightenResult,
     Verdict,
     WitnessOperator,

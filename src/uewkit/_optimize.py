@@ -13,8 +13,9 @@ from there, and its result is projected again, so every restart is scored at
 a point on the constraint set.  There is no penalty weight and no escalation.
 
 Everything here is deterministic: restart i draws its start from
-`sampler.stream(base_key[0], base_key[1] + i)`, and the best candidate is
-selected by value with ties broken by lowest restart index.
+`sampler.stream(key[0], key[1] + i)`, with the key derived from the operators
+and c, and the best candidate is selected by value with ties broken by lowest
+restart index.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from .qcore import ProductState, PureState
 from .sampler import stream
 
 __all__ = [
     "OptimizerSettings",
     "ProductManifold",
     "PairObjective",
-    "RawBound",
+    "BoundResult",
     "fingerprint_operators",
     "derive_key",
     "optimize_product_bound",
@@ -45,6 +47,7 @@ SLSQP_FTOL = 1e-12
 # converged when a feasible converged restart comes this close to the best
 STALL_GAIN_TOL = 1e-12
 PROJECTION_TOL = 1e-12
+PROJECTION_MAX_ITER = 120
 FLAT_GRADIENT_TOL = 1e-18
 RESIDUAL_OK = 1e-6
 # slack on the spectrum of C before a constraint value counts as unattainable
@@ -66,13 +69,6 @@ class OptimizerSettings:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.warm_restarts < 0:
             raise ValueError(f"warm_restarts must be >= 0, got {self.warm_restarts}")
-
-    def as_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "warm_restarts": self.warm_restarts,
-            "seed": self.seed,
-        }
 
 
 def fingerprint_operators(*mats_and_scalars) -> str:
@@ -255,7 +251,7 @@ class PairObjective:
         return self._value_grad(self.c_mat, psi, factors, jacs)
 
 
-def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_value: float, max_iter: int = 120) -> np.ndarray:
+def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_value: float) -> np.ndarray:
     """Gauss-Newton projection of a point onto {<C> = c}.
 
     Quadratic convergence at regular points; linear (ratio 1/2) at the
@@ -263,7 +259,7 @@ def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_val
     on the solution set.
     """
     p = np.array(params, dtype=np.float64)
-    for _ in range(max_iter):
+    for _ in range(PROJECTION_MAX_ITER):
         v_c, g_c = objective.c_value_grad(p)
         r = v_c - c_value
         if abs(r) <= PROJECTION_TOL:
@@ -276,13 +272,14 @@ def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_val
 
 
 @dataclass(frozen=True)
-class RawBound:
-    params: np.ndarray
-    factors: tuple[np.ndarray, ...]
+class BoundResult:
+    """Product-state bound with its maximizer; the residual is |<C> - c| there (0 without C)."""
+
     value: float
-    residual: float
-    converged: bool
+    maximizer: ProductState
+    feasibility_residual: float
     restarts_used: int
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -345,17 +342,18 @@ def _slsqp(objective: PairObjective, x0: np.ndarray, c_value: float, sign: float
 
 def optimize_product_bound(
     l_mat: np.ndarray,
-    block_dims: Sequence[int],
+    factor_dims: Sequence[Sequence[int]],
     *,
     c_mat: Optional[np.ndarray] = None,
     c_value: Optional[float] = None,
     direction: str = "sup",
     settings: Optional[OptimizerSettings] = None,
     warm_factors: Sequence[Sequence[np.ndarray]] = (),
-    base_key: Optional[tuple[int, int]] = None,
-) -> RawBound:
-    """Multistart supremum (or infimum) of <L> over the product manifold.
+) -> BoundResult:
+    """Multistart supremum (or infimum) of <L> over product states.
 
+    `factor_dims` gives the subsystem dims of each factor of the maximizer;
+    the optimizer treats each factor as one block of their product dimension.
     With `c_mat`/`c_value` given, maximizes subject to <C> = c with one
     SLSQP solve per start.  Raises ValueError before any start when c lies
     more than RANGE_TOL outside the spectrum of C (no state attains it), and
@@ -378,18 +376,17 @@ def optimize_product_bound(
                 "of C: no state attains it"
             )
     settings = settings or OptimizerSettings()
-    manifold = ProductManifold(block_dims)
+    manifold = ProductManifold([math.prod(dims) for dims in factor_dims])
     objective = PairObjective(manifold, l_mat, c_mat)
     sign = 1.0 if direction == "sup" else -1.0
-    if base_key is None:
-        fp = fingerprint_operators(l_mat, c_mat if c_mat is not None else 0)
-        base_key = derive_key(fp, c_value if c_value is not None else "unconstrained")
+    fp = fingerprint_operators(l_mat, c_mat if c_mat is not None else 0)
+    key = derive_key(fp, c_value if c_value is not None else "unconstrained")
     if settings.seed is not None:
-        base_key = ((base_key[0] ^ settings.seed) & _MASK64, base_key[1])
+        key = ((key[0] ^ settings.seed) & _MASK64, key[1])
 
     starts = [manifold.params_of(w) for w in warm_factors]
     for i in range(settings.warm_restarts if warm_factors else settings.restarts):
-        starts.append(manifold.random_params(stream(base_key[0], base_key[1] + i)))
+        starts.append(manifold.random_params(stream(key[0], key[1] + i)))
 
     candidates = [
         _solve_from(objective, x0, c_value, sign, idx) for idx, x0 in enumerate(starts)
@@ -404,11 +401,11 @@ def optimize_product_bound(
         )
     best = max(feasible, key=lambda c: (c.value, -c.index))
     converged = any(c.local_ok and best.value - c.value <= STALL_GAIN_TOL for c in feasible)
-    return RawBound(
-        params=best.params,
-        factors=tuple(manifold.factors(best.params)),
+    factors = zip(factor_dims, manifold.factors(best.params))
+    return BoundResult(
         value=sign * best.value,
-        residual=best.residual,
-        converged=converged,
+        maximizer=ProductState(tuple(PureState(dims, vec) for dims, vec in factors)),
+        feasibility_residual=best.residual,
         restarts_used=len(starts),
+        converged=converged,
     )

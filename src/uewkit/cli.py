@@ -13,6 +13,7 @@ number of agents N.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -78,8 +79,8 @@ def _settings(args) -> OptimizerSettings:
 def _build_povms(args, parties: int) -> list[povm.Povm]:
     if getattr(args, "povm", None):
         return povm.povm_from_dict(qcore.load_json(args.povm))
-    params = povm.ThreeOutcomeParams(x=args.x, theta=args.theta)
-    return [povm.build_three_outcome(params) for _ in range(parties)]
+    # one frozen device, shared by every party
+    return [povm.build_three_outcome(povm.ThreeOutcomeParams(x=args.x, theta=args.theta))] * parties
 
 
 def _operator_pair(args, parties: int = 2):
@@ -95,15 +96,16 @@ def cmd_curve(args) -> int:
     report = povm.uew_admissibility_check(c_op, l_op)
     lo, hi = witness.attainable_constraint_range(povms, args.c_indices)
     grid = np.linspace(lo, hi, args.grid)
-    curve = witness.separability_curve(witness.TestOperator(l_op), c_op, grid, settings)
-    sew = witness.sew_bound(witness.TestOperator(l_op), settings=settings)
+    curve = witness.separability_curve(l_op, c_op, grid, settings)
+    # exact for a product of effects, like the c range
+    g_s = witness.attainable_constraint_range(povms, args.l_indices)[1]
 
     out_csv = Path(args.out)
     witness.curve_to_csv(curve, out_csv)
     summary = {
         "fingerprint": curve.operator_fingerprint,
         "reliable": curve.reliable,
-        "g_s": sew.value,
+        "g_s": g_s,
         "sew_optimum_c": curve.peak.c,
         "c_range": [lo, hi],
         "grid_points": args.grid,
@@ -111,7 +113,7 @@ def cmd_curve(args) -> int:
             "commutes": report.commutes,
             "commutator_norm": report.commutator_norm,
         },
-        "settings": settings.as_dict(),
+        "settings": dataclasses.asdict(settings),
     }
     if report.commutes:
         summary["warning"] = (
@@ -124,7 +126,7 @@ def cmd_curve(args) -> int:
             {"c": float(c), "value": witness.entangled_max(float(c))} for c in curve.c_values
         ]
     _write_json(out_csv.with_suffix(".json"), summary)
-    print(f"curve: {len(curve.points)} points, g_s={sew.value:.12g}, reliable={curve.reliable}")
+    print(f"curve: {len(curve.points)} points, g_s={g_s:.12g}, reliable={curve.reliable}")
     if not curve.reliable:
         raise UnreliableComputation("curve has unconverged or non-concave points")
     return EXIT_OK
@@ -279,12 +281,11 @@ def cmd_bound(args) -> int:
         c_op = qcore.operator_from_dict(qcore.load_json(args.C))
     else:
         _, l_op, c_op = _operator_pair(args)
-    test = witness.TestOperator(l_op)
     if args.c is None:
-        res = witness.sew_bound(test, direction=args.direction, settings=settings)
+        res = witness.sew_bound(l_op, direction=args.direction, settings=settings)
         kind = f"sew-{args.direction}"
     else:
-        res = witness.constrained_bound(test, witness.ConstraintSpec(c_op, args.c), settings=settings)
+        res = witness.constrained_bound(l_op, c_op, args.c, settings=settings)
         kind = f"constrained(c={args.c:.12g})"
     payload = {
         "kind": kind,
@@ -293,7 +294,7 @@ def cmd_bound(args) -> int:
         "restarts_used": res.restarts_used,
         "converged": res.converged,
         "maximizer": [qcore.state_to_dict(f) for f in res.maximizer.factors],
-        "settings": settings.as_dict(),
+        "settings": dataclasses.asdict(settings),
     }
     _write_json(Path(args.out), payload)
     print(f"{kind}: {res.value:.12g} (converged={res.converged})")

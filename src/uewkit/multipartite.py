@@ -11,17 +11,15 @@ largest block size M_k:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._optimize import OptimizerSettings, optimize_product_bound
-from .povm import ThreeOutcomeParams, build_three_outcome, product_operator
+from ._optimize import BoundResult, OptimizerSettings, optimize_product_bound
+from .povm import ThreeOutcomeParams, build_three_outcome, chi_vectors, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState
-from .witness import BoundResult, _bound_from_raw
 
 __all__ = [
     "Partition",
@@ -153,10 +151,6 @@ def closed_form_bound(x: float, n_agents: int, largest_block: int) -> MultiBound
     return MultiBound(x=x, n_agents=n_agents, largest_block=largest_block, g=g)
 
 
-def _chi_plus(x: float, theta: float) -> np.ndarray:
-    return np.array([1.0 / math.sqrt(2.0), math.sqrt((1.0 - x) / 2.0) * np.exp(1j * theta)])
-
-
 def optimal_separable_multi(
     x: float, n_agents: int, partition: Partition, theta: float = 0.0
 ) -> ProductState:
@@ -176,7 +170,7 @@ def optimal_separable_multi(
         raise ValueError(f"partition covers {partition.n_agents} agents, expected {n_agents}")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    chi = _chi_plus(x, theta)
+    chi = chi_vectors(ThreeOutcomeParams(x, theta))[0]
     v_ket = np.array([0.0, 1.0], dtype=np.complex128)
     factors = []
     for j, block in enumerate(partition.blocks):
@@ -252,8 +246,10 @@ def numeric_partition_bound(
     povms = [build_three_outcome(plist[i]) for i in order]
     l_op = product_operator(povms, [2] * n_agents)
     c_op = product_operator(povms, [1] * n_agents)
-    block_dims = [2 ** len(b) for b in partition.blocks]
-    raw = optimize_product_bound(
-        l_op.mat, block_dims, c_mat=c_op.mat, c_value=float(c), settings=settings
+    return optimize_product_bound(
+        l_op.mat,
+        [(2,) * len(b) for b in partition.blocks],
+        c_mat=c_op.mat,
+        c_value=float(c),
+        settings=settings,
     )
-    return _bound_from_raw(raw, [(2,) * len(b) for b in partition.blocks])

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HermitianOperator, identity, min_eigenvalue, tensor
+from .qcore import HermitianOperator, tensor
 
 __all__ = [
     "ThreeOutcomeParams",
@@ -29,6 +29,7 @@ __all__ = [
     "chi_vectors",
     "build_three_outcome",
     "product_operator",
+    "selected_effects",
     "AdmissibilityReport",
     "uew_admissibility_check",
     "povm_to_dict",
@@ -68,10 +69,10 @@ class Effect:
     op: HermitianOperator
 
     def __post_init__(self):
-        if min_eigenvalue(self.op) < -EFFECT_PSD_TOL:
+        spectrum = np.linalg.eigvalsh(self.op.mat)
+        if spectrum[0] < -EFFECT_PSD_TOL:
             raise ValueError("effect is not PSD")
-        comp = HermitianOperator(self.op.dims, np.eye(self.op.total_dim) - self.op.mat)
-        if min_eigenvalue(comp) < -EFFECT_PSD_TOL:
+        if spectrum[-1] > 1.0 + EFFECT_PSD_TOL:
             raise ValueError("effect exceeds identity (I - op not PSD)")
 
     @property
@@ -158,7 +159,8 @@ def build_three_outcome(params: ThreeOutcomeParams) -> ThreeOutcomePovm:
     return ThreeOutcomePovm(effects=effects, params=params, chi_plus=chi_p, chi_minus=chi_m)
 
 
-def _selected_effects(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> list[Effect]:
+def selected_effects(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> list[Effect]:
+    """One effect per party, chosen by 1-based outcome index."""
     povms = list(povms)
     outcome_indices = list(outcome_indices)
     if len(povms) != len(outcome_indices):
@@ -178,7 +180,7 @@ def product_operator(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> H
     L = Pi_2 x Pi_2 x ... for indices (2,...,2); arbitrary index tuples are
     allowed.
     """
-    out = tensor([e.op for e in _selected_effects(povms, outcome_indices)])
+    out = tensor([e.op for e in selected_effects(povms, outcome_indices)])
     assert isinstance(out, HermitianOperator)
     return out
 

@@ -22,18 +22,16 @@ import numpy as np
 
 from ._optimize import (
     RANGE_TOL,
+    BoundResult,
     OptimizerSettings,
-    RawBound,
     fingerprint_operators,
     optimize_product_bound,
 )
-from .povm import Povm, _selected_effects
-from .qcore import HermitianOperator, ProductState, PureState
+from .povm import Povm, selected_effects
+from .qcore import HermitianOperator, PureState
 
 __all__ = [
     "OptimizerSettings",
-    "TestOperator",
-    "ConstraintSpec",
     "BoundResult",
     "CurvePoint",
     "SeparabilityCurve",
@@ -59,30 +57,6 @@ __all__ = [
 CHORD_TOL = 1e-6
 TANGENCY_TOL = 1e-8
 X_CLOSED_FORM = 2.0 / 3.0
-
-
-@dataclass(frozen=True)
-class TestOperator:
-    """Hermitian test operator whose separable supremum defines a witness."""
-
-    op: HermitianOperator
-
-
-@dataclass(frozen=True)
-class ConstraintSpec:
-    """Constraint operator together with the measured/required value c."""
-
-    op: HermitianOperator
-    value: float
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    value: float
-    maximizer: ProductState
-    feasibility_residual: float
-    restarts_used: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -212,20 +186,8 @@ class TightenResult:
     improvement: float
 
 
-def _bound_from_raw(raw: RawBound, factor_dims: Sequence[Sequence[int]]) -> BoundResult:
-    """BoundResult whose maximizer factors carry the caller's subsystem dims."""
-    factors = tuple(PureState(dims, vec) for dims, vec in zip(factor_dims, raw.factors))
-    return BoundResult(
-        value=raw.value,
-        maximizer=ProductState(factors),
-        feasibility_residual=raw.residual,
-        restarts_used=raw.restarts_used,
-        converged=raw.converged,
-    )
-
-
 def sew_bound(
-    l_op: TestOperator,
+    l_op: HermitianOperator,
     direction: str = "sup",
     settings: Optional[OptimizerSettings] = None,
 ) -> BoundResult:
@@ -234,31 +196,32 @@ def sew_bound(
     Multistart local optimization; for a product test operator the result can
     be cross-checked against the per-party eigenvalue product.
     """
-    dims = l_op.op.dims
-    if len(dims) < 2:
+    if len(l_op.dims) < 2:
         raise ValueError("standard witnessing needs at least 2 parties")
-    raw = optimize_product_bound(
-        l_op.op.mat, dims, direction=direction, settings=settings
+    return optimize_product_bound(
+        l_op.mat, [(d,) for d in l_op.dims], direction=direction, settings=settings
     )
-    return _bound_from_raw(raw, [(d,) for d in dims])
 
 
 def attainable_constraint_range(
     povms: Sequence[Povm], outcome_indices: Sequence[int]
 ) -> tuple[float, float]:
-    """Exact range of <C> over product states, C = product_operator(povms, outcome_indices).
+    """Exact range of <P> over product states, P = product_operator(povms, outcome_indices).
 
-    Each party's <a|E|a> ranges over the spectrum of its PSD effect E, so the
-    range is [prod lambda_min(E), prod lambda_max(E)], reached by products of
-    bottom and top eigenvectors.
+    Holds for any product of effects, constraint or test operator alike: each
+    party's <a|E|a> ranges over the spectrum of its PSD effect E, so the range
+    is [prod lambda_min(E), prod lambda_max(E)], reached by products of bottom
+    and top eigenvectors.  For a product test operator the upper end is the
+    separable bound g_s.
     """
-    spectra = [np.linalg.eigvalsh(e.op.mat) for e in _selected_effects(povms, outcome_indices)]
+    spectra = [np.linalg.eigvalsh(e.op.mat) for e in selected_effects(povms, outcome_indices)]
     return math.prod(float(s[0]) for s in spectra), math.prod(float(s[-1]) for s in spectra)
 
 
 def constrained_bound(
-    l_op: TestOperator,
-    constraint: ConstraintSpec,
+    l_op: HermitianOperator,
+    c_op: HermitianOperator,
+    c: float,
     settings: Optional[OptimizerSettings] = None,
     warm_factors: Sequence[Sequence[np.ndarray]] = (),
 ) -> BoundResult:
@@ -273,18 +236,16 @@ def constrained_bound(
     it).  `warm_factors` (factor vectors) add starts and switch to
     `warm_restarts`.
     """
-    dims = l_op.op.dims
-    if dims != constraint.op.dims:
+    if l_op.dims != c_op.dims:
         raise ValueError("test and constraint operators must share dims")
-    raw = optimize_product_bound(
-        l_op.op.mat,
-        dims,
-        c_mat=constraint.op.mat,
-        c_value=float(constraint.value),
+    return optimize_product_bound(
+        l_op.mat,
+        [(d,) for d in l_op.dims],
+        c_mat=c_op.mat,
+        c_value=float(c),
         settings=settings,
         warm_factors=warm_factors,
     )
-    return _bound_from_raw(raw, [(d,) for d in dims])
 
 
 def constrained_pure_state_sup(
@@ -303,14 +264,13 @@ def constrained_pure_state_sup(
     """
     if l_op.dims != c_op.dims:
         raise ValueError("operators must share dims")
-    raw = optimize_product_bound(
-        l_op.mat, [l_op.total_dim], c_mat=c_op.mat, c_value=float(c), settings=settings
+    return optimize_product_bound(
+        l_op.mat, [l_op.dims], c_mat=c_op.mat, c_value=float(c), settings=settings
     )
-    return _bound_from_raw(raw, [l_op.dims])
 
 
 def separability_curve(
-    l_op: TestOperator,
+    l_op: HermitianOperator,
     c_op: HermitianOperator,
     c_grid: Sequence[float],
     settings: Optional[OptimizerSettings] = None,
@@ -329,13 +289,11 @@ def separability_curve(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("c grid must be sorted strictly increasing")
 
-    fingerprint = fingerprint_operators(l_op.op.mat, c_op.mat)
+    fingerprint = fingerprint_operators(l_op.mat, c_op.mat)
     points = []
     warm: list[list[np.ndarray]] = []
     for c in grid:
-        res = constrained_bound(
-            l_op, ConstraintSpec(c_op, float(c)), settings=settings, warm_factors=warm
-        )
+        res = constrained_bound(l_op, c_op, float(c), settings=settings, warm_factors=warm)
         points.append(CurvePoint(float(c), res.value, res.converged, res.restarts_used))
         warm = [[f.amplitudes for f in res.maximizer.factors]]
     return SeparabilityCurve(tuple(points), fingerprint)
@@ -432,7 +390,7 @@ def tighten(
         b * product_operator(povms, pair).mat for b, pair in zip(betas, pairs)
     )
     dims = tuple(d for p in povms for d in p.dims)
-    l_op = TestOperator(HermitianOperator(dims, l_mat))
+    l_op = HermitianOperator(dims, l_mat)
     c_op = product_operator(povms, constraint_pair)
 
     key = tuple(int(i) for i in constraint_pair)
@@ -446,7 +404,7 @@ def tighten(
     attainable = attainable_constraint_range(povms, constraint_pair)
     c_used = min(max(c_meas, attainable[0]), attainable[1])
     old = sew_bound(l_op, settings=settings)
-    new = constrained_bound(l_op, ConstraintSpec(c_op, c_used), settings=settings)
+    new = constrained_bound(l_op, c_op, c_used, settings=settings)
     return TightenResult(
         c=c_used,
         g_of_c=new.value,
@@ -491,7 +449,7 @@ def optimal_entangled_state(theta: float, c: float) -> PureState:
     return PureState((2, 2), vec / np.linalg.norm(vec))
 
 
-def witness_from_bound(l_op: TestOperator, bound: BoundResult) -> WitnessOperator:
+def witness_from_bound(l_op: HermitianOperator, bound: BoundResult) -> WitnessOperator:
     """Witness operator g*I - L for a converged bound.
 
     The bound's maximizer is the optimal point: its witness expectation
@@ -499,8 +457,7 @@ def witness_from_bound(l_op: TestOperator, bound: BoundResult) -> WitnessOperato
     """
     if not bound.converged:
         raise ValueError("refusing to build a witness from an unconverged bound")
-    dims = l_op.op.dims
-    w = HermitianOperator(dims, bound.value * np.eye(l_op.op.total_dim) - l_op.op.mat)
+    w = HermitianOperator(l_op.dims, bound.value * np.eye(l_op.total_dim) - l_op.mat)
     vec = bound.maximizer.amplitudes
     tangency = float((vec.conj() @ (w.mat @ vec)).real)
     if abs(tangency) > TANGENCY_TOL:

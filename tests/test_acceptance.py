@@ -44,10 +44,10 @@ def full_curve(ops):
     lo, hi = uk.attainable_constraint_range([device, device], (1, 1))
     t0 = time.perf_counter()
     curve = uk.separability_curve(
-        uk.TestOperator(l_op), c_op, np.linspace(lo, hi, 201), settings
+        l_op, c_op, np.linspace(lo, hi, 201), settings
     )
     elapsed = time.perf_counter() - t0
-    sew = uk.sew_bound(uk.TestOperator(l_op), settings=settings)
+    sew = uk.sew_bound(l_op, settings=settings)
     return curve, elapsed, sew
 
 
@@ -61,7 +61,7 @@ def curve_csv(full_curve, tmp_path_factory):
 def test_criterion_01_sew_bound(ops):
     _, l_op, _ = ops
     t0 = time.perf_counter()
-    res = uk.sew_bound(uk.TestOperator(l_op))
+    res = uk.sew_bound(l_op)
     elapsed = time.perf_counter() - t0
     assert res.converged
     assert res.value == pytest.approx(G_S, abs=1e-6)
@@ -81,7 +81,7 @@ def test_criterion_02_curve_anchors_and_oracles(ops, full_curve):
 
     anchors = [(0.0, 1 / 3), (4 / 9, 1 / 36), (C_STAR, G_S)]
     for c, expected in anchors:
-        res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c))
+        res = uk.constrained_bound(l_op, c_op, c)
         assert res.value == pytest.approx(expected, abs=1e-6), f"anchor c={c}"
         assert res.value >= expected - 1e-9, f"anchor c={c} below g(c)"
         # independent oracles: brute-force grid and the per-qubit reduction
@@ -91,7 +91,7 @@ def test_criterion_02_curve_anchors_and_oracles(ops, full_curve):
 
     # oracle equivalence along a 5-point grid
     for c in ACCEPT_C_GRID:
-        res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c))
+        res = uk.constrained_bound(l_op, c_op, c)
         bf = uk.brute_force_constrained_sup(l_op, c_op, c, resolution=200)
         assert res.value == pytest.approx(bf, abs=2e-3)
     semi = np.array([uk.semianalytic_pair_bound(X, c) for c in curve.c_values])
@@ -106,7 +106,7 @@ def test_criterion_02_curve_anchors_and_oracles(ops, full_curve):
     l_half = uk.product_operator([device, device], [2, 2])
     c_half = uk.product_operator([device, device], [1, 1])
     lo, hi = uk.attainable_constraint_range([device, device], (1, 1))
-    half = uk.separability_curve(uk.TestOperator(l_half), c_half, np.linspace(lo, hi, 201))
+    half = uk.separability_curve(l_half, c_half, np.linspace(lo, hi, 201))
     assert half.reliable
     semi_half = np.array([uk.semianalytic_pair_bound(0.5, c) for c in half.c_values])
     assert float(np.max(np.abs(half.g_values - semi_half))) <= 1e-6
@@ -158,7 +158,7 @@ def test_criterion_04_entangled_maximum(ops):
 def test_criterion_05_detection_gap_and_sew_blindness(ops, full_curve):
     _, l_op, c_op = ops
     curve, _, sew = full_curve
-    g0 = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.0))
+    g0 = uk.constrained_bound(l_op, c_op, 0.0)
     gap = uk.entangled_max(0.0) - g0.value
     assert gap == pytest.approx(E0 - 1 / 3, abs=2e-3)  # = 1/12
     verdict = uk.detect(curve, c_hat=curve.points[0].c, l_hat=uk.entangled_max(0.0), k=0.0)
@@ -310,7 +310,7 @@ def test_criterion_09_commuting_diagonal_property():
         return float(np.interp(c, xs, ys))
 
     grid = np.linspace(0.0, 0.7, 29)
-    curve = uk.separability_curve(uk.TestOperator(l_op), c_op, grid)
+    curve = uk.separability_curve(l_op, c_op, grid)
     assert curve.reliable
     for p in curve.points:
         assert p.g == pytest.approx(hull_value(p.c), abs=1e-6)

@@ -35,6 +35,20 @@ def test_curve_outputs(curve_files):
     assert len(summary["entangled_max"]) == 15
 
 
+def test_curve_g_s_from_spectra(tmp_path, monkeypatch):
+    # g_s of a product test operator is the product of the effects' top
+    # eigenvalues: no multistart is run for it
+    def no_multistart(*args, **kwargs):
+        raise AssertionError("curve must not run sew_bound")
+
+    monkeypatch.setattr(uk.witness, "sew_bound", no_multistart)
+    out = tmp_path / "curve.csv"
+    assert run("curve", "--x", "2/3", "--grid", 5, "--restarts", 8, "--out", out) == 0
+    summary = json.loads(out.with_suffix(".json").read_text())
+    x = 2.0 / 3.0
+    assert f"{summary['g_s']:.12g}" == f"{(1 - x / 2) ** 2:.12g}"
+
+
 def test_curve_minimal_grid(tmp_path):
     out = tmp_path / "tiny.csv"
     assert run("curve", "--x", "2/3", "--grid", 3, "--restarts", 8, "--out", out) == 0
@@ -266,7 +280,7 @@ def test_curve_rows_bound_g_at_stated_c(tmp_path, device, path):
         l_op = uk.product_operator([dev, dev], [2, 2])
         c_op = uk.product_operator([dev, dev], [1, 1])
         lo, hi = uk.attainable_constraint_range([dev, dev], (1, 1))
-        curve = uk.separability_curve(uk.TestOperator(l_op), c_op, np.linspace(lo, hi, 21))
+        curve = uk.separability_curve(l_op, c_op, np.linspace(lo, hi, 21))
         assert curve.reliable
         uk.curve_to_csv(curve, out)
     rows = out.read_text().splitlines()[1:]

@@ -202,7 +202,7 @@ class TestNumericPartitionBound:
         for c in [0.1, 0.3]:
             res = uk.numeric_partition_bound(X, 2, part, c=c, settings=fast)
             ref = uk.constrained_bound(
-                uk.TestOperator(pair23[0]), uk.ConstraintSpec(pair23[1], c), fast
+                pair23[0], pair23[1], c, fast
             )
             assert res.value == pytest.approx(ref.value, abs=2e-3)
 

@@ -115,6 +115,13 @@ def test_effect_validation():
         uk.Effect(uk.HermitianOperator((2,), np.diag([-0.1, 0.0])))
 
 
+def test_effect_identity_tolerance():
+    # the top eigenvalue may exceed 1 by at most EFFECT_PSD_TOL = 1e-10
+    uk.Effect(uk.HermitianOperator((2,), np.diag([1.0 + 5e-11, 0.0])))
+    with pytest.raises(ValueError, match="exceeds identity"):
+        uk.Effect(uk.HermitianOperator((2,), np.diag([1.0 + 2e-10, 0.0])))
+
+
 def test_json_param_form(povm23):
     d = povm_mod.povm_to_dict([povm23, povm23])
     back = povm_mod.povm_from_dict(d)

@@ -17,12 +17,12 @@ def small_curve(pair23, fast):
     l_op, c_op = pair23
     grid = np.linspace(0.0, 4.0 / 9.0, 21)
     grid[0] = 1e-12
-    return uk.separability_curve(uk.TestOperator(l_op), c_op, grid, fast)
+    return uk.separability_curve(l_op, c_op, grid, fast)
 
 
 class TestSewBound:
     def test_default_pair(self, pair23, fast):
-        res = uk.sew_bound(uk.TestOperator(pair23[0]), settings=fast)
+        res = uk.sew_bound(pair23[0], settings=fast)
         assert res.converged
         assert res.value == pytest.approx(4 / 9, abs=1e-6)
         # product structure oracle: per-party max eigenvalues multiply
@@ -30,24 +30,24 @@ class TestSewBound:
         assert res.value == pytest.approx(per_party**2, abs=1e-9)
 
     def test_identity(self, fast):
-        res = uk.sew_bound(uk.TestOperator(uk.identity((2, 2))), settings=fast)
+        res = uk.sew_bound(uk.identity((2, 2)), settings=fast)
         assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_bell_projector(self, fast):
         bell = uk.pure_density(bell_state())
-        res = uk.sew_bound(uk.TestOperator(uk.HermitianOperator((2, 2), bell.mat)), settings=fast)
+        res = uk.sew_bound(uk.HermitianOperator((2, 2), bell.mat), settings=fast)
         assert res.value == pytest.approx(0.5, abs=1e-6)
 
     def test_inf_direction(self, pair23, fast):
-        res = uk.sew_bound(uk.TestOperator(pair23[0]), direction="inf", settings=fast)
+        res = uk.sew_bound(pair23[0], direction="inf", settings=fast)
         assert res.value == pytest.approx(0.0, abs=1e-8)
 
     def test_single_party_rejected(self, fast):
         with pytest.raises(ValueError):
-            uk.sew_bound(uk.TestOperator(uk.identity((2,))), settings=fast)
+            uk.sew_bound(uk.identity((2,)), settings=fast)
 
     def test_maximizer_reproduces_value(self, pair23, fast):
-        res = uk.sew_bound(uk.TestOperator(pair23[0]), settings=fast)
+        res = uk.sew_bound(pair23[0], settings=fast)
         assert uk.expectation(pair23[0], res.maximizer) == pytest.approx(res.value, abs=1e-9)
 
 
@@ -62,14 +62,14 @@ class TestConstrainedBound:
     )
     def test_anchors(self, pair23, fast, c, expected, tol):
         l_op, c_op = pair23
-        res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c), fast)
+        res = uk.constrained_bound(l_op, c_op, c, fast)
         assert res.converged
         assert res.feasibility_residual <= 1e-6
         assert res.value == pytest.approx(expected, abs=tol)
 
     def test_maximizer_is_feasible_product_state(self, pair23, fast):
         l_op, c_op = pair23
-        res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.2), fast)
+        res = uk.constrained_bound(l_op, c_op, 0.2, fast)
         assert isinstance(res.maximizer, uk.ProductState)
         assert len(res.maximizer.factors) == 2
         assert uk.expectation(c_op, res.maximizer) == pytest.approx(0.2, abs=1e-6)
@@ -78,7 +78,7 @@ class TestConstrainedBound:
     def test_matches_semianalytic_reduction(self, pair23, fast):
         l_op, c_op = pair23
         for c in [0.05, 0.15, 0.3, 0.42]:
-            res = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c), fast)
+            res = uk.constrained_bound(l_op, c_op, c, fast)
             assert res.value == pytest.approx(uk.semianalytic_pair_bound(X, c), abs=1e-6)
 
     def test_unattainable_c(self, pair23, fast):
@@ -88,7 +88,7 @@ class TestConstrainedBound:
             ValueError,
             match=r"constraint value 0\.6 outside the spectrum \[0, 0\.444444444444\] of C",
         ):
-            uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.6), fast)
+            uk.constrained_bound(l_op, c_op, 0.6, fast)
         with pytest.raises(
             ValueError,
             match=r"constraint value 0\.5 outside the spectrum \[0, 0\.444444444444\] of C",
@@ -98,12 +98,12 @@ class TestConstrainedBound:
         # reach only [0, 1/2]: the multistart's residual rule rejects it
         bell = uk.HermitianOperator((2, 2), uk.pure_density(bell_state()).mat)
         with pytest.raises(ValueError, match=r"constraint value 0\.8 not attainable.*smallest residual"):
-            uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(bell, 0.8), fast)
+            uk.constrained_bound(l_op, bell, 0.8, fast)
 
     def test_deterministic(self, pair23, fast):
         l_op, c_op = pair23
         runs = [
-            uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.1), fast)
+            uk.constrained_bound(l_op, c_op, 0.1, fast)
             for _ in range(2)
         ]
         assert runs[0].value == runs[1].value
@@ -153,15 +153,49 @@ def test_optimizer_settings_validation(pair23):
         uk.OptimizerSettings(warm_restarts=-1)
     # warm points may run on the previous maximizer alone
     settings = uk.OptimizerSettings(restarts=4, warm_restarts=0)
-    curve = uk.separability_curve(uk.TestOperator(pair23[0]), pair23[1], [0.1, 0.2, 0.3], settings)
+    curve = uk.separability_curve(pair23[0], pair23[1], [0.1, 0.2, 0.3], settings)
     assert [p.restarts for p in curve.points] == [4, 1, 1]
+
+
+def _bound_entry_points():
+    x = 2.0 / 3.0
+    device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, 0.0))
+    l_op = uk.product_operator([device, device], [2, 2])
+    c_op = uk.product_operator([device, device], [1, 1])
+    qutrit_qubit = uk.HermitianOperator((3, 2), random_hermitian(6, np.random.default_rng(5)))
+    few = uk.OptimizerSettings(restarts=4)
+    return {
+        "sew_bound": (lambda: uk.sew_bound(qutrit_qubit, settings=few), [(3,), (2,)]),
+        "constrained_bound": (lambda: uk.constrained_bound(l_op, c_op, 0.2, few), [(2,), (2,)]),
+        "constrained_pure_state_sup": (
+            lambda: uk.constrained_pure_state_sup(l_op, c_op, 0.2, few), [(2, 2)]
+        ),
+        "partition 1|2,3": (
+            lambda: uk.numeric_partition_bound(x, 3, uk.Partition.parse("1|2,3"), 0.01, settings=few),
+            [(2,), (2, 2)],
+        ),
+        "partition 1,2,3|4": (
+            lambda: uk.numeric_partition_bound(x, 4, uk.Partition.parse("1,2,3|4"), 0.01, settings=few),
+            [(2,), (2, 2, 2)],
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_bound_entry_points()))
+def test_bound_entry_points_share_one_result_shape(entry):
+    # every entry point returns the public BoundResult, its maximizer
+    # factors carrying the caller's subsystem dims
+    call, expected_dims = _bound_entry_points()[entry]
+    res = call()
+    assert type(res) is uk.BoundResult
+    assert [f.dims for f in res.maximizer.factors] == expected_dims
 
 
 class TestSeparabilityCurve:
     def test_anchor_grid(self, pair23, fast):
         l_op, c_op = pair23
         curve = uk.separability_curve(
-            uk.TestOperator(l_op), c_op, [0.0, C_STAR, 4 / 9], fast
+            l_op, c_op, [0.0, C_STAR, 4 / 9], fast
         )
         g = curve.g_values
         assert g[0] == pytest.approx(1 / 3, abs=2e-3)
@@ -175,7 +209,7 @@ class TestSeparabilityCurve:
         assert np.all(np.diff(gs[peak:]) < 1e-9)
 
     def test_never_worse(self, small_curve, pair23, fast):
-        g_s = uk.sew_bound(uk.TestOperator(pair23[0]), settings=fast).value
+        g_s = uk.sew_bound(pair23[0], settings=fast).value
         assert np.max(small_curve.g_values) <= g_s + 1e-9
 
     def test_reliable_and_converged(self, small_curve):
@@ -185,11 +219,11 @@ class TestSeparabilityCurve:
     def test_grid_validation(self, pair23, fast):
         l_op, c_op = pair23
         with pytest.raises(ValueError):
-            uk.separability_curve(uk.TestOperator(l_op), c_op, [0.0, 0.2], fast)
+            uk.separability_curve(l_op, c_op, [0.0, 0.2], fast)
         with pytest.raises(ValueError):
-            uk.separability_curve(uk.TestOperator(l_op), c_op, [0.2, 0.1, 0.3], fast)
+            uk.separability_curve(l_op, c_op, [0.2, 0.1, 0.3], fast)
         with pytest.raises(ValueError):
-            uk.separability_curve(uk.TestOperator(l_op), c_op, [0.0, 0.2, 0.7], fast)
+            uk.separability_curve(l_op, c_op, [0.0, 0.2, 0.7], fast)
 
     def test_commuting_pair_curve_equals_all_state_bound(self, fast):
         # degenerate case: commuting diagonal operators admit no entangled
@@ -199,7 +233,7 @@ class TestSeparabilityCurve:
         assert uk.uew_admissibility_check(c_op, l_op).commutes
         for c in [0.1, 0.3, 0.5]:
             prod = uk.constrained_bound(
-                uk.TestOperator(l_op), uk.ConstraintSpec(c_op, c), fast
+                l_op, c_op, c, fast
             )
             full = uk.constrained_pure_state_sup(l_op, c_op, c, fast)
             assert prod.value == pytest.approx(full.value, abs=2e-3)
@@ -387,22 +421,22 @@ class TestEntangledMax:
 class TestWitnessOperator:
     def test_tangency(self, pair23, fast):
         l_op, _ = pair23
-        bound = uk.sew_bound(uk.TestOperator(l_op), settings=fast)
-        w = uk.witness_from_bound(uk.TestOperator(l_op), bound)
+        bound = uk.sew_bound(l_op, settings=fast)
+        w = uk.witness_from_bound(l_op, bound)
         assert w.bound_used == pytest.approx(4 / 9, abs=1e-6)
         val = uk.expectation(w.op, bound.maximizer)
         assert abs(val) <= 1e-8
 
     def test_identity_gives_zero_witness(self, fast):
-        l_op = uk.TestOperator(uk.identity((2, 2)))
+        l_op = uk.identity((2, 2))
         bound = uk.sew_bound(l_op, settings=fast)
         w = uk.witness_from_bound(l_op, bound)
         assert np.max(np.abs(w.op.mat)) <= 1e-8
 
     def test_detects_optimal_entangled_state(self, pair23, fast):
         l_op, c_op = pair23
-        bound = uk.constrained_bound(uk.TestOperator(l_op), uk.ConstraintSpec(c_op, 0.0), fast)
-        w = uk.witness_from_bound(uk.TestOperator(l_op), bound)
+        bound = uk.constrained_bound(l_op, c_op, 0.0, fast)
+        w = uk.witness_from_bound(l_op, bound)
         val = uk.expectation(w.op, uk.optimal_entangled_state(0.0, 0.0))
         # g(0) - E(0) = 1/3 - 5/12 = -1/12
         assert val == pytest.approx(-1 / 12, abs=2e-3)
@@ -410,7 +444,7 @@ class TestWitnessOperator:
 
     def test_refuses_unconverged(self, pair23):
         l_op, _ = pair23
-        good = uk.sew_bound(uk.TestOperator(l_op), settings=uk.OptimizerSettings(restarts=4))
+        good = uk.sew_bound(l_op, settings=uk.OptimizerSettings(restarts=4))
         bad = uk.BoundResult(
             value=good.value,
             maximizer=good.maximizer,
@@ -419,7 +453,7 @@ class TestWitnessOperator:
             converged=False,
         )
         with pytest.raises(ValueError):
-            uk.witness_from_bound(uk.TestOperator(l_op), bad)
+            uk.witness_from_bound(l_op, bad)
 
 
 class TestSemianalytic:
