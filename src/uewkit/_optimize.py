@@ -256,19 +256,22 @@ def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_val
 
     Quadratic convergence at regular points; linear (ratio 1/2) at the
     one-sided boundary values of <C>, where the constraint gradient vanishes
-    on the solution set.
+    on the solution set.  Returns the iterate with the smallest |<C> - c|.
     """
     p = np.array(params, dtype=np.float64)
+    best, best_r = p, math.inf
     for _ in range(PROJECTION_MAX_ITER):
         v_c, g_c = objective.c_value_grad(p)
         r = v_c - c_value
+        if abs(r) < best_r:
+            best, best_r = p, abs(r)
         if abs(r) <= PROJECTION_TOL:
             break
         g2 = float(g_c @ g_c)
         if g2 < FLAT_GRADIENT_TOL:
             break
-        p -= (r / g2) * g_c
-    return p
+        p = p - (r / g2) * g_c
+    return best
 
 
 @dataclass(frozen=True)

@@ -303,12 +303,12 @@ def operator_to_dict(op: Operator) -> dict:
     return {"dims": list(op.dims), "entries": _array_to_entries(op.mat)}
 
 
-def operator_from_dict(d: dict, hermitian: bool = True) -> Operator:
+def operator_from_dict(d: dict) -> HermitianOperator:
     dims = _check_dims(d["dims"])
     arr = _entries_to_array(d["entries"], dims)
     if arr.ndim != 2:
         raise ValueError("entry count matches a state vector, not an operator")
-    return HermitianOperator(dims, arr) if hermitian else Operator(dims, arr)
+    return HermitianOperator(dims, arr)
 
 
 def state_to_dict(state: Union[PureState, ProductState]) -> dict:

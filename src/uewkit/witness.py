@@ -8,6 +8,10 @@ separable bound g_s.  It is concave for the default pair at x = 1/2 and
 x = 2/3, but not in general (at x = 0.8, g(0.256) lies 1.2e-3 below the chord
 from g(0.192) to g(0.320)); a curve that fails the chord test is unreliable,
 because the bound over mixed separable states is the concave hull of g.
+
+Between grid nodes a curve is read through its secant envelope.  `detect`
+compares a measurement with the envelope's supremum over its c error box,
+which at an end of the range is the envelope's limit there, not the end row.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -29,6 +34,7 @@ from ._optimize import (
 )
 from .povm import Povm, selected_effects
 from .qcore import HermitianOperator, PureState
+from .sampler import CountsTable
 
 __all__ = [
     "OptimizerSettings",
@@ -69,7 +75,7 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class SeparabilityCurve:
-    """Sampled bound g(c) with optimizer metadata."""
+    """Sampled bound g(c) with optimizer metadata; derived values are cached."""
 
     points: tuple[CurvePoint, ...]
     operator_fingerprint: str
@@ -81,19 +87,25 @@ class SeparabilityCurve:
         if np.any(np.diff(cs) <= 0):
             raise ValueError("curve grid must be strictly increasing in c")
 
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        rows = np.array([[p.c for p in self.points], [p.g for p in self.points]])
+        rows.flags.writeable = False
+        return rows
+
     @property
     def c_values(self) -> np.ndarray:
-        return np.array([p.c for p in self.points])
+        return self._rows[0]
 
     @property
     def g_values(self) -> np.ndarray:
-        return np.array([p.g for p in self.points])
+        return self._rows[1]
 
     @property
     def c_range(self) -> tuple[float, float]:
         return self.points[0].c, self.points[-1].c
 
-    @property
+    @cached_property
     def reliable(self) -> bool:
         """Every point converged and every interior point sits on or above
         its neighbor chord, as a concave curve does."""
@@ -108,56 +120,47 @@ class SeparabilityCurve:
         """Grid point with the largest bound (the unconstrained optimum)."""
         return max(self.points, key=lambda p: (p.g, -p.c))
 
-    def value_upper(self, c: float) -> float:
-        """Conservative upper estimate of g(c) between grid nodes.
+    @cached_property
+    def _slopes(self) -> tuple[float, ...]:
+        return tuple((np.diff(self.g_values) / np.diff(self.c_values)).tolist())
 
-        Uses the one-sided secant extensions of the neighboring chords, which
-        majorize any concave function; chord interpolation would instead
-        under-estimate between nodes and could make verdicts unsound.
-        """
-        cs, gs = self.c_values, self.g_values
-        if c < cs[0] - 1e-12 or c > cs[-1] + 1e-12:
-            raise ValueError(f"c={c} outside curve range {self.c_range}")
-        c = min(max(c, cs[0]), cs[-1])
-        exact = np.searchsorted(cs, c)
-        if exact < len(cs) and cs[exact] == c:
-            return float(gs[exact])
-        i = int(np.searchsorted(cs, c, side="right") - 1)
-        i = min(max(i, 0), len(cs) - 2)
-        cands = []
-        if i >= 1:
-            slope = (gs[i] - gs[i - 1]) / (cs[i] - cs[i - 1])
-            cands.append(gs[i] + slope * (c - cs[i]))
-        if i + 2 <= len(cs) - 1:
-            slope = (gs[i + 2] - gs[i + 1]) / (cs[i + 2] - cs[i + 1])
-            cands.append(gs[i + 1] + slope * (c - cs[i + 1]))
-        return float(min(cands))
+    def _lines(self, j: int) -> list[tuple[float, float, float]]:
+        """(c, g, slope) of the lines over grid interval j that majorize a
+        concave g there: secant j - 1 extended through node j and secant j + 1
+        extended through node j + 1.  An end interval has only one of them."""
+        pts, s = self.points, self._slopes
+        node_and_secant = ((j, j - 1), (j + 1, j + 1))
+        return [(pts[i].c, pts[i].g, s[k]) for i, k in node_and_secant if 0 <= k < len(s)]
+
+    def _envelope(self, j: int, c: float) -> float:
+        """Secant envelope on grid interval j at c (chords would under-estimate g)."""
+        return min(g + s * (c - c0) for c0, g, s in self._lines(j))
+
+    def value_upper(self, c: float) -> float:
+        """Upper estimate of g(c): the row value at a grid node, else the secant envelope."""
+        return self.max_upper_on(c, c)
 
     def max_upper_on(self, lo: float, hi: float) -> float:
-        """Upper bound of max g over [lo, hi] (clipped to the curve range)."""
-        cs, gs = self.c_values, self.g_values
-        lo = max(lo, cs[0])
-        hi = min(hi, cs[-1])
-        if lo > hi:
-            raise ValueError("empty interval after clipping")
-        if lo == hi:
-            return self.value_upper(lo)
-        best = max(self.value_upper(lo), self.value_upper(hi))
-        inside = (cs >= lo) & (cs <= hi)
-        if np.any(inside):
-            best = max(best, float(np.max(gs[inside])))
-        # peaks of the secant envelope at chord-extension crossings
-        for j in range(len(cs) - 1):
-            a, b = cs[j], cs[j + 1]
-            if b < lo or a > hi or j < 1 or j + 2 > len(cs) - 1:
-                continue
-            s1 = (gs[j] - gs[j - 1]) / (cs[j] - cs[j - 1])
-            s2 = (gs[j + 2] - gs[j + 1]) / (cs[j + 2] - cs[j + 1])
-            if abs(s1 - s2) < 1e-15:
-                continue
-            cx = (gs[j + 1] - gs[j] + s1 * cs[j] - s2 * cs[j + 1]) / (s1 - s2)
-            if max(a, lo) <= cx <= min(b, hi):
-                best = max(best, float(gs[j] + s1 * (cx - cs[j])))
+        """Upper bound of max g over [lo, hi], clipped to the curve range.
+
+        The largest of the row values in [lo, hi] and, on each grid interval
+        the box meets, the envelope at the interval's clipped ends (its
+        one-sided limits) and at the crossing of its two lines.  A box that
+        misses the range by more than RANGE_TOL raises ValueError.
+        """
+        c_min, c_max = self.c_range
+        if not (lo <= hi and hi >= c_min - RANGE_TOL and lo <= c_max + RANGE_TOL):
+            raise ValueError(f"[{lo}, {hi}] does not meet the curve range {self.c_range}")
+        lo, hi = min(max(lo, c_min), c_max), min(max(hi, c_min), c_max)
+        cs, pts = self.c_values, self.points
+        best = max((p.g for p in pts if lo <= p.c <= hi), default=-math.inf)
+        for j in range(int(np.searchsorted(cs, lo, "right")) - 1, int(np.searchsorted(cs, hi))):
+            a, b = max(pts[j].c, lo), min(pts[j + 1].c, hi)
+            ends, lines = [a, b], self._lines(j)
+            if len(lines) == 2 and lines[0][2] != lines[1][2]:
+                (c1, g1, s1), (c2, g2, s2) = lines
+                ends.append(min(max((g2 - g1 + s1 * c1 - s2 * c2) / (s1 - s2), a), b))
+            best = max(best, *(self._envelope(j, c) for c in ends))
         return float(best)
 
 
@@ -305,15 +308,10 @@ def branch_bounds(curve: SeparabilityCurve, c: float) -> tuple[float, float]:
     g_c is the running maximum of the curve on [c_min, c] and g_c~ on
     [c, c_max]: each inequality-set supremum sits on the constraint boundary
     or at the unconstrained optimum, and the side containing the optimum
-    returns g_s while the other side equals the curve value at c.
+    returns g_s while the other side equals the curve value at c.  A c more
+    than RANGE_TOL outside the curve range raises ValueError.
     """
-    lo, hi = curve.c_range
-    if c < lo - RANGE_TOL or c > hi + RANGE_TOL:
-        raise ValueError(f"c={c} outside curve range {curve.c_range}")
-    c = min(max(c, lo), hi)
-    g_le = curve.max_upper_on(lo, c)
-    g_ge = curve.max_upper_on(c, hi)
-    return g_le, g_ge
+    return curve.max_upper_on(-math.inf, c), curve.max_upper_on(c, math.inf)
 
 
 def detect(
@@ -347,8 +345,6 @@ def detect(
             branch="inconclusive",
             note=f"measured c interval [{a:.6g}, {b:.6g}] lies outside the curve range [{lo:.6g}, {hi:.6g}]",
         )
-    a = min(max(a, lo), hi)
-    b = min(max(b, lo), hi)
     threshold = curve.max_upper_on(a, b)
     margin = (l_hat - k * sigma_l) - threshold
     peak_c = curve.peak.c
@@ -364,7 +360,7 @@ def detect(
 def tighten(
     povms: Sequence,
     decomposition: Sequence[tuple[float, Sequence[int]]],
-    data: Union["CountsLike", Mapping[tuple[int, ...], float]],
+    data: Union[CountsTable, Mapping[tuple[int, ...], float]],
     constraint_pair: Sequence[int],
     settings: Optional[OptimizerSettings] = None,
 ) -> TightenResult:

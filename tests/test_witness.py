@@ -95,9 +95,12 @@ class TestConstrainedBound:
         ):
             uk.constrained_pure_state_sup(l_op, c_op, 0.5, fast)
         # inside the spectrum [0, 1] of a Bell projector, but product states
-        # reach only [0, 1/2]: the multistart's residual rule rejects it
+        # reach only [0, 1/2]: the multistart's residual rule rejects it, and
+        # reports the true distance to that range
         bell = uk.HermitianOperator((2, 2), uk.pure_density(bell_state()).mat)
-        with pytest.raises(ValueError, match=r"constraint value 0\.8 not attainable.*smallest residual"):
+        with pytest.raises(
+            ValueError, match=r"constraint value 0\.8 not attainable.*smallest residual .* is 3\.000e-01"
+        ):
             uk.constrained_bound(l_op, bell, 0.8, fast)
 
     def test_deterministic(self, pair23, fast):
@@ -255,6 +258,12 @@ class TestSeparabilityCurve:
             uk.curve_from_csv(path)
 
 
+def _sup_from_first_node(curve, c):
+    """Supremum of the secant envelope over [c_0, c] for a c in the first
+    grid interval, where the envelope is one line."""
+    return max(curve.value_upper(curve.points[0].c + 1e-12), curve.value_upper(c))
+
+
 class TestBranchBounds:
     def test_lemma_branches(self, small_curve):
         g_s = 4.0 / 9.0
@@ -265,12 +274,15 @@ class TestBranchBounds:
         assert g_ge == pytest.approx(small_curve.value_upper(0.2), abs=1e-9)
         g_le2, g_ge2 = uk.branch_bounds(small_curve, 0.005)
         assert g_s - 2e-3 <= g_ge2 <= g_s + 2e-2
-        assert g_le2 == pytest.approx(small_curve.value_upper(0.005), abs=1e-9)
+        # 0.005 lies in the first interval, whose right secant slopes down
+        # across the peak: the envelope's supremum there is its limit at c_0
+        assert g_le2 == pytest.approx(_sup_from_first_node(small_curve, 0.005), abs=1e-9)
 
     def test_min_branch_equals_curve(self, small_curve):
         for c in [0.01, 0.1, 0.3, 0.42]:
             g_le, g_ge = uk.branch_bounds(small_curve, c)
-            assert min(g_le, g_ge) == pytest.approx(small_curve.value_upper(c), abs=1e-9)
+            expected = _sup_from_first_node(small_curve, c) if c == 0.01 else small_curve.value_upper(c)
+            assert min(g_le, g_ge) == pytest.approx(expected, abs=1e-9)
 
     def test_at_peak_both_branches_cover_gs(self, small_curve):
         peak = small_curve.peak
