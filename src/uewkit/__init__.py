@@ -35,7 +35,6 @@ from .qcore import (
     CapacityError,
     DensityMatrix,
     HermitianOperator,
-    Operator,
     ProductState,
     PureState,
     commutator_norm,
@@ -53,7 +52,6 @@ from .sampler import (
     brute_force_constrained_sup,
     estimate,
     load_counts,
-    ppt_oracle,
     sample_product_state,
     save_counts,
     scatter,

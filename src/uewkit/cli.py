@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -67,17 +69,23 @@ def _indices(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad index tuple: {text!r}") from exc
 
 
+def _decomposition(text: str) -> list[tuple[float, tuple[int, ...]]]:
+    """Terms "beta:i,j" separated by ";"."""
+    terms = []
+    for term in text.split(";"):
+        beta, sep, pair = term.partition(":")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"term {term!r} is not of the form beta:i,j")
+        terms.append((_number(beta), _indices(pair)))
+    return terms
+
+
 def _settings(args) -> OptimizerSettings:
-    kw = {}
-    if getattr(args, "restarts", None) is not None:
-        kw["restarts"] = args.restarts
-    if getattr(args, "seed", None) is not None:
-        kw["seed"] = args.seed
-    return OptimizerSettings(**kw)
+    return OptimizerSettings(restarts=args.restarts, seed=args.seed)
 
 
 def _build_povms(args, parties: int) -> list[povm.Povm]:
-    if getattr(args, "povm", None):
+    if args.povm:
         return povm.povm_from_dict(qcore.load_json(args.povm))
     # one frozen device, shared by every party
     return [povm.build_three_outcome(povm.ThreeOutcomeParams(x=args.x, theta=args.theta))] * parties
@@ -176,8 +184,8 @@ def _preset_state(args) -> qcore.DensityMatrix:
         state = witness.optimal_entangled_state(args.theta, args.c)
         return qcore.pure_density(state)
     if args.preset == "maximally-mixed":
-        n = 2**args.parties
-        return qcore.DensityMatrix((2,) * args.parties, np.eye(n) / n)
+        eye = qcore.identity((2,) * args.parties)  # checks the dims before allocating
+        return qcore.DensityMatrix(eye.dims, eye.mat / eye.total_dim)
     if args.preset == "bell":
         vec = np.zeros(4)
         vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
@@ -189,15 +197,21 @@ def cmd_simulate(args) -> int:
     if bool(args.state) == bool(args.preset):
         raise ValueError("give exactly one of --state or --preset")
     if args.state:
+        # a pure state has n entries, a density matrix n**2
         payload = qcore.load_json(args.state)
-        n = int(np.prod(payload.get("dims", [])))
-        if len(payload.get("entries", [])) == n:
+        try:
+            pure = len(payload["entries"]) == math.prod(payload["dims"])
+        except (KeyError, TypeError):
+            pure = False  # operator_from_dict names what is wrong
+        if pure:
             rho = qcore.pure_density(qcore.state_from_dict(payload))
         else:
             op = qcore.operator_from_dict(payload)
             rho = qcore.DensityMatrix(op.dims, op.mat)
         parties = len(rho.dims)
     else:
+        if args.parties < 1:
+            raise ValueError(f"parties must be >= 1, got {args.parties}")
         parties = args.parties
         rho = _preset_state(args)
     povms = _build_povms(args, parties)
@@ -253,22 +267,21 @@ def cmd_multiparty(args) -> int:
 def cmd_tighten(args) -> int:
     counts = sampler.load_counts(args.counts)
     povms = _build_povms(args, counts.n_parties)
-    decomposition = []
-    for term in args.decomposition.split(";"):
-        beta, _, pair = term.partition(":")
-        decomposition.append((_number(beta), _indices(pair)))
     result = witness.tighten(
-        povms, decomposition, counts, args.constraint, settings=_settings(args)
+        povms, args.decomposition, counts, args.constraint, settings=_settings(args)
     )
     payload = {
         "c": result.c,
         "g_of_c": result.g_of_c,
         "old_bound": result.old_bound,
         "improvement": result.improvement,
+        "converged": result.converged,
         "constraint": list(args.constraint),
     }
     _write_json(Path(args.out), payload)
     print(f"tighten: {result.old_bound:.12g} -> {result.g_of_c:.12g} (improvement {result.improvement:.12g})")
+    if not result.converged:
+        raise UnreliableComputation("a tighten bound did not converge")
     return EXIT_OK
 
 
@@ -317,11 +330,13 @@ def _add_pair_flags(p):
 
 
 def _add_opt_flags(p):
-    p.add_argument("--restarts", type=int, default=None, help="multistart restarts override")
+    p.add_argument("--restarts", type=int, default=OptimizerSettings.restarts, help="multistart restarts per bound")
     p.add_argument("--seed", type=int, default=None, help="seed for optimizer restarts")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on first use."""
     parser = argparse.ArgumentParser(prog="uewkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -372,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_device_flags(p)
     _add_opt_flags(p)
     p.add_argument("--counts", required=True)
-    p.add_argument("--decomposition", default="1:2,2", help='terms "beta:i,j" separated by ";"')
+    p.add_argument("--decomposition", type=_decomposition, default="1:2,2", help='terms "beta:i,j" separated by ";"')
     p.add_argument("--constraint", type=_indices, default=(1, 1), help="constraint outcome pair")
     p.add_argument("--out", default="tighten.json")
     p.set_defaults(func=cmd_tighten)
@@ -399,7 +414,7 @@ def main(argv=None) -> int:
     except UnreliableComputation as exc:
         print(f"unreliable: {exc}", file=sys.stderr)
         return EXIT_UNRELIABLE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

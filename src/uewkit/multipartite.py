@@ -87,10 +87,6 @@ class Partition:
     def largest_block(self) -> int:
         return len(self.blocks[-1])
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
 
 @dataclass(frozen=True)
 class MultiBound:

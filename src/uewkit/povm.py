@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import HermitianOperator, tensor
+from .qcore import HermitianOperator, commutator_norm, operator_from_dict, operator_to_dict, tensor
 
 __all__ = [
     "ThreeOutcomeParams",
@@ -54,10 +54,15 @@ class ThreeOutcomeParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        x = float(self.x)
+        try:
+            x, theta = float(self.x), float(self.theta)
+        except (TypeError, ValueError):
+            raise ValueError(f"x and theta must be numbers, got x={self.x!r}, theta={self.theta!r}") from None
         if not 0.0 < x < 1.0 or not math.isfinite(x):
             raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
-        theta = float(self.theta) % (2.0 * math.pi)
+        theta %= 2.0 * math.pi
+        if theta == 2.0 * math.pi:  # a tiny negative theta rounds up to 2 pi
+            theta = 0.0
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "theta", theta)
 
@@ -116,24 +121,15 @@ class Povm:
 
 @dataclass(frozen=True)
 class ThreeOutcomePovm(Povm):
-    """Three-outcome device with its parameters and chi vectors attached."""
+    """Three-outcome device {Pi_1, Pi_2, Pi_3} and the parameters it was built
+    from (required); its chi vectors are `chi_vectors(params)`."""
 
     params: ThreeOutcomeParams = None  # type: ignore[assignment]
-    chi_plus: np.ndarray = None  # type: ignore[assignment]
-    chi_minus: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
         super().__post_init__()
         if self.params is None:
             raise ValueError("ThreeOutcomePovm requires params")
-        object.__setattr__(self, "chi_plus", _frozen(self.chi_plus))
-        object.__setattr__(self, "chi_minus", _frozen(self.chi_minus))
-
-
-def _frozen(v: np.ndarray) -> np.ndarray:
-    v = np.array(v, dtype=np.complex128)
-    v.setflags(write=False)
-    return v
 
 
 def chi_vectors(params: ThreeOutcomeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +152,7 @@ def build_three_outcome(params: ThreeOutcomeParams) -> ThreeOutcomePovm:
     pi2 = np.outer(chi_p, chi_p.conj())
     pi3 = np.outer(chi_m, chi_m.conj())
     effects = tuple(Effect(HermitianOperator((2,), m)) for m in (pi1, pi2, pi3))
-    return ThreeOutcomePovm(effects=effects, params=params, chi_plus=chi_p, chi_minus=chi_m)
+    return ThreeOutcomePovm(effects=effects, params=params)
 
 
 def selected_effects(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> list[Effect]:
@@ -180,9 +176,7 @@ def product_operator(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> H
     L = Pi_2 x Pi_2 x ... for indices (2,...,2); arbitrary index tuples are
     allowed.
     """
-    out = tensor([e.op for e in selected_effects(povms, outcome_indices)])
-    assert isinstance(out, HermitianOperator)
-    return out
+    return tensor([e.op for e in selected_effects(povms, outcome_indices)])
 
 
 @dataclass(frozen=True)
@@ -199,8 +193,6 @@ def uew_admissibility_check(c_op: HermitianOperator, l_op: HermitianOperator) ->
     detect entanglement: commutes=True means "this pair cannot beat the
     unconstrained bound".  Non-commutation is necessary, not sufficient.
     """
-    from .qcore import commutator_norm
-
     nrm = commutator_norm(c_op, l_op)
     return AdmissibilityReport(commutes=nrm <= COMMUTE_TOL, commutator_norm=nrm)
 
@@ -218,20 +210,20 @@ def povm_to_dict(povms: Sequence[Povm]) -> dict:
         if isinstance(p, ThreeOutcomePovm):
             parties.append({"x": p.params.x, "theta": p.params.theta})
         else:
-            from .qcore import operator_to_dict
-
             parties.append({"effects": [operator_to_dict(e.op) for e in p.effects]})
     return {"parties": parties}
 
 
 def povm_from_dict(d: dict) -> list[Povm]:
-    from .qcore import operator_from_dict
-
-    if "parties" not in d or not isinstance(d["parties"], list) or not d["parties"]:
+    if not isinstance(d, dict) or not isinstance(d.get("parties"), list) or not d["parties"]:
         raise ValueError("POVM file needs a nonempty 'parties' list")
     povms: list[Povm] = []
     for party in d["parties"]:
+        if not isinstance(party, dict):
+            raise ValueError(f"each party is a JSON object, got {party!r}")
         if "effects" in party:
+            if not isinstance(party["effects"], list):
+                raise ValueError("'effects' must be a list of operators")
             effects = tuple(Effect(operator_from_dict(e)) for e in party["effects"])
             povms.append(Povm(effects))
         elif "x" in party:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
+from operator import index
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -21,7 +22,6 @@ import numpy as np
 __all__ = [
     "MAX_TOTAL_DIM",
     "CapacityError",
-    "Operator",
     "HermitianOperator",
     "DensityMatrix",
     "PureState",
@@ -57,7 +57,10 @@ class CapacityError(ValueError):
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    try:
+        dims = tuple(index(d) for d in dims)
+    except TypeError:
+        raise ValueError(f"dims must be a list of integers, got {dims!r}") from None
     if not dims:
         raise ValueError("dims must be nonempty")
     if any(d < 2 for d in dims):
@@ -75,8 +78,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Square complex matrix acting on a tensor product of subsystems."""
+class HermitianOperator:
+    """Square complex matrix on a tensor product of subsystems, A = A† up to
+    1e-12 in max-entry norm."""
 
     dims: tuple[int, ...]
     mat: np.ndarray
@@ -91,21 +95,13 @@ class Operator:
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", _freeze(mat))
+        dev = np.max(np.abs(self.mat - self.mat.conj().T))
+        if dev > HERMITICITY_TOL:
+            raise ValueError(f"not Hermitian: max |A - A†| = {dev:.3e}")
 
     @property
     def total_dim(self) -> int:
         return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class HermitianOperator(Operator):
-    """Operator with A = A† up to 1e-12 in max-entry norm."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        dev = np.max(np.abs(self.mat - self.mat.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: max |A - A†| = {dev:.3e}")
 
 
 @dataclass(frozen=True)
@@ -191,31 +187,23 @@ def identity(dims: Sequence[int]) -> HermitianOperator:
     return HermitianOperator(dims, np.eye(int(np.prod(dims))))
 
 
-def tensor(ops: Sequence[Operator]) -> Operator:
-    """Kronecker product of operators, in list order; dims concatenate.
-
-    Returns a HermitianOperator when every input is Hermitian (the Kronecker
-    product of Hermitian matrices is Hermitian).
-    """
+def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
+    """Kronecker product of operators, in list order; dims concatenate."""
     if not ops:
         raise ValueError("tensor requires at least one operator")
     dims = tuple(d for op in ops for d in op.dims)
     total = int(np.prod(dims))
     if total > MAX_TOTAL_DIM:
         raise CapacityError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
-    mat = reduce(np.kron, (op.mat for op in ops))
-    cls = HermitianOperator if all(isinstance(op, HermitianOperator) for op in ops) else Operator
-    return cls(dims, mat)
+    return HermitianOperator(dims, reduce(np.kron, (op.mat for op in ops)))
 
 
 def expectation(op: HermitianOperator, state: State) -> float:
     """Real expectation value Tr(O rho) or <psi|O|psi>.
 
-    Raises if the imaginary residual exceeds 1e-10 (signals a non-Hermitian
-    operator slipping through) or on dimension mismatch.
+    Raises if the imaginary residual exceeds 1e-10 (more than rounding on an
+    operator Hermitian to 1e-12 can give) or on dimension mismatch.
     """
-    if not isinstance(op, HermitianOperator):
-        raise ValueError("expectation requires a HermitianOperator")
     if isinstance(state, DensityMatrix):
         if state.total_dim != op.total_dim:
             raise ValueError(f"dimension mismatch: {op.total_dim} vs {state.total_dim}")
@@ -253,8 +241,6 @@ def partial_transpose(rho: HermitianOperator, party_index: int) -> HermitianOper
 
 def min_eigenvalue(h: HermitianOperator) -> float:
     """Smallest eigenvalue of a Hermitian operator."""
-    if not isinstance(h, HermitianOperator):
-        raise ValueError("min_eigenvalue requires a HermitianOperator")
     return float(np.linalg.eigvalsh(h.mat)[0])
 
 
@@ -281,16 +267,26 @@ def pure_density(state: Union[PureState, ProductState]) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _entries_to_array(entries, dims: tuple[int, ...]) -> np.ndarray:
+def _dims_and_entries(d: dict) -> tuple[tuple[int, ...], np.ndarray]:
+    """Checked dims, and the entries as a vector (n entries) or a matrix (n**2)."""
+    if not isinstance(d, dict):
+        raise ValueError("an operator or state file holds a JSON object")
+    for field in ("dims", "entries"):
+        if field not in d:
+            raise ValueError(f"operator or state file missing field {field!r}")
+    dims = _check_dims(d["dims"])
     n = int(np.prod(dims))
-    arr = np.asarray(entries, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("entries must be a list of [re, im] pairs")
+    try:
+        arr = np.asarray(d["entries"], dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("entries must be a list of [re, im] number pairs")
     flat = arr[:, 0] + 1j * arr[:, 1]
     if flat.shape[0] == n * n:
-        return flat.reshape(n, n)
+        return dims, flat.reshape(n, n)
     if flat.shape[0] == n:
-        return flat
+        return dims, flat
     raise ValueError(f"entry count {flat.shape[0]} matches neither {n} (state) nor {n * n} (operator)")
 
 
@@ -299,13 +295,12 @@ def _array_to_entries(a: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def operator_to_dict(op: Operator) -> dict:
+def operator_to_dict(op: HermitianOperator) -> dict:
     return {"dims": list(op.dims), "entries": _array_to_entries(op.mat)}
 
 
 def operator_from_dict(d: dict) -> HermitianOperator:
-    dims = _check_dims(d["dims"])
-    arr = _entries_to_array(d["entries"], dims)
+    dims, arr = _dims_and_entries(d)
     if arr.ndim != 2:
         raise ValueError("entry count matches a state vector, not an operator")
     return HermitianOperator(dims, arr)
@@ -316,8 +311,7 @@ def state_to_dict(state: Union[PureState, ProductState]) -> dict:
 
 
 def state_from_dict(d: dict) -> PureState:
-    dims = _check_dims(d["dims"])
-    arr = _entries_to_array(d["entries"], dims)
+    dims, arr = _dims_and_entries(d)
     if arr.ndim != 1:
         raise ValueError("entry count matches an operator, not a state vector")
     return PureState(dims, arr)

@@ -1,10 +1,10 @@
 """Random states, measurement simulation, estimation, and independent oracles.
 
 RNG contract: all randomness flows through Philox, a counter-based generator,
-keyed as (seed, task).  Distinct task indices give provably independent
-streams, so parallel sampling is deterministic: identical seeds reproduce
-identical outputs regardless of execution order or thread count.  The key
-test vectors are pinned in the test suite.
+keyed as (seed, task).  Distinct task indices give independent streams; the
+optimizer keys its restarts by task index, and the samplers here draw task 0,
+so one seed reproduces one output.  The key test vectors are pinned in the
+test suite.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
-from .povm import Povm
-from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, is_ppt, load_json, save_json, tensor
+from .povm import Povm, ThreeOutcomePovm
+from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, load_json, save_json, tensor
 
 __all__ = [
     "stream",
@@ -32,7 +32,6 @@ __all__ = [
     "estimate",
     "weighted_estimate",
     "brute_force_constrained_sup",
-    "ppt_oracle",
     "counts_to_dict",
     "counts_from_dict",
     "save_counts",
@@ -131,9 +130,9 @@ def _haar_vectors(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def sample_product_state(dims: Sequence[int], seed: int, task: int = 0) -> ProductState:
+def sample_product_state(dims: Sequence[int], seed: int) -> ProductState:
     """One uniformly random pure product state (Bloch for qubits, Haar above)."""
-    rng = stream(seed, task)
+    rng = stream(seed)
     factors = []
     for d in dims:
         vec = _bloch_vectors(rng, 1)[0] if d == 2 else _haar_vectors(rng, 1, d)[0]
@@ -149,31 +148,24 @@ def _batched_product_states(rng: np.random.Generator, n: int, dims: Sequence[int
     return psi
 
 
-def scatter(
-    l_op: HermitianOperator,
-    c_op: HermitianOperator,
-    n: int,
-    seed: int,
-    task: int = 0,
-) -> np.ndarray:
+def scatter(l_op: HermitianOperator, c_op: HermitianOperator, n: int, seed: int) -> np.ndarray:
     """(n, 2) array of (<C>, <L>) over random pure product states."""
     if l_op.dims != c_op.dims:
         raise ValueError("operators must share dims")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = stream(seed, task)
+    rng = stream(seed)
     psi = _batched_product_states(rng, n, l_op.dims)
     c_vals = np.einsum("ni,ij,nj->n", psi.conj(), c_op.mat, psi).real
     l_vals = np.einsum("ni,ij,nj->n", psi.conj(), l_op.mat, psi).real
     return np.stack([c_vals, l_vals], axis=1)
 
 
-def random_density_matrix(dims: Sequence[int], rng: np.random.Generator, rank: Optional[int] = None) -> DensityMatrix:
-    """Ginibre-induced random mixed state of the given rank (full by default)."""
+def random_density_matrix(dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
+    """Ginibre-induced random mixed state of full rank."""
     dims = tuple(int(d) for d in dims)
     n = int(np.prod(dims))
-    k = n if rank is None else int(rank)
-    g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     m = m / m.trace().real
     m = (m + m.conj().T) / 2.0
@@ -197,9 +189,7 @@ def joint_probabilities(rho: DensityMatrix, povms: Sequence[Povm]) -> dict[tuple
     return probs
 
 
-def simulate_counts(
-    rho: DensityMatrix, povms: Sequence[Povm], shots: int, seed: int, task: int = 0
-) -> CountsTable:
+def simulate_counts(rho: DensityMatrix, povms: Sequence[Povm], shots: int, seed: int) -> CountsTable:
     """Multinomial draw from the joint outcome distribution."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -207,10 +197,10 @@ def simulate_counts(
     keys = sorted(probs)
     p = np.clip(np.array([probs[k] for k in keys]), 0.0, None)
     p = p / p.sum()
-    draw = stream(seed, task).multinomial(shots, p)
+    draw = stream(seed).multinomial(shots, p)
     counts = {k: int(v) for k, v in zip(keys, draw) if v}
     params = None
-    if all(hasattr(p_, "params") and p_.params is not None for p_ in povms):
+    if all(isinstance(p_, ThreeOutcomePovm) for p_ in povms):
         params = tuple((p_.params.x, p_.params.theta) for p_ in povms)
     return CountsTable(
         outcomes_per_party=tuple(p_.n_outcomes for p_ in povms),
@@ -388,11 +378,6 @@ def brute_force_constrained_sup(
     return best_val
 
 
-def ppt_oracle(rho: DensityMatrix, cut: int = 0) -> bool:
-    """Positivity of the partial transpose (certification audit hook)."""
-    return is_ppt(rho, cut)
-
-
 # ---------------------------------------------------------------------------
 # Counts JSON format:
 #   {"shots": N, "parties": P, "outcomes_per_party": [..], "counts": {"1,1": n, ..}}
@@ -412,21 +397,34 @@ def counts_to_dict(counts: CountsTable) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def counts_from_dict(d: dict) -> CountsTable:
+    if not isinstance(d, dict):
+        raise ValueError("a counts file holds a JSON object")
     for field in ("shots", "parties", "outcomes_per_party", "counts"):
         if field not in d:
             raise ValueError(f"counts file missing field {field!r}")
-    outcomes = tuple(int(k) for k in d["outcomes_per_party"])
-    if len(outcomes) != int(d["parties"]):
+    if not isinstance(d["outcomes_per_party"], list) or not isinstance(d["counts"], dict):
+        raise ValueError('a counts file needs an "outcomes_per_party" list and a "counts" object')
+    outcomes = tuple(_integer(k, "outcomes_per_party entry") for k in d["outcomes_per_party"])
+    if len(outcomes) != _integer(d["parties"], "parties"):
         raise ValueError("outcomes_per_party length does not match parties")
     counts = {}
     for key, val in d["counts"].items():
-        idx = tuple(int(s) for s in str(key).split(","))
-        counts[idx] = int(val)
+        try:
+            idx = tuple(int(s) for s in str(key).split(","))
+        except ValueError:
+            raise ValueError(f"counts key {key!r} is not a comma-separated outcome tuple") from None
+        counts[idx] = _integer(val, f"count of {key!r}")
     return CountsTable(
         outcomes_per_party=outcomes,
         outcome_counts=counts,
-        total_shots=int(d["shots"]),
+        total_shots=_integer(d["shots"], "shots"),
     )
 
 

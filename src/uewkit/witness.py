@@ -32,7 +32,7 @@ from ._optimize import (
     fingerprint_operators,
     optimize_product_bound,
 )
-from .povm import Povm, selected_effects
+from .povm import Povm, product_operator, selected_effects
 from .qcore import HermitianOperator, PureState
 from .sampler import CountsTable
 
@@ -183,10 +183,13 @@ class Verdict:
 
 @dataclass(frozen=True)
 class TightenResult:
+    """`converged` holds when both the unconstrained and the constrained bound converged."""
+
     c: float
     g_of_c: float
     old_bound: float
     improvement: float
+    converged: bool
 
 
 def sew_bound(
@@ -376,8 +379,6 @@ def tighten(
     product states (where the constrained set would be empty); the measured
     value is clipped to the exact range from `attainable_constraint_range`.
     """
-    from .povm import product_operator
-
     betas = [float(b) for b, _ in decomposition]
     pairs = [tuple(int(i) for i in p) for _, p in decomposition]
     if not betas:
@@ -406,6 +407,7 @@ def tighten(
         g_of_c=new.value,
         old_bound=old.value,
         improvement=old.value - new.value,
+        converged=old.converged and new.converged,
     )
 
 

@@ -278,7 +278,7 @@ def test_criterion_08_soundness_and_ppt(ops, full_curve):
             certified.append(state)
     assert certified, "the optimal family should be detected at small c"
     for state in certified:
-        assert not uk.ppt_oracle(uk.pure_density(state))
+        assert not uk.is_ppt(uk.pure_density(state))
     report(
         8,
         f"soundness: 0/10000 separable false positives; "

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -254,6 +256,112 @@ class TestErrorExits:
         argv = ("multiparty", "--agents", 3, "--partition", "1|2|3", "--c", "-0.5", "--out", out)
         assert run(*argv) == 2
         assert not out.exists()
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run("multiparty", "--agents", 2, "--out", tmp_path / "a.csv") == 0
+    first = len(built)
+    assert run("multiparty", "--agents", 2, "--out", tmp_path / "b.csv") == 0
+    assert len(built) == first
+
+
+def test_tighten_unconverged_exits_3(tmp_path, monkeypatch):
+    counts = tmp_path / "counts.json"
+    assert run(
+        "simulate", "--preset", "optimal-entangled", "--c", 0, "--shots", 1000, "--seed", 5, "--out", counts
+    ) == 0
+    out = tmp_path / "tighten.json"
+    assert run("tighten", "--counts", counts, "--restarts", 4, "--out", out) == 0
+    assert json.loads(out.read_text())["converged"] is True
+
+    constrained_bound = uk.witness.constrained_bound
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(constrained_bound(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(uk.witness, "constrained_bound", unconverged)
+    assert run("tighten", "--counts", counts, "--restarts", 4, "--out", out) == 3
+    assert json.loads(out.read_text())["converged"] is False
+
+
+class TestMalformedInput:
+    """Bad files and flags exit 2 with uewkit's own message, never a traceback."""
+
+    COUNTS = {"shots": 3, "parties": 2, "outcomes_per_party": [3, 3], "counts": {"1,1": 1, "2,2": 2}}
+
+    @staticmethod
+    def write(path, payload):
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_povm_party_not_an_object(self, tmp_path, capsys):
+        povm_file = self.write(tmp_path / "povm.json", {"parties": [3]})
+        assert run("bound", "--povm", povm_file, "--out", tmp_path / "b.json") == 2
+        assert "each party is a JSON object, got 3" in capsys.readouterr().err
+
+    def test_povm_x_not_a_number(self, tmp_path, capsys):
+        povm_file = self.write(tmp_path / "povm.json", {"parties": [{"x": "a"}, {"x": 0.5}]})
+        assert run("bound", "--povm", povm_file, "--out", tmp_path / "b.json") == 2
+        err = capsys.readouterr().err
+        assert "x and theta must be numbers" in err
+        assert "could not convert" not in err
+
+    def test_counts_not_a_mapping(self, tmp_path, capsys):
+        counts = self.write(tmp_path / "counts.json", dict(self.COUNTS, counts=[1]))
+        assert run("certify", "--counts", counts, "--curve", tmp_path / "curve.csv") == 2
+        assert 'needs an "outcomes_per_party" list and a "counts" object' in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [({"1,1": "a"}, "count of '1,1' must be an integer"), ({"a,1": 3}, "counts key 'a,1' is not")],
+    )
+    def test_counts_non_integer(self, tmp_path, capsys, cells, message):
+        counts = self.write(tmp_path / "counts.json", dict(self.COUNTS, counts=cells))
+        assert run("certify", "--counts", counts, "--curve", tmp_path / "curve.csv") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "invalid literal" not in err
+
+    def test_state_file_holds_a_list(self, tmp_path, capsys):
+        state = self.write(tmp_path / "state.json", [1, 0])
+        assert run("simulate", "--state", state, "--out", tmp_path / "c.json") == 2
+        assert "holds a JSON object" in capsys.readouterr().err
+
+    def test_operator_without_dims(self, tmp_path, capsys):
+        op = self.write(tmp_path / "op.json", {"entries": [[1, 0]] * 16})
+        assert run("bound", "--L", op, "--C", op, "--out", tmp_path / "b.json") == 2
+        assert "missing field 'dims'" in capsys.readouterr().err
+
+    def test_operator_ragged_entries(self, tmp_path, capsys):
+        op = self.write(tmp_path / "op.json", {"dims": [2, 2], "entries": [[1, 0]] * 15 + [[1]]})
+        assert run("bound", "--L", op, "--C", op, "--out", tmp_path / "b.json") == 2
+        err = capsys.readouterr().err
+        assert "entries must be a list of [re, im] number pairs" in err
+        assert "inhomogeneous" not in err
+
+    @pytest.mark.parametrize("term", ["x:2,2", "1:2,a", "1"])
+    def test_bad_decomposition_term(self, tmp_path, capsys, term):
+        counts = self.write(tmp_path / "counts.json", self.COUNTS)
+        with pytest.raises(SystemExit) as exit_info:
+            run("tighten", "--counts", counts, "--decomposition", term, "--out", tmp_path / "t.json")
+        assert exit_info.value.code == 2
+        assert "argument --decomposition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parties, message", [(-1, "parties must be >= 1, got -1"), (40, "exceeds cap")])
+    def test_bad_parties(self, tmp_path, capsys, parties, message):
+        argv = ("simulate", "--preset", "maximally-mixed", "--parties", parties, "--out", tmp_path / "c.json")
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "array is too big" not in err
 
 
 def test_curve_determinism(tmp_path):

@@ -66,7 +66,7 @@ def test_expectation_single_effect(povm23):
 
 def test_expectation_chi_direction(povm23, pair23):
     l_op, _ = pair23
-    chi = povm23.chi_plus
+    chi = uk.chi_vectors(povm23.params)[0]
     chichi = np.kron(chi, chi)
     state = uk.PureState((2, 2), chichi / np.linalg.norm(chichi))
     # largest eigenvalue of L is (1 - x/2)^2
@@ -181,7 +181,7 @@ class TestInvariantValidation:
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            uk.Operator((2,), np.array([[np.nan, 0], [0, 1.0]]))
+            uk.HermitianOperator((2,), np.array([[np.nan, 0], [0, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
             uk.PureState((2,), np.array([1.0, complex(0.0, np.inf)]))
 
@@ -195,7 +195,7 @@ class TestInvariantValidation:
 
     def test_rejects_small_dims(self):
         with pytest.raises(ValueError):
-            uk.Operator((1,), np.eye(1))
+            uk.HermitianOperator((1,), np.eye(1))
 
     def test_immutability(self):
         op = uk.identity((2,))

@@ -199,11 +199,11 @@ class TestBruteForceOracle:
 
 
 def test_ppt_oracle_wrapper():
-    assert uk.ppt_oracle(uk.DensityMatrix((2, 2), np.eye(4) / 4))
+    assert uk.is_ppt(uk.DensityMatrix((2, 2), np.eye(4) / 4))
     bell = np.zeros((4, 4))
     bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
-    assert not uk.ppt_oracle(uk.DensityMatrix((2, 2), bell))
-    assert not uk.ppt_oracle(uk.pure_density(uk.optimal_entangled_state(0.0, 0.0)))
+    assert not uk.is_ppt(uk.DensityMatrix((2, 2), bell))
+    assert not uk.is_ppt(uk.pure_density(uk.optimal_entangled_state(0.0, 0.0)))
 
 
 class TestCountsJson:
