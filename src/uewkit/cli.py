@@ -84,11 +84,15 @@ def _settings(args) -> OptimizerSettings:
     return OptimizerSettings(restarts=args.restarts, seed=args.seed)
 
 
+def _devices(args, parties: int) -> list[povm.Povm]:
+    """One frozen --x/--theta device, shared by every party."""
+    return [povm.build_three_outcome(povm.ThreeOutcomeParams(x=args.x, theta=args.theta))] * parties
+
+
 def _build_povms(args, parties: int) -> list[povm.Povm]:
     if args.povm:
         return povm.povm_from_dict(qcore.load_json(args.povm))
-    # one frozen device, shared by every party
-    return [povm.build_three_outcome(povm.ThreeOutcomeParams(x=args.x, theta=args.theta))] * parties
+    return _devices(args, parties)
 
 
 def _operator_pair(args, parties: int = 2):
@@ -117,10 +121,7 @@ def cmd_curve(args) -> int:
         "sew_optimum_c": curve.peak.c,
         "c_range": [lo, hi],
         "grid_points": args.grid,
-        "admissibility": {
-            "commutes": report.commutes,
-            "commutator_norm": report.commutator_norm,
-        },
+        "admissibility": dataclasses.asdict(report),
         "settings": dataclasses.asdict(settings),
     }
     if report.commutes:
@@ -153,20 +154,8 @@ def cmd_certify(args) -> int:
         curve, est.c_hat, est.l_hat, est.sigma_c, est.sigma_l, k=args.sigma
     )
     payload = {
-        "estimate": {
-            "c_hat": est.c_hat,
-            "l_hat": est.l_hat,
-            "sigma_c": est.sigma_c,
-            "sigma_l": est.sigma_l,
-            "shots": est.shots,
-        },
-        "verdict": {
-            "entangled": verdict.entangled,
-            "margin": verdict.margin,
-            "sigma_level": verdict.sigma_level,
-            "branch": verdict.branch,
-            "note": verdict.note,
-        },
+        "estimate": dataclasses.asdict(est),
+        "verdict": dataclasses.asdict(verdict),
         "inputs": {
             "counts": str(args.counts),
             "curve": str(args.curve),
@@ -243,7 +232,7 @@ def cmd_multiparty(args) -> int:
         # bad input must fail before the table is written
         part = multipartite.Partition.parse(args.partition)
         res = multipartite.numeric_partition_bound(
-            args.x, args.agents, part, c=args.c, theta=args.theta, settings=_settings(args)
+            _devices(args, args.agents), part, c=args.c, settings=_settings(args)
         )
     with open(args.out, "w") as fh:
         fh.write("N,M_k,g\n")
@@ -270,14 +259,7 @@ def cmd_tighten(args) -> int:
     result = witness.tighten(
         povms, args.decomposition, counts, args.constraint, settings=_settings(args)
     )
-    payload = {
-        "c": result.c,
-        "g_of_c": result.g_of_c,
-        "old_bound": result.old_bound,
-        "improvement": result.improvement,
-        "converged": result.converged,
-        "constraint": list(args.constraint),
-    }
+    payload = {**dataclasses.asdict(result), "constraint": list(args.constraint)}
     _write_json(Path(args.out), payload)
     print(f"tighten: {result.old_bound:.12g} -> {result.g_of_c:.12g} (improvement {result.improvement:.12g})")
     if not result.converged:
@@ -316,10 +298,11 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _add_device_flags(p, parties_flag=False):
+def _add_device_flags(p, parties_flag=False, povm_file=True):
     p.add_argument("--x", type=_number, default=2.0 / 3.0, help="device parameter x in (0,1); fractions like 2/3 accepted")
     p.add_argument("--theta", type=_number, default=0.0, help="device phase theta")
-    p.add_argument("--povm", help="POVM JSON file overriding --x/--theta")
+    if povm_file:
+        p.add_argument("--povm", help="POVM JSON file overriding --x/--theta")
     if parties_flag:
         p.add_argument("--parties", type=int, default=2, help="number of parties")
 
@@ -375,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("multiparty", help="multipartite bounds table and partition bounds")
-    _add_device_flags(p)
+    _add_device_flags(p, povm_file=False)  # the closed forms are formulas in x
     _add_opt_flags(p)
     p.add_argument("--agents", type=int, required=True, help="number of agents N (2..6)")
     p.add_argument("--partition", help='partition like "1,2|3" for a numeric bound')

@@ -1,10 +1,12 @@
 """Partitions, multipartite bounds, optimal block-product states, classification.
 
-N agents each carry the same three-outcome device; the joint test and
-constraint operators are products of per-agent effects (Pi_2 and Pi_1
-respectively), so 0 <= c <= x^N.  A k-partition groups agents into blocks that
-may be internally entangled; the c = 0 separable bound depends only on the
-largest block size M_k:
+Each of N agents carries one three-outcome device, given as a per-agent POVM
+list; the joint test and constraint operators are products of per-agent
+effects (Pi_2 and Pi_1 respectively).  Agents may carry different devices in
+the numeric path (`multi_operators`, `numeric_partition_bound`).  The closed
+forms assume the same device x for every agent, so 0 <= c <= x^N there.  A
+k-partition groups agents into blocks that may be internally entangled; the
+c = 0 separable bound depends only on the largest block size M_k:
 
     g(x; N, M_k) = (1 - x/2)^N - (1 - x/2)^(N - M_k) ((1 - x)/2)^(M_k).
 """
@@ -13,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ._optimize import BoundResult, OptimizerSettings, optimize_product_bound
-from .povm import ThreeOutcomeParams, build_three_outcome, chi_vectors, product_operator
+from .povm import Povm, ThreeOutcomeParams, chi_vectors, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState
 
 __all__ = [
@@ -96,37 +98,15 @@ class MultiBound:
     g: float
 
 
-def _params_list(
-    x_or_params: Union[float, ThreeOutcomeParams, Sequence[ThreeOutcomeParams]],
-    n_agents: int,
-    theta: float = 0.0,
-) -> list[ThreeOutcomeParams]:
-    if isinstance(x_or_params, ThreeOutcomeParams):
-        return [x_or_params] * n_agents
-    if isinstance(x_or_params, (int, float)):
-        return [ThreeOutcomeParams(float(x_or_params), theta)] * n_agents
-    params = list(x_or_params)
-    if len(params) != n_agents:
-        raise ValueError(f"need {n_agents} per-agent parameter sets, got {len(params)}")
-    return params
-
-
-def multi_operators(
-    n_agents: int,
-    params: Union[float, ThreeOutcomeParams, Sequence[ThreeOutcomeParams]],
-    theta: float = 0.0,
-) -> tuple[HermitianOperator, HermitianOperator]:
-    """Joint test and constraint operators L = (x)Pi_2, C = (x)Pi_1 over N agents.
+def multi_operators(povms: Sequence[Povm]) -> tuple[HermitianOperator, HermitianOperator]:
+    """Joint test and constraint operators L = (x)Pi_2, C = (x)Pi_1, one device per agent.
 
     Independent of any partition; the partition enters only through the bound.
     """
+    n_agents = len(povms)
     if not 2 <= n_agents <= MAX_AGENTS:
         raise CapacityError(f"n_agents must lie in [2, {MAX_AGENTS}]")
-    plist = _params_list(params, n_agents, theta)
-    povms = [build_three_outcome(p) for p in plist]
-    l_op = product_operator(povms, [2] * n_agents)
-    c_op = product_operator(povms, [1] * n_agents)
-    return l_op, c_op
+    return product_operator(povms, [2] * n_agents), product_operator(povms, [1] * n_agents)
 
 
 def closed_form_bound(x: float, n_agents: int, largest_block: int) -> MultiBound:
@@ -212,11 +192,9 @@ def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool)
 
 
 def numeric_partition_bound(
-    x_or_params: Union[float, ThreeOutcomeParams, Sequence[ThreeOutcomeParams]],
-    n_agents: int,
+    povms: Sequence[Povm],
     partition: Partition,
     c: float,
-    theta: float = 0.0,
     settings: Optional[OptimizerSettings] = None,
 ) -> BoundResult:
     """Numeric separable bound for a partition at any attainable c.
@@ -227,21 +205,18 @@ def numeric_partition_bound(
     C is a product of PSD effects, so its spectrum [prod lambda_min,
     prod lambda_max] is the attainable range; a c outside it raises
     ValueError before any restart.  Non-convergence is flagged on the
-    result, never silently ignored.
+    result, never silently ignored.  `povms` holds one device per agent, in
+    agent order.
     """
-    if partition.n_agents != n_agents:
-        raise ValueError(f"partition covers {partition.n_agents} agents, expected {n_agents}")
-    if n_agents > MAX_AGENTS_NUMERIC:
+    if partition.n_agents != len(povms):
+        raise ValueError(f"partition covers {partition.n_agents} agents, got {len(povms)} devices")
+    if len(povms) > MAX_AGENTS_NUMERIC:
         raise CapacityError(
             f"numeric path limited to N <= {MAX_AGENTS_NUMERIC} (block dimension cost)"
         )
-    plist = _params_list(x_or_params, n_agents, theta)
-    # reorder per-agent effects to the partition's normalized agent order so
-    # blocks are contiguous, then optimize over block factors directly
-    order = [i - 1 for b in partition.blocks for i in b]
-    povms = [build_three_outcome(plist[i]) for i in order]
-    l_op = product_operator(povms, [2] * n_agents)
-    c_op = product_operator(povms, [1] * n_agents)
+    # reorder the devices to the partition's normalized agent order so blocks
+    # are contiguous, then optimize over block factors directly
+    l_op, c_op = multi_operators([povms[i - 1] for b in partition.blocks for i in b])
     return optimize_product_bound(
         l_op.mat,
         [(2,) * len(b) for b in partition.blocks],

@@ -42,7 +42,7 @@ __all__ = [
     "load_json",
 ]
 
-MAX_TOTAL_DIM = 2**14
+MAX_TOTAL_DIM = 2**12  # 12 qubits: multi_operators at multipartite.MAX_AGENTS
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
-from .povm import Povm, ThreeOutcomePovm
+from .povm import Povm
 from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, load_json, save_json, tensor
 
 __all__ = [
@@ -53,14 +53,13 @@ class CountsTable:
     """Joint-outcome counts from a fixed-device experiment.
 
     `outcome_counts` maps 1-based joint outcome tuples to counts; absent
-    tuples are zero.  `povm_params` echoes the per-party (x, theta) pairs
-    when the counts came from the built-in three-outcome devices.
+    tuples are zero.  The table does not record the devices that made it:
+    the caller pairs it with the same per-party POVM list.
     """
 
     outcomes_per_party: tuple[int, ...]
     outcome_counts: Mapping[tuple[int, ...], int]
     total_shots: int
-    povm_params: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self):
         outcomes = tuple(int(k) for k in self.outcomes_per_party)
@@ -199,14 +198,10 @@ def simulate_counts(rho: DensityMatrix, povms: Sequence[Povm], shots: int, seed:
     p = p / p.sum()
     draw = stream(seed).multinomial(shots, p)
     counts = {k: int(v) for k, v in zip(keys, draw) if v}
-    params = None
-    if all(isinstance(p_, ThreeOutcomePovm) for p_ in povms):
-        params = tuple((p_.params.x, p_.params.theta) for p_ in povms)
     return CountsTable(
         outcomes_per_party=tuple(p_.n_outcomes for p_ in povms),
         outcome_counts=counts,
         total_shots=shots,
-        povm_params=params,
     )
 
 

@@ -30,6 +30,11 @@ def fast():
     return uk.OptimizerSettings(restarts=16, warm_restarts=4)
 
 
+def devices(x, n):
+    """n agents sharing one three-outcome device at x, theta = 0."""
+    return [uk.build_three_outcome(uk.ThreeOutcomeParams(x, 0.0))] * n
+
+
 def bell_state():
     vec = np.zeros(4)
     vec[0] = vec[3] = 1.0 / np.sqrt(2.0)

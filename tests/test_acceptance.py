@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import uewkit as uk
-from conftest import gradient_rel_errors, random_hermitian
+from conftest import devices, gradient_rel_errors, random_hermitian
 from uewkit.cli import main as cli_main
 
 X = 2.0 / 3.0
@@ -184,16 +184,16 @@ def test_criterion_06_multipartite_bounds():
     for text in partitions_n2 + partitions_n3:
         part = uk.Partition.parse(text)
         n = part.n_agents
-        res = uk.numeric_partition_bound(X, n, part, c=0.0)
+        res = uk.numeric_partition_bound(devices(X, n), part, c=0.0)
         expected = uk.closed_form_bound(X, n, part.largest_block).g
         assert res.converged
         assert res.value == pytest.approx(expected, abs=1e-6), text
 
     # (4,1) and (4,3) via the optimal-state certificate; (4,1) numerically too
-    res = uk.numeric_partition_bound(X, 4, uk.Partition.parse("1|2|3|4"), c=0.0)
+    res = uk.numeric_partition_bound(devices(X, 4), uk.Partition.parse("1|2|3|4"), c=0.0)
     assert res.converged
     assert res.value == pytest.approx(uk.closed_form_bound(X, 4, 1).g, abs=1e-6), "1|2|3|4"
-    l4, c4 = uk.multi_operators(4, X)
+    l4, c4 = uk.multi_operators(devices(X, 4))
     for text, m in [("1|2|3|4", 1), ("1|2,3,4", 3)]:
         part = uk.Partition.parse(text)
         state = uk.optimal_separable_multi(X, 4, part)
@@ -215,7 +215,7 @@ def test_criterion_06_multipartite_bounds():
         return list(rec(2, [[1]]))
 
     for n in range(2, 6):
-        l_n, c_n = uk.multi_operators(n, X)
+        l_n, c_n = uk.multi_operators(devices(X, n))
         for blocks in all_partitions(n):
             part = uk.Partition(blocks)
             state = uk.optimal_separable_multi(X, n, part)

@@ -257,6 +257,18 @@ class TestErrorExits:
         assert run(*argv) == 2
         assert not out.exists()
 
+    def test_multiparty_rejects_povm_file(self, tmp_path, capsys):
+        # the bounds are formulas in --x/--theta, so a device file is refused
+        povm_file = tmp_path / "povm.json"
+        device = uk.build_three_outcome(uk.ThreeOutcomeParams(0.5, 0.0))
+        povm_file.write_text(json.dumps(uk.povm_to_dict([device] * 3)))
+        out = tmp_path / "bounds.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            run("multiparty", "--agents", 3, "--partition", "1|2|3", "--povm", povm_file, "--out", out)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --povm" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_main_builds_one_parser(tmp_path, monkeypatch):
     built = []
@@ -355,7 +367,9 @@ class TestMalformedInput:
         assert exit_info.value.code == 2
         assert "argument --decomposition" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("parties, message", [(-1, "parties must be >= 1, got -1"), (40, "exceeds cap")])
+    @pytest.mark.parametrize(
+        "parties, message", [(-1, "parties must be >= 1, got -1"), (13, "exceeds cap"), (40, "exceeds cap")]
+    )
     def test_bad_parties(self, tmp_path, capsys, parties, message):
         argv = ("simulate", "--preset", "maximally-mixed", "--parties", parties, "--out", tmp_path / "c.json")
         assert run(*argv) == 2

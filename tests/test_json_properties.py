@@ -92,6 +92,15 @@ def counts_tables(draw):
     return uk.CountsTable(outcomes, cells, sum(cells.values()))
 
 
+@st.composite
+def simulated_counts_tables(draw):
+    povms = draw(st.lists(three_outcome_povms(), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = uk.sampler.random_density_matrix((2,) * len(povms), rng)
+    shots = draw(st.integers(1, 10**6))
+    return uk.simulate_counts(rho, povms, shots=shots, seed=draw(st.integers(0, 2**32 - 1)))
+
+
 def assert_same_povms(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -134,7 +143,7 @@ def test_povm_round_trip_tiny_negative_theta():
     assert_same_povms(uk.povm_from_dict(through_json(uk.povm_to_dict(povms))), povms)
 
 
-@given(counts_tables())
+@given(st.one_of(counts_tables(), simulated_counts_tables()))
 @PROPERTY
 def test_counts_round_trip(table):
     assert counts_from_dict(through_json(counts_to_dict(table))) == table

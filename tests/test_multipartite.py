@@ -3,6 +3,8 @@ import pytest
 
 import uewkit as uk
 
+from conftest import devices
+
 X = 2.0 / 3.0
 
 
@@ -34,20 +36,20 @@ class TestPartition:
 
 class TestMultiOperators:
     def test_n2_matches_pair(self, pair23):
-        l_op, c_op = uk.multi_operators(2, X)
+        l_op, c_op = uk.multi_operators(devices(X, 2))
         np.testing.assert_allclose(l_op.mat, pair23[0].mat, atol=1e-15)
         np.testing.assert_allclose(c_op.mat, pair23[1].mat, atol=1e-15)
 
     def test_n3_extreme_eigenvalues(self):
-        l_op, c_op = uk.multi_operators(3, X)
+        l_op, c_op = uk.multi_operators(devices(X, 3))
         assert np.linalg.eigvalsh(c_op.mat)[-1] == pytest.approx(X**3)
         assert np.linalg.eigvalsh(l_op.mat)[-1] == pytest.approx((1 - X / 2) ** 3)
 
     def test_capacity(self):
         with pytest.raises(uk.CapacityError):
-            uk.multi_operators(13, X)
+            uk.multi_operators(devices(X, 13))
         with pytest.raises(uk.CapacityError):
-            uk.multi_operators(1, X)
+            uk.multi_operators(devices(X, 1))
 
 
 class TestClosedFormBound:
@@ -109,7 +111,7 @@ class TestOptimalSeparableMulti:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_achieves_closed_form(self, n):
-        l_op, c_op = uk.multi_operators(n, X)
+        l_op, c_op = uk.multi_operators(devices(X, n))
         for blocks in self.all_partitions(n):
             part = uk.Partition(blocks)
             state = uk.optimal_separable_multi(X, n, part)
@@ -131,7 +133,7 @@ class TestOptimalSeparableMulti:
 
     def test_other_x(self):
         x = 0.4
-        l_op, c_op = uk.multi_operators(3, x)
+        l_op, c_op = uk.multi_operators(devices(x, 3))
         part = uk.Partition.parse("1,2,3")
         state = uk.optimal_separable_multi(x, 3, part)
         assert uk.expectation(c_op, state) == pytest.approx(0.0, abs=1e-12)
@@ -185,14 +187,14 @@ class TestNumericPartitionBound:
     def test_matches_closed_form_at_c0(self, text, fast):
         part = uk.Partition.parse(text)
         n = part.n_agents
-        res = uk.numeric_partition_bound(X, n, part, c=0.0, settings=fast)
+        res = uk.numeric_partition_bound(devices(X, n), part, c=0.0, settings=fast)
         expected = uk.closed_form_bound(X, n, part.largest_block).g
         assert res.converged
         assert res.value == pytest.approx(expected, abs=2e-3)
 
     def test_exchange_invariance(self, fast):
         vals = [
-            uk.numeric_partition_bound(X, 3, uk.Partition.parse(t), c=0.05, settings=fast).value
+            uk.numeric_partition_bound(devices(X, 3), uk.Partition.parse(t), c=0.05, settings=fast).value
             for t in ["1|2,3", "2|1,3", "3|1,2"]
         ]
         assert max(vals) - min(vals) <= 2e-3
@@ -200,7 +202,7 @@ class TestNumericPartitionBound:
     def test_singleton_partition_matches_bipartite_curve(self, pair23, fast):
         part = uk.Partition.parse("1|2")
         for c in [0.1, 0.3]:
-            res = uk.numeric_partition_bound(X, 2, part, c=c, settings=fast)
+            res = uk.numeric_partition_bound(devices(X, 2), part, c=c, settings=fast)
             ref = uk.constrained_bound(
                 pair23[0], pair23[1], c, fast
             )
@@ -208,17 +210,21 @@ class TestNumericPartitionBound:
 
     def test_heterogeneous_params(self, fast):
         plist = [uk.ThreeOutcomeParams(0.5, 0.0), uk.ThreeOutcomeParams(0.7, 0.0)]
-        res = uk.numeric_partition_bound(plist, 2, uk.Partition.parse("1|2"), c=0.0, settings=fast)
+        res = uk.numeric_partition_bound([uk.build_three_outcome(p) for p in plist], uk.Partition.parse("1|2"), c=0.0, settings=fast)
         assert res.converged
         assert 0.0 < res.value < 1.0
 
     def test_capacity_limit(self, fast):
         with pytest.raises(uk.CapacityError):
-            uk.numeric_partition_bound(X, 5, uk.Partition.parse("1|2|3|4|5"), 0.0, settings=fast)
+            uk.numeric_partition_bound(devices(X, 5), uk.Partition.parse("1|2|3|4|5"), 0.0, settings=fast)
+
+    def test_device_count_must_match_partition(self, fast):
+        with pytest.raises(ValueError, match="partition covers 3 agents, got 2 devices"):
+            uk.numeric_partition_bound(devices(X, 2), uk.Partition.parse("1|2,3"), 0.0, settings=fast)
 
     def test_c_range_validation(self, fast):
         with pytest.raises(ValueError):
-            uk.numeric_partition_bound(X, 2, uk.Partition.parse("1|2"), c=0.6, settings=fast)
+            uk.numeric_partition_bound(devices(X, 2), uk.Partition.parse("1|2"), c=0.6, settings=fast)
         plist = [uk.ThreeOutcomeParams(0.5, 0.0), uk.ThreeOutcomeParams(0.8, 0.0)]
         with pytest.raises(ValueError, match=r"constraint value 0\.41 outside the spectrum \[0, 0\.4\] of C"):
-            uk.numeric_partition_bound(plist, 2, uk.Partition.parse("1|2"), c=0.41, settings=fast)
+            uk.numeric_partition_bound([uk.build_three_outcome(p) for p in plist], uk.Partition.parse("1|2"), c=0.41, settings=fast)

@@ -114,11 +114,6 @@ class TestSimulateCounts:
         b = uk.simulate_counts(rho, [povm23, povm23], shots=1000, seed=7)
         assert a.outcome_counts == b.outcome_counts
 
-    def test_povm_params_echo(self, povm23):
-        rho = uk.DensityMatrix((2, 2), np.eye(4) / 4)
-        counts = uk.simulate_counts(rho, [povm23, povm23], shots=100, seed=1)
-        assert counts.povm_params == ((X, 0.0), (X, 0.0))
-
     def test_shots_validation(self, povm23):
         rho = uk.DensityMatrix((2, 2), np.eye(4) / 4)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 
 import uewkit as uk
 
-from conftest import bell_state, gradient_rel_errors, random_hermitian
+from conftest import bell_state, devices, gradient_rel_errors, random_hermitian
 
 X = 2.0 / 3.0
 C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
@@ -174,11 +174,11 @@ def _bound_entry_points():
             lambda: uk.constrained_pure_state_sup(l_op, c_op, 0.2, few), [(2, 2)]
         ),
         "partition 1|2,3": (
-            lambda: uk.numeric_partition_bound(x, 3, uk.Partition.parse("1|2,3"), 0.01, settings=few),
+            lambda: uk.numeric_partition_bound(devices(x, 3), uk.Partition.parse("1|2,3"), 0.01, settings=few),
             [(2,), (2, 2)],
         ),
         "partition 1,2,3|4": (
-            lambda: uk.numeric_partition_bound(x, 4, uk.Partition.parse("1,2,3|4"), 0.01, settings=few),
+            lambda: uk.numeric_partition_bound(devices(x, 4), uk.Partition.parse("1,2,3|4"), 0.01, settings=few),
             [(2,), (2, 2, 2)],
         ),
     }
