@@ -16,8 +16,8 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +62,17 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
 
 
+def _count(text: str) -> int:
+    """Parse a whole number in int64 range, accepting forms like 1e6."""
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        value = Decimal("nan")
+    if not value.is_finite() or value.copy_abs() > np.iinfo(np.int64).max or value != int(value):
+        raise argparse.ArgumentTypeError(f"not a whole number in int64 range: {text!r}")
+    return int(value)
+
+
 def _indices(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.split(","))
@@ -103,6 +114,8 @@ def _operator_pair(args, parties: int = 2):
 
 
 def cmd_curve(args) -> int:
+    if args.grid < 3:
+        raise ValueError("need at least 3 grid points")
     settings = _settings(args)
     povms, l_op, c_op = _operator_pair(args)
     report = povm.uew_admissibility_check(c_op, l_op)
@@ -186,33 +199,20 @@ def cmd_simulate(args) -> int:
     if bool(args.state) == bool(args.preset):
         raise ValueError("give exactly one of --state or --preset")
     if args.state:
-        # a pure state has n entries, a density matrix n**2
-        payload = qcore.load_json(args.state)
-        try:
-            pure = len(payload["entries"]) == math.prod(payload["dims"])
-        except (KeyError, TypeError):
-            pure = False  # operator_from_dict names what is wrong
-        if pure:
-            rho = qcore.pure_density(qcore.state_from_dict(payload))
-        else:
-            op = qcore.operator_from_dict(payload)
-            rho = qcore.DensityMatrix(op.dims, op.mat)
-        parties = len(rho.dims)
+        rho = qcore.density_from_dict(qcore.load_json(args.state))
+    elif args.parties < 1:
+        raise ValueError(f"parties must be >= 1, got {args.parties}")
     else:
-        if args.parties < 1:
-            raise ValueError(f"parties must be >= 1, got {args.parties}")
-        parties = args.parties
         rho = _preset_state(args)
-    povms = _build_povms(args, parties)
+    povms = _build_povms(args, len(rho.dims) if args.state else args.parties)
     counts = sampler.simulate_counts(rho, povms, shots=args.shots, seed=args.seed)
     sampler.save_counts(args.out, counts)
-    print(f"simulated {args.shots} shots over {parties} parties -> {args.out}")
+    print(f"simulated {args.shots} shots over {counts.n_parties} parties -> {args.out}")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    _, l_op, c_op = _operator_pair(args)
-    pts = sampler.scatter(l_op, c_op, n=args.n, seed=args.seed)
+    pts = sampler.scatter(_build_povms(args, 2), args.l_indices, args.c_indices, n=args.n, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write("c,l\n")
         for c, l in pts:
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="state JSON file (density matrix or pure state)")
     p.add_argument("--preset", choices=["optimal-entangled", "maximally-mixed", "bell"])
     p.add_argument("--c", type=_number, default=0.0, help="constraint value for the optimal-entangled preset")
-    p.add_argument("--shots", type=lambda s: int(float(s)), default=10**6)
+    p.add_argument("--shots", type=_count, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="counts.json")
     p.set_defaults(func=cmd_simulate)
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="scatter of (c, l) over random product states")
     _add_device_flags(p)
     _add_pair_flags(p)
-    p.add_argument("--n", type=lambda s: int(float(s)), default=10**5)
+    p.add_argument("--n", type=_count, default=10**5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="scatter.csv")
     p.set_defaults(func=cmd_sample)

@@ -38,6 +38,7 @@ __all__ = [
     "operator_from_dict",
     "state_to_dict",
     "state_from_dict",
+    "density_from_dict",
     "save_json",
     "load_json",
 ]
@@ -315,6 +316,12 @@ def state_from_dict(d: dict) -> PureState:
     if arr.ndim != 1:
         raise ValueError("entry count matches an operator, not a state vector")
     return PureState(dims, arr)
+
+
+def density_from_dict(d: dict) -> DensityMatrix:
+    """A state file as a density matrix: n entries are a pure state, n**2 a density matrix."""
+    dims, arr = _dims_and_entries(d)
+    return pure_density(PureState(dims, arr)) if arr.ndim == 1 else DensityMatrix(dims, arr)
 
 
 def save_json(path: Union[str, Path], payload: dict) -> None:

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
-from .povm import Povm
-from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, load_json, save_json, tensor
+from .povm import Povm, selected_effects
+from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, load_json, save_json
+from .qcore import tensor  # noqa: F401  # perfbench/tracing.py patches uewkit.sampler.tensor
 
 __all__ = [
     "stream",
@@ -139,25 +139,23 @@ def sample_product_state(dims: Sequence[int], seed: int) -> ProductState:
     return ProductState(tuple(factors))
 
 
-def _batched_product_states(rng: np.random.Generator, n: int, dims: Sequence[int]) -> np.ndarray:
-    psi = None
-    for d in dims:
-        f = _bloch_vectors(rng, n) if d == 2 else _haar_vectors(rng, n, d)
-        psi = f if psi is None else np.einsum("ni,nj->nij", psi, f).reshape(n, -1)
-    return psi
-
-
-def scatter(l_op: HermitianOperator, c_op: HermitianOperator, n: int, seed: int) -> np.ndarray:
-    """(n, 2) array of (<C>, <L>) over random pure product states."""
-    if l_op.dims != c_op.dims:
-        raise ValueError("operators must share dims")
+def scatter(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], n: int, seed: int) -> np.ndarray:
+    """(n, 2) array of (<C>, <L>) over random pure product states, C and L the
+    `product_operator`s at `c_indices` and `l_indices`: each value is a product
+    of per-party <f|E|f>, the factors drawn per subsystem in dims order."""
+    pairs = zip(selected_effects(povms, c_indices), selected_effects(povms, l_indices))
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = stream(seed)
-    psi = _batched_product_states(rng, n, l_op.dims)
-    c_vals = np.einsum("ni,ij,nj->n", psi.conj(), c_op.mat, psi).real
-    l_vals = np.einsum("ni,ij,nj->n", psi.conj(), l_op.mat, psi).real
-    return np.stack([c_vals, l_vals], axis=1)
+    vals = np.ones((n, 2))
+    for povm, effects in zip(povms, pairs):
+        f = np.ones((n, 1))
+        for d in povm.dims:
+            g = _bloch_vectors(rng, n) if d == 2 else _haar_vectors(rng, n, d)
+            f = np.einsum("ni,nj->nij", f, g).reshape(n, -1)
+        for col, effect in enumerate(effects):
+            vals[:, col] *= np.einsum("ni,ni->n", f.conj() @ effect.op.mat, f).real
+    return vals
 
 
 def random_density_matrix(dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
@@ -171,38 +169,32 @@ def random_density_matrix(dims: Sequence[int], rng: np.random.Generator) -> Dens
     return DensityMatrix(dims, m)
 
 
-def joint_probabilities(rho: DensityMatrix, povms: Sequence[Povm]) -> dict[tuple[int, ...], float]:
-    """Joint outcome probabilities p(i1..iN) = Tr[rho (x)_k Pi_{i_k}]."""
+def joint_probabilities(rho: DensityMatrix, povms: Sequence[Povm]) -> np.ndarray:
+    """p[i1, .., iN] = Tr[rho (x)_k Pi_{i_k + 1}], axis k for party k's 0-based
+    outcome; rho is contracted with one party's stacked effects at a time."""
     dims = tuple(d for p in povms for d in p.dims)
-    if dims != rho.dims and int(np.prod(dims)) != rho.total_dim:
-        raise ValueError("POVM dims do not match the state")
-    ranges = [range(1, p.n_outcomes + 1) for p in povms]
-    probs = {}
-    for key in iter_product(*ranges):
-        op = tensor([p.effect(i).op for p, i in zip(povms, key)])
-        val = np.einsum("ij,ji->", op.mat, rho.mat)
-        probs[key] = float(val.real)
-    total = sum(probs.values())
+    if dims != rho.dims:
+        raise ValueError(f"POVM dims {dims} do not match the state's dims {rho.dims}")
+    # one row and one column axis per party; each contraction appends its outcome axis
+    t = rho.mat.reshape(tuple(math.prod(p.dims) for p in povms) * 2)
+    for i, p in enumerate(povms):
+        # Tr(E rho): E's rows meet this party's column axis of rho, its columns the row axis
+        t = np.tensordot(t, np.stack([e.op.mat for e in p.effects]), axes=([0, len(povms) - i], [2, 1]))
+    total = t.real.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"outcome probabilities sum to {total}, not 1 (invalid POVM or state)")
-    return probs
+    return t.real
 
 
 def simulate_counts(rho: DensityMatrix, povms: Sequence[Povm], shots: int, seed: int) -> CountsTable:
-    """Multinomial draw from the joint outcome distribution."""
+    """Multinomial draw from the joint outcome distribution, cells in C order."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = joint_probabilities(rho, povms)
-    keys = sorted(probs)
-    p = np.clip(np.array([probs[k] for k in keys]), 0.0, None)
-    p = p / p.sum()
-    draw = stream(seed).multinomial(shots, p)
-    counts = {k: int(v) for k, v in zip(keys, draw) if v}
-    return CountsTable(
-        outcomes_per_party=tuple(p_.n_outcomes for p_ in povms),
-        outcome_counts=counts,
-        total_shots=shots,
-    )
+    p = np.clip(probs.ravel(), 0.0, None)
+    draw = stream(seed).multinomial(shots, p / p.sum()).reshape(probs.shape)
+    counts = {tuple(int(i) + 1 for i in cell): int(draw[cell]) for cell in zip(*np.nonzero(draw))}
+    return CountsTable(probs.shape, counts, shots)
 
 
 def estimate(

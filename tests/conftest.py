@@ -46,6 +46,19 @@ def random_hermitian(n, rng):
     return (a + a.conj().T) / 2.0
 
 
+def qutrit_device_qutrit():
+    """Three parties (qutrit, x = 2/3 device, qutrit), the qutrits sharing a
+    two-outcome POVM with a random eigenbasis."""
+    rng = np.random.default_rng(11)
+    u = np.linalg.eigh(random_hermitian(3, rng))[1]
+    p_mat = u @ np.diag([0.15, 0.5, 0.85]) @ u.conj().T
+    qutrit = uk.Povm(
+        (uk.Effect(uk.HermitianOperator((3,), p_mat)),
+         uk.Effect(uk.HermitianOperator((3,), np.eye(3) - p_mat)))
+    )
+    return [qutrit, devices(X, 1)[0], qutrit]
+
+
 def gradient_rel_errors(block_dims, l_mat, c_mat, rng, n_points, h=1e-6):
     """Worst relative errors of the analytic <L> and <C> gradients of
     PairObjective.eval against central differences, each checked on its own."""

@@ -260,9 +260,9 @@ def test_criterion_07_certification_round_trip(curve_csv, tmp_path):
 
 
 def test_criterion_08_soundness_and_ppt(ops, full_curve):
-    _, l_op, c_op = ops
+    device, l_op, c_op = ops
     curve, _, _ = full_curve
-    pts = uk.scatter(l_op, c_op, 10**4, seed=314159)
+    pts = uk.scatter([device, device], (2, 2), (1, 1), 10**4, seed=314159)
     false_positives = 0
     for c, l in pts:
         if uk.detect(curve, float(c), float(l), k=0.0).entangled:

@@ -251,6 +251,47 @@ class TestErrorExits:
         assert run("sample", "--n", n, "--out", tmp_path / "s.csv") == 2
         assert f"n must be >= 1, got {n}" in capsys.readouterr().err
 
+    def test_state_party_dims_must_match_devices(self, tmp_path, capsys):
+        # |2> x |H> on dims (3, 2), measured by (qubit device, qutrit POVM)
+        state = tmp_path / "state.json"
+        vec = np.zeros(6)
+        vec[4] = 1.0
+        uk.qcore.save_json(state, uk.qcore.state_to_dict(uk.PureState((3, 2), vec)))
+        qubit = uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 0.0))
+        qutrit = uk.Povm(tuple(uk.Effect(uk.HermitianOperator((3,), np.diag(row))) for row in np.eye(3)))
+        povm_file = tmp_path / "povm.json"
+        uk.qcore.save_json(povm_file, uk.povm_to_dict([qubit, qutrit]))
+        out = tmp_path / "c.json"
+        assert run("simulate", "--state", state, "--povm", povm_file, "--out", out) == 2
+        assert "POVM dims (2, 3) do not match the state's dims (3, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("simulate", "--shots", "inf"), ("sample", "--n", "inf"), ("simulate", "--shots", "1e30"),
+         ("simulate", "--shots", "1.5")],
+    )
+    def test_bad_count_flag(self, tmp_path, capsys, command, flag, value):
+        argv = [command, flag, value, "--out", tmp_path / "o"]
+        if command == "simulate":
+            argv += ["--preset", "bell"]
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: not a whole number in int64 range: '{value}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_count_flag_exponent_form(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("sample", "--n", "1e1", "--seed", 2, "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 11
+
+    def test_negative_grid(self, tmp_path, capsys):
+        assert run("curve", "--grid", -1, "--out", tmp_path / "c.csv") == 2
+        err = capsys.readouterr().err
+        assert "need at least 3 grid points" in err
+        assert "Number of samples" not in err
+
     def test_multiparty_bad_c_writes_nothing(self, tmp_path):
         out = tmp_path / "bounds.csv"
         argv = ("multiparty", "--agents", 3, "--partition", "1|2|3", "--c", "-0.5", "--out", out)

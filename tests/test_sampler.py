@@ -1,10 +1,13 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 import uewkit as uk
 from uewkit import sampler
+
+from conftest import qutrit_device_qutrit
 
 X = 2.0 / 3.0
 
@@ -62,43 +65,119 @@ class TestSampleProductState:
 
 
 class TestScatter:
-    def test_range_and_ceiling(self, pair23):
-        l_op, c_op = pair23
-        pts = uk.scatter(l_op, c_op, 20000, seed=11)
+    def test_range_and_ceiling(self, povm23):
+        pts = uk.scatter([povm23, povm23], (2, 2), (1, 1), 20000, seed=11)
         c, l = pts[:, 0], pts[:, 1]
         assert np.all(c >= -1e-12) and np.all(c <= 4 / 9 + 1e-12)
         assert np.all(l >= -1e-12) and np.all(l <= 4 / 9 + 1e-12)
 
-    def test_below_separable_curve(self, pair23):
-        l_op, c_op = pair23
-        pts = uk.scatter(l_op, c_op, 2000, seed=11)
+    def test_below_separable_curve(self, povm23):
+        pts = uk.scatter([povm23, povm23], (2, 2), (1, 1), 2000, seed=11)
         for c, l in pts:
             assert l <= uk.semianalytic_pair_bound(X, c, refine=4001) + 1e-4
 
-    def test_dense_near_optimum(self, pair23):
-        l_op, c_op = pair23
-        pts = uk.scatter(l_op, c_op, 100000, seed=11)
+    def test_dense_near_optimum(self, povm23):
+        pts = uk.scatter([povm23, povm23], (2, 2), (1, 1), 100000, seed=11)
         assert pts[:, 1].max() >= 0.42
 
-    def test_deterministic(self, pair23):
-        l_op, c_op = pair23
+    def test_deterministic(self, povm23):
+        povms = [povm23, povm23]
         np.testing.assert_array_equal(
-            uk.scatter(l_op, c_op, 100, seed=5), uk.scatter(l_op, c_op, 100, seed=5)
+            uk.scatter(povms, (2, 2), (1, 1), 100, seed=5), uk.scatter(povms, (2, 2), (1, 1), 100, seed=5)
         )
+
+
+def random_qutrit_povm(rng):
+    """Three-outcome qutrit POVM: random PSD parts normalized by their sum."""
+    parts = []
+    for _ in range(3):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        parts.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(parts))
+    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
+    return uk.Povm(
+        tuple(uk.Effect(uk.HermitianOperator((3,), inv_sqrt @ a @ inv_sqrt)) for a in parts)
+    )
+
+
+class TestScatterAgainstDense:
+    def test_matches_dense_expectations(self):
+        # the same factors scatter draws, expanded to joint vectors
+        povms = qutrit_device_qutrit()
+        l_idx, c_idx = (2, 3, 1), (1, 2, 2)
+        n, seed = 500, 8
+        rng = uk.stream(seed)
+        psi = np.ones((n, 1))
+        for d in (3, 2, 3):
+            f = sampler._bloch_vectors(rng, n) if d == 2 else sampler._haar_vectors(rng, n, d)
+            psi = np.einsum("ni,nj->nij", psi, f).reshape(n, -1)
+        l_mat = uk.product_operator(povms, l_idx).mat
+        c_mat = uk.product_operator(povms, c_idx).mat
+        dense_c = np.einsum("ni,ij,nj->n", psi.conj(), c_mat, psi).real
+        dense_l = np.einsum("ni,ij,nj->n", psi.conj(), l_mat, psi).real
+        pts = uk.scatter(povms, l_idx, c_idx, n, seed=seed)
+        np.testing.assert_allclose(pts[:, 0], dense_c, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pts[:, 1], dense_l, rtol=0, atol=1e-14)
+
+    def test_index_length_mismatch(self, povm23):
+        with pytest.raises(ValueError, match="2 parties but 1 outcome indices"):
+            uk.scatter([povm23, povm23], (2,), (1, 1), 10, seed=1)
+
+
+class TestJointProbabilities:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_dense_reference(self, povm23, seed):
+        rng = np.random.default_rng(seed)
+        povms = [povm23, random_qutrit_povm(rng), povm23]
+        rho = sampler.random_density_matrix((2, 3, 2), rng)
+        probs = sampler.joint_probabilities(rho, povms)
+        assert probs.shape == (3, 3, 3)
+        for cell in np.ndindex(probs.shape):
+            op = uk.tensor([p.effects[i].op for p, i in zip(povms, cell)])
+            expected = np.einsum("ij,ji->", op.mat, rho.mat).real
+            assert abs(probs[cell] - expected) <= 1e-14
+
+    def test_block_party(self, povm23):
+        # a party whose effects act on two qubits keeps one outcome axis
+        rng = np.random.default_rng(4)
+        q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        block = uk.Povm(tuple(uk.Effect(uk.HermitianOperator((2, 2), np.outer(v, v.conj()))) for v in q.T))
+        povms = [povm23, block]
+        rho = sampler.random_density_matrix((2, 2, 2), rng)
+        probs = sampler.joint_probabilities(rho, povms)
+        assert probs.shape == (3, 4)
+        for cell in np.ndindex(probs.shape):
+            op = uk.tensor([p.effects[i].op for p, i in zip(povms, cell)])
+            assert abs(probs[cell] - np.einsum("ij,ji->", op.mat, rho.mat).real) <= 1e-14
+
+    def test_maximally_mixed_eight_parties(self, povm23):
+        rho = uk.DensityMatrix((2,) * 8, np.eye(256) / 256)
+        probs = sampler.joint_probabilities(rho, [povm23] * 8)
+        marginal = np.array([e.op.mat.trace().real / 2 for e in povm23.effects])
+        expected = reduce(np.multiply.outer, [marginal] * 8)
+        assert probs.shape == (3,) * 8
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15)
+
+    def test_party_dims_must_match(self, povm23):
+        # same total dimension, parties in the other order
+        qutrit = uk.Povm((uk.Effect(uk.identity((3,))),))
+        rho = uk.DensityMatrix((3, 2), np.eye(6) / 6)
+        with pytest.raises(ValueError, match=r"POVM dims \(2, 3\) do not match the state's dims \(3, 2\)"):
+            sampler.joint_probabilities(rho, [povm23, qutrit])
 
 
 class TestSimulateCounts:
     def test_maximally_mixed_cell(self, povm23):
         rho = uk.DensityMatrix((2, 2), np.eye(4) / 4)
         probs = sampler.joint_probabilities(rho, [povm23, povm23])
-        assert probs[(1, 1)] == pytest.approx(1 / 9, abs=1e-12)
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert probs[0, 0] == pytest.approx(1 / 9, abs=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_vv_state_cells(self, povm23):
         rho = uk.pure_density(uk.PureState((2, 2), [0, 0, 0, 1]))
         probs = sampler.joint_probabilities(rho, [povm23, povm23])
-        assert probs[(1, 1)] == pytest.approx(4 / 9, abs=1e-12)
-        assert probs[(2, 2)] == pytest.approx(1 / 36, abs=1e-12)
+        assert probs[0, 0] == pytest.approx(4 / 9, abs=1e-12)
+        assert probs[1, 1] == pytest.approx(1 / 36, abs=1e-12)
 
     def test_frequencies_converge(self, povm23):
         rho = uk.pure_density(uk.PureState((2, 2), [0, 0, 0, 1]))

@@ -6,7 +6,7 @@ import pytest
 
 import uewkit as uk
 
-from conftest import bell_state, devices, gradient_rel_errors, random_hermitian
+from conftest import bell_state, devices, gradient_rel_errors, qutrit_device_qutrit, random_hermitian
 
 X = 2.0 / 3.0
 C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
@@ -122,15 +122,7 @@ class TestAttainableRange:
         assert uk.attainable_constraint_range([device, device], (1, 1)) == (0.0, x * x)
 
     def test_general_effects_reached_and_never_exceeded(self):
-        rng = np.random.default_rng(11)
-        u = np.linalg.eigh(random_hermitian(3, rng))[1]
-        p_mat = u @ np.diag([0.15, 0.5, 0.85]) @ u.conj().T
-        qutrit = uk.Povm(
-            (uk.Effect(uk.HermitianOperator((3,), p_mat)),
-             uk.Effect(uk.HermitianOperator((3,), np.eye(3) - p_mat)))
-        )
-        device = uk.build_three_outcome(uk.ThreeOutcomeParams(X, 0.0))
-        povms, indices = [qutrit, device, qutrit], (1, 2, 2)
+        povms, indices = qutrit_device_qutrit(), (1, 2, 2)
         lo, hi = uk.attainable_constraint_range(povms, indices)
         c_op = uk.product_operator(povms, indices)
         effects = [p.effect(i).op.mat for p, i in zip(povms, indices)]
@@ -139,7 +131,7 @@ class TestAttainableRange:
             for e in effects:
                 psi = np.kron(psi, np.linalg.eigh(e)[1][:, column])
             assert float((psi.conj() @ c_op.mat @ psi).real) == pytest.approx(end, abs=1e-12)
-        cs = uk.scatter(c_op, c_op, n=5000, seed=3)[:, 0]
+        cs = uk.scatter(povms, indices, indices, n=5000, seed=3)[:, 0]
         assert np.all(cs >= lo - 1e-12) and np.all(cs <= hi + 1e-12)
 
     def test_length_mismatch_uses_product_operator_message(self, povm23):
