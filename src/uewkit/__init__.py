@@ -64,7 +64,6 @@ from .witness import (
     SeparabilityCurve,
     TightenResult,
     Verdict,
-    WitnessOperator,
     attainable_constraint_range,
     branch_bounds,
     constrained_bound,

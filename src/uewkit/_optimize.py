@@ -208,9 +208,7 @@ class PairObjective:
         y = mat @ psi
         val = float((psi.conj() @ y).real)
         grad = np.empty(m.n_params)
-        if len(factors) == 1:
-            grad[:] = 2.0 * (jacs[0].conj().T @ y).real
-        elif len(factors) == 2:
+        if len(factors) == 2:
             y2 = y.reshape(m.block_dims)
             z0 = y2 @ factors[1].conj()
             z1 = factors[0].conj() @ y2

@@ -143,7 +143,11 @@ def cmd_curve(args) -> int:
             "entanglement (the constrained separable bound equals the bound "
             "over all states)"
         )
-    if abs(args.x - 2.0 / 3.0) < 1e-12 and tuple(args.c_indices) == (1, 1) and tuple(args.l_indices) == (2, 2):
+    # entangled_max is the closed form for x = 2/3 devices on the default pair, from --x or --povm
+    closed_form_devices = all(
+        isinstance(p, povm.ThreeOutcomePovm) and abs(p.params.x - witness.X_CLOSED_FORM) < 1e-12 for p in povms
+    )
+    if closed_form_devices and tuple(args.c_indices) == (1, 1) and tuple(args.l_indices) == (2, 2):
         summary["entangled_max"] = [
             {"c": float(c), "value": witness.entangled_max(float(c))} for c in curve.c_values
         ]
@@ -256,9 +260,8 @@ def cmd_multiparty(args) -> int:
 def cmd_tighten(args) -> int:
     counts = sampler.load_counts(args.counts)
     povms = _build_povms(args, counts.n_parties)
-    result = witness.tighten(
-        povms, args.decomposition, counts, args.constraint, settings=_settings(args)
-    )
+    c_measured = counts.frequency(args.constraint)
+    result = witness.tighten(povms, args.decomposition, c_measured, args.constraint, settings=_settings(args))
     payload = {**dataclasses.asdict(result), "constraint": list(args.constraint)}
     _write_json(Path(args.out), payload)
     print(f"tighten: {result.old_bound:.12g} -> {result.g_of_c:.12g} (improvement {result.improvement:.12g})")

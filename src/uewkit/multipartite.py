@@ -127,9 +127,7 @@ def closed_form_bound(x: float, n_agents: int, largest_block: int) -> MultiBound
     return MultiBound(x=x, n_agents=n_agents, largest_block=largest_block, g=g)
 
 
-def optimal_separable_multi(
-    x: float, n_agents: int, partition: Partition, theta: float = 0.0
-) -> ProductState:
+def optimal_separable_multi(x: float, partition: Partition, theta: float = 0.0) -> ProductState:
     """Block-product state achieving the c = 0 bound for the partition.
 
     Every non-largest block carries a normalized tensor power of |chi+>; the
@@ -142,8 +140,6 @@ def optimal_separable_multi(
     expectations unchanged because the operators are products of identical
     per-agent effects.
     """
-    if partition.n_agents != n_agents:
-        raise ValueError(f"partition covers {partition.n_agents} agents, expected {n_agents}")
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
     chi = chi_vectors(ThreeOutcomeParams(x, theta))[0]

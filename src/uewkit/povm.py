@@ -122,14 +122,9 @@ class Povm:
 @dataclass(frozen=True)
 class ThreeOutcomePovm(Povm):
     """Three-outcome device {Pi_1, Pi_2, Pi_3} and the parameters it was built
-    from (required); its chi vectors are `chi_vectors(params)`."""
+    from; its chi vectors are `chi_vectors(params)`."""
 
-    params: ThreeOutcomeParams = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.params is None:
-            raise ValueError("ThreeOutcomePovm requires params")
+    params: ThreeOutcomeParams
 
 
 def chi_vectors(params: ThreeOutcomeParams) -> tuple[np.ndarray, np.ndarray]:

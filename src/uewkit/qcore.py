@@ -325,7 +325,8 @@ def density_from_dict(d: dict) -> DensityMatrix:
 
 
 def save_json(path: Union[str, Path], payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # NaN and Infinity are not JSON: refuse them rather than write an unreadable file
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_json(path: Union[str, Path]) -> dict:

@@ -53,13 +53,13 @@ class CountsTable:
     """Joint-outcome counts from a fixed-device experiment.
 
     `outcome_counts` maps 1-based joint outcome tuples to counts; absent
-    tuples are zero.  The table does not record the devices that made it:
-    the caller pairs it with the same per-party POVM list.
+    tuples are zero, and the shots are the sum of the cells.  The table does
+    not record the devices that made it: the caller pairs it with the same
+    per-party POVM list.
     """
 
     outcomes_per_party: tuple[int, ...]
     outcome_counts: Mapping[tuple[int, ...], int]
-    total_shots: int
 
     def __post_init__(self):
         outcomes = tuple(int(k) for k in self.outcomes_per_party)
@@ -77,31 +77,27 @@ class CountsTable:
                 raise ValueError("counts must be non-negative")
             if val:
                 counts[key] = val
-        total = int(self.total_shots)
-        if sum(counts.values()) != total:
-            raise ValueError(
-                f"counts sum {sum(counts.values())} != total shots {total}"
-            )
         object.__setattr__(self, "outcomes_per_party", outcomes)
         object.__setattr__(self, "outcome_counts", counts)
-        object.__setattr__(self, "total_shots", total)
 
     @property
     def n_parties(self) -> int:
         return len(self.outcomes_per_party)
 
-    def count(self, key: Sequence[int]) -> int:
-        return self.outcome_counts.get(tuple(int(i) for i in key), 0)
+    @property
+    def total_shots(self) -> int:
+        return sum(self.outcome_counts.values())
 
     def frequency(self, key: Sequence[int]) -> float:
-        if self.total_shots == 0:
+        total = self.total_shots
+        if total == 0:
             raise ValueError("no shots recorded")
         key = tuple(int(i) for i in key)
         if any(not 1 <= i <= k for i, k in zip(key, self.outcomes_per_party)) or len(
             key
         ) != self.n_parties:
             raise ValueError(f"outcome tuple {key} invalid for {self.outcomes_per_party}")
-        return self.count(key) / self.total_shots
+        return self.outcome_counts.get(key, 0) / total
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ def simulate_counts(rho: DensityMatrix, povms: Sequence[Povm], shots: int, seed:
     p = np.clip(probs.ravel(), 0.0, None)
     draw = stream(seed).multinomial(shots, p / p.sum()).reshape(probs.shape)
     counts = {tuple(int(i) + 1 for i in cell): int(draw[cell]) for cell in zip(*np.nonzero(draw))}
-    return CountsTable(probs.shape, counts, shots)
+    return CountsTable(probs.shape, counts)
 
 
 def estimate(
@@ -408,11 +404,11 @@ def counts_from_dict(d: dict) -> CountsTable:
         except ValueError:
             raise ValueError(f"counts key {key!r} is not a comma-separated outcome tuple") from None
         counts[idx] = _integer(val, f"count of {key!r}")
-    return CountsTable(
-        outcomes_per_party=outcomes,
-        outcome_counts=counts,
-        total_shots=_integer(d["shots"], "shots"),
-    )
+    total = _integer(d["shots"], "shots")
+    table = CountsTable(outcomes, counts)
+    if table.total_shots != total:
+        raise ValueError(f"counts sum {table.total_shots} != total shots {total}")
+    return table
 
 
 def save_counts(path: Union[str, Path], counts: CountsTable) -> None:

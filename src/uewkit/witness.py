@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,14 +34,12 @@ from ._optimize import (
 )
 from .povm import Povm, product_operator, selected_effects
 from .qcore import HermitianOperator, PureState
-from .sampler import CountsTable
 
 __all__ = [
     "OptimizerSettings",
     "BoundResult",
     "CurvePoint",
     "SeparabilityCurve",
-    "WitnessOperator",
     "Verdict",
     "TightenResult",
     "sew_bound",
@@ -81,6 +79,9 @@ class SeparabilityCurve:
     operator_fingerprint: str
 
     def __post_init__(self):
+        for i, p in enumerate(self.points, 1):
+            if not (math.isfinite(p.c) and math.isfinite(p.g)):
+                raise ValueError(f"curve point {i} is not finite: c={p.c}, g={p.g}")
         cs = self.c_values
         if len(cs) < 3:
             raise ValueError("a separability curve needs at least 3 grid points")
@@ -136,10 +137,6 @@ class SeparabilityCurve:
         """Secant envelope on grid interval j at c (chords would under-estimate g)."""
         return min(g + s * (c - c0) for c0, g, s in self._lines(j))
 
-    def value_upper(self, c: float) -> float:
-        """Upper estimate of g(c): the row value at a grid node, else the secant envelope."""
-        return self.max_upper_on(c, c)
-
     def max_upper_on(self, lo: float, hi: float) -> float:
         """Upper bound of max g over [lo, hi], clipped to the curve range.
 
@@ -162,14 +159,6 @@ class SeparabilityCurve:
                 ends.append(min(max((g2 - g1 + s1 * c1 - s2 * c2) / (s1 - s2), a), b))
             best = max(best, *(self._envelope(j, c) for c in ends))
         return float(best)
-
-
-@dataclass(frozen=True)
-class WitnessOperator:
-    """Shifted test operator g*I - L, tangent to the separable set."""
-
-    op: HermitianOperator
-    bound_used: float
 
 
 @dataclass(frozen=True)
@@ -336,8 +325,8 @@ def detect(
     """
     if not curve.reliable:
         raise ValueError("curve is marked unreliable; recompute before certifying")
-    if k < 0:
-        raise ValueError("sigma level k must be >= 0")
+    if not math.isfinite(k) or k < 0:
+        raise ValueError(f"sigma level k must be finite and >= 0, got {k}")
     lo, hi = curve.c_range
     a, b = c_hat - k * sigma_c, c_hat + k * sigma_c
     if b < lo - RANGE_TOL or a > hi + RANGE_TOL:
@@ -363,17 +352,17 @@ def detect(
 def tighten(
     povms: Sequence,
     decomposition: Sequence[tuple[float, Sequence[int]]],
-    data: Union[CountsTable, Mapping[tuple[int, ...], float]],
+    c_measured: float,
     constraint_pair: Sequence[int],
     settings: Optional[OptimizerSettings] = None,
 ) -> TightenResult:
-    """Tighten an existing witnessing bound using already-measured statistics.
+    """Tighten an existing witnessing bound with the measured constraint value.
 
     The test operator is reassembled from its local decomposition
-    L = sum_i beta_i (tensor of outcome-i effects); the constraint value c is
-    read from the measured data for `constraint_pair`, and the bound is
-    re-optimized over product states with <C> = c.  The result is never worse
-    than the unconstrained bound: improvement >= 0 up to solver tolerance.
+    L = sum_i beta_i (tensor of outcome-i effects), C is the product operator
+    at `constraint_pair`, and the bound is re-optimized over product states
+    with <C> = c_measured.  The result is never worse than the unconstrained
+    bound: improvement >= 0 up to solver tolerance.
 
     Finite-shot frequencies can fall slightly outside the range of <C> over
     product states (where the constrained set would be empty); the measured
@@ -389,17 +378,8 @@ def tighten(
     dims = tuple(d for p in povms for d in p.dims)
     l_op = HermitianOperator(dims, l_mat)
     c_op = product_operator(povms, constraint_pair)
-
-    key = tuple(int(i) for i in constraint_pair)
-    if hasattr(data, "frequency"):
-        c_meas = data.frequency(key)
-    else:
-        if key not in data:
-            raise ValueError(f"no measured value for constraint pair {key}")
-        c_meas = float(data[key])
-
     attainable = attainable_constraint_range(povms, constraint_pair)
-    c_used = min(max(c_meas, attainable[0]), attainable[1])
+    c_used = min(max(float(c_measured), attainable[0]), attainable[1])
     old = sew_bound(l_op, settings=settings)
     new = constrained_bound(l_op, c_op, c_used, settings=settings)
     return TightenResult(
@@ -447,8 +427,8 @@ def optimal_entangled_state(theta: float, c: float) -> PureState:
     return PureState((2, 2), vec / np.linalg.norm(vec))
 
 
-def witness_from_bound(l_op: HermitianOperator, bound: BoundResult) -> WitnessOperator:
-    """Witness operator g*I - L for a converged bound.
+def witness_from_bound(l_op: HermitianOperator, bound: BoundResult) -> HermitianOperator:
+    """Witness operator g*I - L for a converged bound, g = bound.value.
 
     The bound's maximizer is the optimal point: its witness expectation
     vanishes (tangency), which is validated here.
@@ -460,7 +440,7 @@ def witness_from_bound(l_op: HermitianOperator, bound: BoundResult) -> WitnessOp
     tangency = float((vec.conj() @ (w.mat @ vec)).real)
     if abs(tangency) > TANGENCY_TOL:
         raise ValueError(f"optimal point not tangent: <W> = {tangency:.3e}")
-    return WitnessOperator(op=w, bound_used=bound.value)
+    return w
 
 
 def semianalytic_pair_bound(x: float, c: float, refine: int = 200001) -> float:
@@ -507,19 +487,27 @@ def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
 
 
 def curve_from_csv(path: Union[str, Path], fingerprint: str = "") -> SeparabilityCurve:
-    """Load a curve written by curve_to_csv; its `reliable` is read from the rows."""
+    """Load a curve written by curve_to_csv; its `reliable` is read from the rows.
+
+    Each row holds exactly the four header fields: finite numbers c and g,
+    converged `true` or `false` and an integer restarts; any other row
+    raises ValueError naming it.
+    """
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["c", "g", "converged", "restarts"]:
             raise ValueError(f"unexpected curve CSV header {reader.fieldnames}")
         for row in reader:
-            points.append(
-                CurvePoint(
-                    c=float(row["c"]),
-                    g=float(row["g"]),
-                    converged=row["converged"] == "true",
-                    restarts=int(row["restarts"]),
-                )
-            )
+            where = f"curve CSV line {reader.line_num}"
+            # DictReader fills a short row with None values and files extra fields under None
+            if None in row or None in row.values():
+                raise ValueError(f"{where} does not hold exactly the fields c,g,converged,restarts")
+            if row["converged"] not in ("true", "false"):
+                raise ValueError(f"{where}: converged must be true or false, got {row['converged']!r}")
+            try:
+                c, g, restarts = float(row["c"]), float(row["g"]), int(row["restarts"])
+            except ValueError:
+                raise ValueError(f"{where}: c and g must be numbers and restarts an integer") from None
+            points.append(CurvePoint(c, g, row["converged"] == "true", restarts))
     return SeparabilityCurve(tuple(points), fingerprint)

@@ -196,7 +196,7 @@ def test_criterion_06_multipartite_bounds():
     l4, c4 = uk.multi_operators(devices(X, 4))
     for text, m in [("1|2|3|4", 1), ("1|2,3,4", 3)]:
         part = uk.Partition.parse(text)
-        state = uk.optimal_separable_multi(X, 4, part)
+        state = uk.optimal_separable_multi(X, part)
         assert uk.expectation(c4, state) == pytest.approx(0.0, abs=1e-12)
         assert uk.expectation(l4, state) == pytest.approx(
             uk.closed_form_bound(X, 4, m).g, abs=1e-9
@@ -218,7 +218,7 @@ def test_criterion_06_multipartite_bounds():
         l_n, c_n = uk.multi_operators(devices(X, n))
         for blocks in all_partitions(n):
             part = uk.Partition(blocks)
-            state = uk.optimal_separable_multi(X, n, part)
+            state = uk.optimal_separable_multi(X, part)
             assert uk.expectation(c_n, state) == pytest.approx(0.0, abs=1e-12)
             assert uk.expectation(l_n, state) == pytest.approx(
                 uk.closed_form_bound(X, n, part.largest_block).g, abs=1e-9
@@ -332,7 +332,7 @@ def test_criterion_10_tightening(ops, tmp_path):
     # measured SEW data with c = 0: simulate the optimal entangled state
     rho = uk.pure_density(uk.optimal_entangled_state(0.0, 0.0))
     counts = uk.simulate_counts(rho, [device, device], shots=10**6, seed=777)
-    out = uk.tighten([device, device], [(1.0, (2, 2))], counts, (1, 1))
+    out = uk.tighten([device, device], [(1.0, (2, 2))], counts.frequency((1, 1)), (1, 1))
     assert out.c == pytest.approx(0.0, abs=1e-9)
     assert out.improvement == pytest.approx(1 / 9, abs=2e-3)
 
@@ -356,7 +356,7 @@ def test_criterion_10_tightening(ops, tmp_path):
             state = uk.pure_density(uk.PureState((2, 2), vec / np.linalg.norm(vec)))
         c_meas = uk.expectation(c_op, state)
         res = uk.tighten(
-            [device, device], decomps[i % 3], {(1, 1): c_meas}, (1, 1), settings=settings
+            [device, device], decomps[i % 3], c_meas, (1, 1), settings=settings
         )
         worst = min(worst, res.improvement)
         assert res.improvement >= -1e-9

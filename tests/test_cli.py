@@ -51,6 +51,18 @@ def test_curve_g_s_from_spectra(tmp_path, monkeypatch):
     assert f"{summary['g_s']:.12g}" == f"{(1 - x / 2) ** 2:.12g}"
 
 
+@pytest.mark.parametrize("file_x, flag_x, ceiling", [(0.5, "2/3", False), (2 / 3, "1/2", True)])
+def test_curve_povm_file_sets_the_ceiling(tmp_path, file_x, flag_x, ceiling):
+    # the x = 2/3 entangled ceiling follows the devices in the file, not --x
+    povm_file = tmp_path / "povm.json"
+    device = uk.build_three_outcome(uk.ThreeOutcomeParams(file_x, 0.0))
+    povm_file.write_text(json.dumps(uk.povm_to_dict([device, device])))
+    out = tmp_path / "curve.csv"
+    argv = ("curve", "--povm", povm_file, "--x", flag_x, "--grid", 5, "--restarts", 8, "--out", out)
+    assert run(*argv) == 0
+    assert ("entangled_max" in json.loads(out.with_suffix(".json").read_text())) is ceiling
+
+
 def test_curve_minimal_grid(tmp_path):
     out = tmp_path / "tiny.csv"
     assert run("curve", "--x", "2/3", "--grid", 3, "--restarts", 8, "--out", out) == 0
@@ -296,6 +308,40 @@ class TestErrorExits:
         out = tmp_path / "bounds.csv"
         argv = ("multiparty", "--agents", 3, "--partition", "1|2|3", "--c", "-0.5", "--out", out)
         assert run(*argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.2,0.4,true", "curve CSV line 3 does not hold exactly the fields c,g,converged,restarts"),
+            ("0.2,0.4,true,8,1", "curve CSV line 3 does not hold exactly the fields c,g,converged,restarts"),
+            ("0.2,0.4,yes,8", "curve CSV line 3: converged must be true or false, got 'yes'"),
+            ("0.2,0.4,true,8.5", "curve CSV line 3: c and g must be numbers and restarts an integer"),
+            ("0.2,nan,true,8", "curve point 2 is not finite: c=0.2, g=nan"),
+            ("inf,0.4,true,8", "curve point 2 is not finite: c=inf, g=0.4"),
+        ],
+    )
+    def test_malformed_curve_row(self, tmp_path, capsys, row, message):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"c,g,converged,restarts\n0,0.33,true,8\n{row}\n0.44,0.03,true,8\n")
+        counts = tmp_path / "counts.json"
+        counts.write_text(
+            json.dumps({"shots": 10, "parties": 2, "outcomes_per_party": [3, 3], "counts": {"2,2": 10}})
+        )
+        out = tmp_path / "verdict.json"
+        assert run("certify", "--counts", counts, "--curve", curve, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma(self, curve_files, tmp_path, capsys, sigma):
+        counts = tmp_path / "counts.json"
+        counts.write_text(
+            json.dumps({"shots": 10, "parties": 2, "outcomes_per_party": [3, 3], "counts": {"2,2": 10}})
+        )
+        out = tmp_path / "verdict.json"
+        assert run("certify", "--counts", counts, "--curve", curve_files, "--sigma", sigma, "--out", out) == 2
+        assert f"sigma level k must be finite and >= 0, got {float(sigma)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_multiparty_rejects_povm_file(self, tmp_path, capsys):

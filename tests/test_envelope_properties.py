@@ -90,7 +90,7 @@ def test_more_uncertainty_never_certifies_more(case, offset, sigma_c, more_sigma
     curve, c_hat = case
     # l_hat straddles the point value so both verdicts occur; a margin
     # within 1e-9 of 0 is decided by rounding and says nothing
-    l_hat = curve.value_upper(c_hat) + offset
+    l_hat = curve.max_upper_on(c_hat, c_hat) + offset
     narrow = uk.detect(curve, c_hat, l_hat, sigma_c=sigma_c, sigma_l=0.0, k=k)
     assume(abs(narrow.margin) > 1e-9)
     wider_sigma = uk.detect(curve, c_hat, l_hat, sigma_c=sigma_c + more_sigma_c, sigma_l=0.0, k=k)

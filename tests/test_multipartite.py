@@ -114,7 +114,7 @@ class TestOptimalSeparableMulti:
         l_op, c_op = uk.multi_operators(devices(X, n))
         for blocks in self.all_partitions(n):
             part = uk.Partition(blocks)
-            state = uk.optimal_separable_multi(X, n, part)
+            state = uk.optimal_separable_multi(X, part)
             g = uk.closed_form_bound(X, n, part.largest_block).g
             assert uk.expectation(c_op, state) == pytest.approx(0.0, abs=1e-12)
             assert uk.expectation(l_op, state) == pytest.approx(g, abs=1e-9)
@@ -125,7 +125,7 @@ class TestOptimalSeparableMulti:
         l_op = uk.product_operator([povm] * 3, [2, 2, 2])
         c_op = uk.product_operator([povm] * 3, [1, 1, 1])
         part = uk.Partition.parse("1|2,3")
-        state = uk.optimal_separable_multi(X, 3, part, theta=1.1)
+        state = uk.optimal_separable_multi(X, part, theta=1.1)
         assert uk.expectation(c_op, state) == pytest.approx(0.0, abs=1e-12)
         assert uk.expectation(l_op, state) == pytest.approx(
             uk.closed_form_bound(X, 3, 2).g, abs=1e-9
@@ -135,7 +135,7 @@ class TestOptimalSeparableMulti:
         x = 0.4
         l_op, c_op = uk.multi_operators(devices(x, 3))
         part = uk.Partition.parse("1,2,3")
-        state = uk.optimal_separable_multi(x, 3, part)
+        state = uk.optimal_separable_multi(x, part)
         assert uk.expectation(c_op, state) == pytest.approx(0.0, abs=1e-12)
         assert uk.expectation(l_op, state) == pytest.approx(
             uk.closed_form_bound(x, 3, 3).g, abs=1e-9
@@ -147,10 +147,6 @@ class TestOptimalSeparableMulti:
             g_u = (1 - X / 2) ** m - ((1 - X) / 2) ** m
             g_v = (1 - X / 2) ** m
             assert g_u < g_v
-
-    def test_partition_mismatch(self):
-        with pytest.raises(ValueError):
-            uk.optimal_separable_multi(X, 4, uk.Partition.parse("1|2,3"))
 
 
 class TestClassify:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -231,3 +232,11 @@ class TestJsonFormat:
         qcore.save_json(path, qcore.operator_to_dict(pair23[0]))
         loaded = qcore.operator_from_dict(json.loads(path.read_text()))
         np.testing.assert_allclose(loaded.mat, pair23[0].mat)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_non_finite(self, tmp_path, value):
+        # NaN and Infinity are not JSON; no output file may hold them
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            qcore.save_json(path, {"margin": value})
+        assert not path.exists()

@@ -201,14 +201,14 @@ class TestSimulateCounts:
 
 class TestEstimate:
     def test_binomial_errors(self):
-        counts = uk.CountsTable((3, 3), {(1, 1): 111, (3, 3): 889}, 1000)
+        counts = uk.CountsTable((3, 3), {(1, 1): 111, (3, 3): 889})
         est = uk.estimate(counts, (1, 1), (2, 2))
         assert est.c_hat == pytest.approx(0.111)
         assert est.sigma_c == pytest.approx(math.sqrt(0.111 * 0.889 / 1000), abs=1e-12)
         assert est.l_hat == 0.0 and est.sigma_l == 0.0
 
     def test_degenerate_cell(self):
-        counts = uk.CountsTable((3, 3), {(2, 2): 500}, 500)
+        counts = uk.CountsTable((3, 3), {(2, 2): 500})
         est = uk.estimate(counts, (1, 1), (2, 2))
         assert est.l_hat == 1.0 and est.sigma_l == 0.0
 
@@ -221,19 +221,19 @@ class TestEstimate:
         assert abs(est.l_hat - 5 / 12) <= 5 * est.sigma_l
 
     def test_zero_shots(self):
-        counts = uk.CountsTable((3, 3), {}, 0)
+        counts = uk.CountsTable((3, 3), {})
         with pytest.raises(ValueError):
             uk.estimate(counts, (1, 1), (2, 2))
 
     def test_bad_indices(self):
-        counts = uk.CountsTable((3, 3), {(1, 1): 10}, 10)
+        counts = uk.CountsTable((3, 3), {(1, 1): 10})
         with pytest.raises(ValueError):
             uk.estimate(counts, (4, 1), (2, 2))
 
 
 class TestWeightedEstimate:
     def test_single_term_matches_estimate(self):
-        counts = uk.CountsTable((3, 3), {(2, 2): 300, (1, 1): 700}, 1000)
+        counts = uk.CountsTable((3, 3), {(2, 2): 300, (1, 1): 700})
         val, sig = uk.weighted_estimate(counts, [(1.0, (2, 2))])
         est = uk.estimate(counts, (1, 1), (2, 2))
         assert val == pytest.approx(est.l_hat)
@@ -241,7 +241,7 @@ class TestWeightedEstimate:
 
     def test_full_sum_has_zero_variance(self):
         # beta_i = 1 over all cells sums to exactly 1 with no fluctuation
-        counts = uk.CountsTable((2, 2), {(1, 1): 10, (1, 2): 20, (2, 1): 30, (2, 2): 40}, 100)
+        counts = uk.CountsTable((2, 2), {(1, 1): 10, (1, 2): 20, (2, 1): 30, (2, 2): 40})
         terms = [(1.0, (i, j)) for i in (1, 2) for j in (1, 2)]
         val, sig = uk.weighted_estimate(counts, terms)
         assert val == pytest.approx(1.0)
@@ -302,11 +302,13 @@ class TestCountsJson:
             sampler.counts_from_dict({"shots": 10})
 
     def test_rejects_inconsistent_totals(self):
-        with pytest.raises(ValueError):
-            uk.CountsTable((3, 3), {(1, 1): 5}, 10)
+        with pytest.raises(ValueError, match="counts sum 5 != total shots 10"):
+            sampler.counts_from_dict(
+                {"shots": 10, "parties": 2, "outcomes_per_party": [3, 3], "counts": {"1,1": 5}}
+            )
 
     def test_rejects_bad_tuples(self):
         with pytest.raises(ValueError):
-            uk.CountsTable((3, 3), {(1, 1, 1): 10}, 10)
+            uk.CountsTable((3, 3), {(1, 1, 1): 10})
         with pytest.raises(ValueError):
-            uk.CountsTable((3, 3), {(0, 1): 10}, 10)
+            uk.CountsTable((3, 3), {(0, 1): 10})

@@ -253,7 +253,8 @@ class TestSeparabilityCurve:
 def _sup_from_first_node(curve, c):
     """Supremum of the secant envelope over [c_0, c] for a c in the first
     grid interval, where the envelope is one line."""
-    return max(curve.value_upper(curve.points[0].c + 1e-12), curve.value_upper(c))
+    c_0 = curve.points[0].c + 1e-12
+    return max(curve.max_upper_on(c_0, c_0), curve.max_upper_on(c, c))
 
 
 class TestBranchBounds:
@@ -263,7 +264,7 @@ class TestBranchBounds:
         # coarse grid the envelope may sit above it, never below
         g_le, g_ge = uk.branch_bounds(small_curve, 0.2)
         assert g_s - 2e-3 <= g_le <= g_s + 2e-2
-        assert g_ge == pytest.approx(small_curve.value_upper(0.2), abs=1e-9)
+        assert g_ge == pytest.approx(small_curve.max_upper_on(0.2, 0.2), abs=1e-9)
         g_le2, g_ge2 = uk.branch_bounds(small_curve, 0.005)
         assert g_s - 2e-3 <= g_ge2 <= g_s + 2e-2
         # 0.005 lies in the first interval, whose right secant slopes down
@@ -273,7 +274,7 @@ class TestBranchBounds:
     def test_min_branch_equals_curve(self, small_curve):
         for c in [0.01, 0.1, 0.3, 0.42]:
             g_le, g_ge = uk.branch_bounds(small_curve, c)
-            expected = _sup_from_first_node(small_curve, c) if c == 0.01 else small_curve.value_upper(c)
+            expected = _sup_from_first_node(small_curve, c) if c == 0.01 else small_curve.max_upper_on(c, c)
             assert min(g_le, g_ge) == pytest.approx(expected, abs=1e-9)
 
     def test_at_peak_both_branches_cover_gs(self, small_curve):
@@ -349,7 +350,7 @@ class TestDetect:
 class TestTighten:
     def test_improvement_at_c0(self, povm23, fast):
         out = uk.tighten(
-            [povm23, povm23], [(1.0, (2, 2))], {(1, 1): 0.0}, (1, 1), settings=fast
+            [povm23, povm23], [(1.0, (2, 2))], 0.0, (1, 1), settings=fast
         )
         assert out.old_bound == pytest.approx(4 / 9, abs=1e-6)
         assert out.g_of_c == pytest.approx(1 / 3, abs=2e-3)
@@ -357,32 +358,28 @@ class TestTighten:
 
     def test_no_improvement_at_peak(self, povm23, fast):
         out = uk.tighten(
-            [povm23, povm23], [(1.0, (2, 2))], {(1, 1): C_STAR}, (1, 1), settings=fast
+            [povm23, povm23], [(1.0, (2, 2))], C_STAR, (1, 1), settings=fast
         )
         assert out.improvement == pytest.approx(0.0, abs=2e-3)
         assert out.improvement >= -1e-9
 
     def test_counts_input(self, povm23, fast):
-        counts = uk.CountsTable((3, 3), {(1, 1): 100, (2, 2): 900}, 1000)
-        out = uk.tighten([povm23, povm23], [(1.0, (2, 2))], counts, (1, 1), settings=fast)
+        counts = uk.CountsTable((3, 3), {(1, 1): 100, (2, 2): 900})
+        out = uk.tighten([povm23, povm23], [(1.0, (2, 2))], counts.frequency((1, 1)), (1, 1), settings=fast)
         assert out.c == pytest.approx(0.1)
         assert out.improvement >= -1e-9
 
     def test_clips_out_of_range_measurement(self, povm23, fast):
         out = uk.tighten(
-            [povm23, povm23], [(1.0, (2, 2))], {(1, 1): 0.6}, (1, 1), settings=fast
+            [povm23, povm23], [(1.0, (2, 2))], 0.6, (1, 1), settings=fast
         )
         assert out.c <= 4 / 9 + 1e-9
         assert out.improvement >= -1e-9
 
-    def test_missing_pair(self, povm23, fast):
-        with pytest.raises(ValueError):
-            uk.tighten([povm23, povm23], [(1.0, (2, 2))], {(2, 2): 0.1}, (1, 1), settings=fast)
-
     def test_multi_term_decomposition(self, povm23, fast):
         decomposition = [(0.7, (2, 2)), (0.3, (3, 3))]
         out = uk.tighten(
-            [povm23, povm23], decomposition, {(1, 1): 0.05}, (1, 1), settings=fast
+            [povm23, povm23], decomposition, 0.05, (1, 1), settings=fast
         )
         assert out.improvement >= -1e-9
 
@@ -427,21 +424,22 @@ class TestWitnessOperator:
         l_op, _ = pair23
         bound = uk.sew_bound(l_op, settings=fast)
         w = uk.witness_from_bound(l_op, bound)
-        assert w.bound_used == pytest.approx(4 / 9, abs=1e-6)
-        val = uk.expectation(w.op, bound.maximizer)
+        assert bound.value == pytest.approx(4 / 9, abs=1e-6)
+        assert np.array_equal(w.mat, bound.value * np.eye(4) - l_op.mat)
+        val = uk.expectation(w, bound.maximizer)
         assert abs(val) <= 1e-8
 
     def test_identity_gives_zero_witness(self, fast):
         l_op = uk.identity((2, 2))
         bound = uk.sew_bound(l_op, settings=fast)
         w = uk.witness_from_bound(l_op, bound)
-        assert np.max(np.abs(w.op.mat)) <= 1e-8
+        assert np.max(np.abs(w.mat)) <= 1e-8
 
     def test_detects_optimal_entangled_state(self, pair23, fast):
         l_op, c_op = pair23
         bound = uk.constrained_bound(l_op, c_op, 0.0, fast)
         w = uk.witness_from_bound(l_op, bound)
-        val = uk.expectation(w.op, uk.optimal_entangled_state(0.0, 0.0))
+        val = uk.expectation(w, uk.optimal_entangled_state(0.0, 0.0))
         # g(0) - E(0) = 1/3 - 5/12 = -1/12
         assert val == pytest.approx(-1 / 12, abs=2e-3)
         assert val < 0
