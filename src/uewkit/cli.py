@@ -162,7 +162,10 @@ def cmd_certify(args) -> int:
     counts = sampler.load_counts(args.counts)
     curve_path = Path(args.curve)
     sidecar = curve_path.with_suffix(".json")
-    fingerprint = qcore.load_json(sidecar).get("fingerprint", "") if sidecar.exists() else ""
+    summary = qcore.load_json(sidecar) if sidecar.exists() else {}
+    if not isinstance(summary, dict):
+        raise ValueError(f"curve summary {sidecar} is not a JSON object")
+    fingerprint = summary.get("fingerprint", "")
     curve = witness.curve_from_csv(curve_path, fingerprint=fingerprint)
     if not curve.reliable:
         raise UnreliableComputation("curve file is marked unreliable")
@@ -235,9 +238,7 @@ def cmd_multiparty(args) -> int:
     if args.partition:
         # bad input must fail before the table is written
         part = multipartite.Partition.parse(args.partition)
-        res = multipartite.numeric_partition_bound(
-            _devices(args, args.agents), part, c=args.c, settings=_settings(args)
-        )
+        res = multipartite.numeric_partition_bound(_devices(args, args.agents), part, c=args.c)
     with open(args.out, "w") as fh:
         fh.write("N,M_k,g\n")
         for r in rows:
@@ -362,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multiparty", help="multipartite bounds table and partition bounds")
     _add_device_flags(p, povm_file=False)  # the closed forms are formulas in x
-    _add_opt_flags(p)
+    # kept so existing command lines still parse; the partition bound draws no random starts
+    p.add_argument("--restarts", type=int, help="no effect: partition bounds are exact")
+    p.add_argument("--seed", type=int, help="no effect: partition bounds are exact")
     p.add_argument("--agents", type=int, required=True, help="number of agents N (2..6)")
     p.add_argument("--partition", help='partition like "1,2|3" for a numeric bound')
     p.add_argument("--c", type=_number, default=0.0, help="constraint value for the partition bound")

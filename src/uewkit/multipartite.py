@@ -9,17 +9,25 @@ k-partition groups agents into blocks that may be internally entangled; the
 c = 0 separable bound depends only on the largest block size M_k:
 
     g(x; N, M_k) = (1 - x/2)^N - (1 - x/2)^(N - M_k) ((1 - x)/2)^(M_k).
+
+`numeric_partition_bound` extends this to any attainable c without a
+multistart: L and C factor across blocks, so each block is solved on its own
+2^|B| space from eigenproblems, and the blocks meet in a search over K - 1
+scalars for K blocks.  Its cost grows with the largest block, not with N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
+from scipy.optimize import minimize
 
-from ._optimize import BoundResult, OptimizerSettings, optimize_product_bound
+from ._optimize import MAXITER, RANGE_TOL, SLSQP_FTOL, BoundResult
+from ._optimize import optimize_product_bound  # noqa: F401  (patched by perfbench/tracing.py)
 from .povm import Povm, ThreeOutcomeParams, chi_vectors, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState
 
@@ -34,7 +42,6 @@ __all__ = [
 ]
 
 MAX_AGENTS = 12
-MAX_AGENTS_NUMERIC = 4
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,14 @@ def multi_operators(povms: Sequence[Povm]) -> tuple[HermitianOperator, Hermitian
 
     Independent of any partition; the partition enters only through the bound.
     """
-    n_agents = len(povms)
+    n_agents = _check_agents(len(povms))
+    return product_operator(povms, [2] * n_agents), product_operator(povms, [1] * n_agents)
+
+
+def _check_agents(n_agents: int) -> int:
     if not 2 <= n_agents <= MAX_AGENTS:
         raise CapacityError(f"n_agents must lie in [2, {MAX_AGENTS}]")
-    return product_operator(povms, [2] * n_agents), product_operator(povms, [1] * n_agents)
+    return n_agents
 
 
 def closed_form_bound(x: float, n_agents: int, largest_block: int) -> MultiBound:
@@ -187,36 +198,176 @@ def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool)
     return "super-bound-anomaly"
 
 
-def numeric_partition_bound(
-    povms: Sequence[Povm],
-    partition: Partition,
-    c: float,
-    settings: Optional[OptimizerSettings] = None,
-) -> BoundResult:
-    """Numeric separable bound for a partition at any attainable c.
+class _Block:
+    """One block's operators L_B = (x)Pi_2, C_B = (x)Pi_1 and their frontier.
 
-    Multistart supremum of <L> over block-wise pure states (each block a unit
-    vector in its 2^M dimensional space) with <C> = c.  The c > 0 case is a
-    numeric extension beyond the closed form, which exists for c = 0 only.
-    C is a product of PSD effects, so its spectrum [prod lambda_min,
-    prod lambda_max] is the attainable range; a c outside it raises
-    ValueError before any restart.  Non-convergence is flagged on the
-    result, never silently ignored.  `povms` holds one device per agent, in
-    agent order.
+    The block's reachable (<C_B>, <L_B>) set is convex (Toeplitz-Hausdorff),
+    so its upper frontier m(q) = max{<L_B> : <C_B> = q} is concave and exact
+    from top eigenvectors: that of cos(t) L_B - sin(t) C_B touches the
+    frontier where its slope is tan(t), and its <C_B> falls from hi to lo as
+    t runs from -pi/2 to pi/2.
+    """
+
+    def __init__(self, povms: Sequence[Povm]):
+        self.dims = tuple(d for p in povms for d in p.dims)
+        self.l_mat = product_operator(povms, [2] * len(povms)).mat
+        self.c_mat = product_operator(povms, [1] * len(povms)).mat
+        self.c_spectrum, self.c_basis = np.linalg.eigh(self.c_mat)
+        self.lo, self.hi = float(self.c_spectrum[0]), float(self.c_spectrum[-1])
+
+    def values(self, vec: np.ndarray) -> tuple[float, float]:
+        """(<C_B>, <L_B>) of a block state."""
+        return float((vec.conj() @ self.c_mat @ vec).real), float((vec.conj() @ self.l_mat @ vec).real)
+
+    def top(self, t) -> np.ndarray:
+        """Top eigenvector(s) of cos(t) L_B - sin(t) C_B, for a scalar or an array of t."""
+        t = np.asarray(t)[..., None, None]
+        return np.linalg.eigh(np.cos(t) * self.l_mat - np.sin(t) * self.c_mat)[1][..., -1]
+
+    def edge(self, q: float) -> np.ndarray:
+        """Best state on the eigenspace of C_B at its end eigenvalue q (lo or hi)."""
+        basis = self.c_basis[:, np.abs(self.c_spectrum - q) <= RANGE_TOL]
+        return basis @ np.linalg.eigh(basis.conj().T @ self.l_mat @ basis)[1][:, -1]
+
+    def frontier(self, q: float) -> tuple[np.ndarray, float]:
+        """State on the frontier at <C_B> = q and the frontier's slope there.
+
+        Bisects t to float resolution, keeping the top eigenvectors on either
+        side of q.  Where <C_B> jumps across q, the top eigenvalue at t is
+        degenerate and the frontier is straight: the two sides span that
+        eigenspace, and its state with <C_B> = q lies on the frontier.
+        """
+        a, b = -np.pi / 2, np.pi / 2
+        va, vb = self.edge(self.hi), self.edge(self.lo)
+        while b - a > 4 * np.finfo(float).eps:
+            t = 0.5 * (a + b)
+            v = self.top(t)
+            if self.values(v)[0] >= q:
+                a, va = t, v
+            else:
+                b, vb = t, v
+        qa, qb = self.values(va)[0], self.values(vb)[0]
+        vec = va if qa - q <= q - qb else vb
+        if min(qa - q, q - qb) > RANGE_TOL:
+            basis = np.linalg.qr(np.column_stack([va, vb]))[0]
+            w, u = np.linalg.eigh(basis.conj().T @ self.c_mat @ basis)
+            s = min(max((w[1] - q) / (w[1] - w[0]), 0.0), 1.0)
+            vec = basis @ (math.sqrt(1.0 - s) * u[:, 1] + math.sqrt(s) * u[:, 0])
+        return vec, math.tan(0.5 * (a + b))
+
+    def log_frontier(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>."""
+        # slopes sinh(r) for evenly spaced r: points as dense in log <C_B>
+        # near the ends of the range as around the peak
+        vecs = self.top(np.arctan(np.sinh(np.linspace(20.0, -20.0, 801))))
+        vecs = np.vstack([self.edge(self.lo), vecs, self.edge(self.hi)])
+        q = np.einsum("ti,ij,tj->t", vecs.conj(), self.c_mat, vecs).real
+        l = np.einsum("ti,ij,tj->t", vecs.conj(), self.l_mat, vecs).real
+        keep = (q > 0.0) & (l > 0.0)
+        return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
+
+
+def _split(blocks: Sequence[_Block], s_total: float) -> np.ndarray:
+    """Deficits s_B = log hi_B - log <C_B>, summing to s_total, that maximize
+    the product of the tabulated block frontiers: dynamic programming over a
+    grid of s."""
+    s = np.linspace(0.0, s_total, 1001)
+    tables = []
+    for b in blocks:
+        f = np.interp(np.log(b.hi) - s, *b.log_frontier())
+        tables.append(np.where(b.hi * np.exp(-s) >= b.lo, f, -np.inf))
+    j = np.arange(s.size)
+    rest = j[:, None] - j[None, :]  # grid index left to the earlier blocks
+    best, picks = tables[0], []
+    for f in tables[1:]:
+        total = np.where(rest >= 0, best[np.maximum(rest, 0)] + f[None, :], -np.inf)
+        picks.append(total.argmax(axis=1))
+        best = total[j, picks[-1]]
+    left, shares = j[-1], []
+    for pick in reversed(picks):
+        shares.append(pick[left])
+        left -= pick[left]
+    shares.append(left)
+    return s[shares[::-1]]
+
+
+def _polish(blocks: Sequence[_Block], s0: np.ndarray, s_total: float):
+    """Maximize sum log m_B(hi_B exp(-s_B)) subject to sum s_B = s_total
+    from s0, on the exact frontiers with their slopes for the gradient.  The
+    variables are the fractions s_B / s_total, so that a c near the top of
+    its range, where s_total is tiny, is as well scaled as any other."""
+
+    def negated(r):
+        value, grad = 0.0, np.empty(len(blocks))
+        for k, (b, rk) in enumerate(zip(blocks, r)):
+            q = b.hi * math.exp(-s_total * rk)
+            vec, slope = b.frontier(q)
+            l = b.values(vec)[1]
+            value += math.log(l)
+            grad[k] = -s_total * q * slope / l
+        return -value, -grad
+
+    constraint = {"type": "eq", "fun": lambda r: r.sum() - 1.0, "jac": lambda r: np.ones_like(r)}
+    return minimize(
+        negated,
+        s0 / s_total,
+        jac=True,
+        method="SLSQP",
+        bounds=[(0.0, min(1.0, math.log(b.hi / b.lo) / s_total) if b.lo > 0 else 1.0) for b in blocks],
+        constraints=[constraint],
+        options={"maxiter": MAXITER, "ftol": SLSQP_FTOL},
+    )
+
+
+def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: float) -> BoundResult:
+    """Separable bound for a partition at any attainable c, block by block.
+
+    L and C factor across blocks, so <L> = prod <L_B> and <C> = prod <C_B>
+    for a block-product state, and each block is solved on its own
+    2^|B|-dimensional space (`_Block`).  The bound is the maximum of
+    prod m_B(q_B) subject to prod q_B = c.  At the ends of the attainable
+    range it is closed-form: at c = 0 one block sits on ker C_B and every
+    other block on the top eigenvector of its L_B; at the top every block
+    sits on the top eigenspace of its C_B.  In between, a grid over how
+    log c splits among the blocks picks the split, with no random draws,
+    and SLSQP on the exact frontiers polishes it.  A c more than RANGE_TOL
+    outside [prod lo_B, prod hi_B], the spectrum of C, raises ValueError.
+    The maximizer holds one state per block in the partition's normalized
+    order, and `value` is the <L> it attains.  `povms` holds one device per
+    agent, in agent order.
     """
     if partition.n_agents != len(povms):
         raise ValueError(f"partition covers {partition.n_agents} agents, got {len(povms)} devices")
-    if len(povms) > MAX_AGENTS_NUMERIC:
-        raise CapacityError(
-            f"numeric path limited to N <= {MAX_AGENTS_NUMERIC} (block dimension cost)"
+    _check_agents(len(povms))
+    blocks = [_Block([povms[i - 1] for i in b]) for b in partition.blocks]
+    lo, hi = math.prod(b.lo for b in blocks), math.prod(b.hi for b in blocks)
+    if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
+        raise ValueError(
+            f"constraint value {c} outside the spectrum [{lo:.12g}, {hi:.12g}] of C: no state attains it"
         )
-    # reorder the devices to the partition's normalized agent order so blocks
-    # are contiguous, then optimize over block factors directly
-    l_op, c_op = multi_operators([povms[i - 1] for b in partition.blocks for i in b])
-    return optimize_product_bound(
-        l_op.mat,
-        [(2,) * len(b) for b in partition.blocks],
-        c_mat=c_op.mat,
-        c_value=float(c),
-        settings=settings,
+    converged = True
+    if c >= hi:
+        vecs = [b.edge(b.hi) for b in blocks]
+    elif c > lo:
+        s_total = math.log(hi / c)
+        res = _polish(blocks, _split(blocks, s_total), s_total)
+        s = s_total * (res.x + (1.0 - res.x.sum()) / len(blocks))
+        vecs = [b.frontier(b.hi * math.exp(-sk))[0] for b, sk in zip(blocks, s)]
+        converged = bool(res.success)
+    elif all(b.lo > RANGE_TOL for b in blocks):
+        vecs = [b.edge(b.lo) for b in blocks]
+    else:
+        # c = 0 puts one block with a singular C_B on its kernel; the others are free
+        free = [b.top(0.0) for b in blocks]
+        options = [
+            free[:k] + [b.edge(b.lo)] + free[k + 1 :] for k, b in enumerate(blocks) if b.lo <= RANGE_TOL
+        ]
+        vecs = max(options, key=lambda vs: math.prod(b.values(v)[1] for b, v in zip(blocks, vs)))
+    attained = [b.values(v) for b, v in zip(blocks, vecs)]
+    return BoundResult(
+        value=math.prod(l for _, l in attained),
+        maximizer=ProductState(tuple(PureState(b.dims, v) for b, v in zip(blocks, vecs))),
+        feasibility_residual=abs(math.prod(q for q, _ in attained) - c),
+        restarts_used=0,
+        converged=converged,
     )

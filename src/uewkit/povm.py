@@ -60,6 +60,8 @@ class ThreeOutcomeParams:
             raise ValueError(f"x and theta must be numbers, got x={self.x!r}, theta={self.theta!r}") from None
         if not 0.0 < x < 1.0 or not math.isfinite(x):
             raise ValueError(f"x must lie strictly inside (0, 1), got {x}")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         theta %= 2.0 * math.pi
         if theta == 2.0 * math.pi:  # a tiny negative theta rounds up to 2 pi
             theta = 0.0

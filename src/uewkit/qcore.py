@@ -330,4 +330,7 @@ def save_json(path: Union[str, Path], payload: dict) -> None:
 
 
 def load_json(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc

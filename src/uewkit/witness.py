@@ -401,7 +401,7 @@ def entangled_max(c: float) -> float:
     where the feasible state is unique.
     """
     x = X_CLOSED_FORM
-    if c < -1e-12 or c > x * x + 1e-12:
+    if not -1e-12 <= c <= x * x + 1e-12:  # also refuses nan
         raise ValueError(f"c={c} outside [0, {x * x}]")
     c = min(max(c, 0.0), x * x)
     return (math.sqrt(5.0 * (4.0 - 9.0 * c) / 48.0) + math.sqrt(c) / 4.0) ** 2
@@ -416,9 +416,11 @@ def optimal_entangled_state(theta: float, c: float) -> PureState:
     theta-independent.
     """
     x = X_CLOSED_FORM
-    if c < -1e-12 or c > x * x + 1e-12:
+    if not -1e-12 <= c <= x * x + 1e-12:  # also refuses nan
         raise ValueError(f"c={c} outside [0, {x * x}]")
     c = min(max(c, 0.0), x * x)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     alpha = math.sqrt(3.0 * (4.0 - 9.0 * c) / 20.0)
     beta = math.sqrt((4.0 - 9.0 * c) / 20.0)
     delta = math.sqrt(c) / x
@@ -453,7 +455,7 @@ def semianalytic_pair_bound(x: float, c: float, refine: int = 200001) -> float:
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    if c < -1e-15 or c > x * x + 1e-12:
+    if not -1e-15 <= c <= x * x + 1e-12:  # also refuses nan
         raise ValueError(f"c={c} outside [0, {x * x}]")
     c = min(max(c, 0.0), x * x)
 

@@ -187,12 +187,12 @@ def test_criterion_06_multipartite_bounds():
         res = uk.numeric_partition_bound(devices(X, n), part, c=0.0)
         expected = uk.closed_form_bound(X, n, part.largest_block).g
         assert res.converged
-        assert res.value == pytest.approx(expected, abs=1e-6), text
+        assert res.value == pytest.approx(expected, abs=1e-12), text
 
     # (4,1) and (4,3) via the optimal-state certificate; (4,1) numerically too
     res = uk.numeric_partition_bound(devices(X, 4), uk.Partition.parse("1|2|3|4"), c=0.0)
     assert res.converged
-    assert res.value == pytest.approx(uk.closed_form_bound(X, 4, 1).g, abs=1e-6), "1|2|3|4"
+    assert res.value == pytest.approx(uk.closed_form_bound(X, 4, 1).g, abs=1e-12), "1|2|3|4"
     l4, c4 = uk.multi_operators(devices(X, 4))
     for text, m in [("1|2|3|4", 1), ("1|2,3,4", 3)]:
         part = uk.Partition.parse(text)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -342,6 +343,53 @@ class TestErrorExits:
         out = tmp_path / "verdict.json"
         assert run("certify", "--counts", counts, "--curve", curve_files, "--sigma", sigma, "--out", out) == 2
         assert f"sigma level k must be finite and >= 0, got {float(sigma)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(("--c", "nan"), "c=nan outside"), (("--theta", "nan"), "theta must be finite, got nan"),
+         (("--theta", "inf"), "theta must be finite, got inf")],
+    )
+    def test_non_finite_preset_parameters(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "counts.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert run("simulate", "--preset", "optimal-entangled", *flags, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curve_summary_not_an_object(self, curve_files, tmp_path, capsys):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(curve_files.read_bytes())
+        curve.with_suffix(".json").write_text("[]")
+        counts = tmp_path / "counts.json"
+        counts.write_text(
+            json.dumps({"shots": 10, "parties": 2, "outcomes_per_party": [3, 3], "counts": {"2,2": 10}})
+        )
+        out = tmp_path / "verdict.json"
+        assert run("certify", "--counts", counts, "--curve", curve, "--out", out) == 2
+        assert f"curve summary {curve.with_suffix('.json')} is not a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["counts", "summary", "povm", "state"])
+    def test_malformed_json_names_the_file(self, curve_files, tmp_path, capsys, role):
+        bad = tmp_path / f"{role}.json"
+        bad.write_text("not json")
+        counts = tmp_path / "good_counts.json"
+        counts.write_text(
+            json.dumps({"shots": 10, "parties": 2, "outcomes_per_party": [3, 3], "counts": {"2,2": 10}})
+        )
+        curve = tmp_path / "summary.csv"
+        curve.write_bytes(curve_files.read_bytes())
+        argv = {
+            "counts": ("certify", "--counts", bad, "--curve", curve_files),
+            "summary": ("certify", "--counts", counts, "--curve", curve),
+            "povm": ("bound", "--povm", bad),
+            "state": ("simulate", "--state", bad),
+        }[role]
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", out) == 2
+        assert f"{bad} is not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
     def test_multiparty_rejects_povm_file(self, tmp_path, capsys):

@@ -8,6 +8,19 @@ from conftest import devices
 X = 2.0 / 3.0
 
 
+def all_partitions(n):
+    # all set partitions of {1..n} via restricted growth recursion
+    def rec(i, blocks):
+        if i > n:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            yield from rec(i + 1, blocks[:blocks.index(b)] + [b + [i]] + blocks[blocks.index(b) + 1:])
+        yield from rec(i + 1, blocks + [[i]])
+
+    return list(rec(2, [[1]]))
+
+
 class TestPartition:
     def test_parse_and_normalize(self):
         p = uk.Partition.parse("3|1,2")
@@ -97,22 +110,10 @@ class TestClosedFormBound:
 
 
 class TestOptimalSeparableMulti:
-    def all_partitions(self, n):
-        # all set partitions of {1..n} via restricted growth recursion
-        def rec(i, blocks):
-            if i > n:
-                yield tuple(tuple(b) for b in blocks)
-                return
-            for b in blocks:
-                yield from rec(i + 1, blocks[:blocks.index(b)] + [b + [i]] + blocks[blocks.index(b) + 1:])
-            yield from rec(i + 1, blocks + [[i]])
-
-        return list(rec(2, [[1]]))
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_achieves_closed_form(self, n):
         l_op, c_op = uk.multi_operators(devices(X, n))
-        for blocks in self.all_partitions(n):
+        for blocks in all_partitions(n):
             part = uk.Partition(blocks)
             state = uk.optimal_separable_multi(X, part)
             g = uk.closed_form_bound(X, n, part.largest_block).g
@@ -180,47 +181,119 @@ class TestNumericPartitionBound:
         "text",
         ["1|2", "1,2", "1|2|3", "1|2,3", "2|1,3", "3|1,2", "1,2,3"],
     )
-    def test_matches_closed_form_at_c0(self, text, fast):
+    def test_matches_closed_form_at_c0(self, text):
         part = uk.Partition.parse(text)
         n = part.n_agents
-        res = uk.numeric_partition_bound(devices(X, n), part, c=0.0, settings=fast)
+        res = uk.numeric_partition_bound(devices(X, n), part, c=0.0)
         expected = uk.closed_form_bound(X, n, part.largest_block).g
         assert res.converged
-        assert res.value == pytest.approx(expected, abs=2e-3)
+        assert res.restarts_used == 0
+        assert res.value == pytest.approx(expected, abs=1e-12)
 
-    def test_exchange_invariance(self, fast):
+    @pytest.mark.parametrize("x", [0.5, X, 0.8])
+    def test_every_partition_exact_at_c0(self, x):
+        for n in range(2, 7):
+            for blocks in all_partitions(n):
+                part = uk.Partition(blocks)
+                res = uk.numeric_partition_bound(devices(x, n), part, c=0.0)
+                expected = uk.closed_form_bound(x, n, part.largest_block).g
+                assert res.converged
+                assert res.value == pytest.approx(expected, abs=1e-12), part.label
+
+    def test_exchange_invariance(self):
         vals = [
-            uk.numeric_partition_bound(devices(X, 3), uk.Partition.parse(t), c=0.05, settings=fast).value
+            uk.numeric_partition_bound(devices(X, 3), uk.Partition.parse(t), c=0.05).value
             for t in ["1|2,3", "2|1,3", "3|1,2"]
         ]
-        assert max(vals) - min(vals) <= 2e-3
+        assert max(vals) - min(vals) <= 1e-12
 
-    def test_singleton_partition_matches_bipartite_curve(self, pair23, fast):
+    def test_singleton_partition_matches_bipartite_curve(self):
         part = uk.Partition.parse("1|2")
-        for c in [0.1, 0.3]:
-            res = uk.numeric_partition_bound(devices(X, 2), part, c=c, settings=fast)
-            ref = uk.constrained_bound(
-                pair23[0], pair23[1], c, fast
-            )
-            assert res.value == pytest.approx(ref.value, abs=2e-3)
+        for x in [0.5, X, 0.8]:
+            for c in [0.01, 0.1, 0.3 * x * x, x * x]:
+                res = uk.numeric_partition_bound(devices(x, 2), part, c=c)
+                assert res.value == pytest.approx(uk.semianalytic_pair_bound(x, c), abs=1e-9), (x, c)
 
-    def test_heterogeneous_params(self, fast):
+    def test_heterogeneous_params(self):
         plist = [uk.ThreeOutcomeParams(0.5, 0.0), uk.ThreeOutcomeParams(0.7, 0.0)]
-        res = uk.numeric_partition_bound([uk.build_three_outcome(p) for p in plist], uk.Partition.parse("1|2"), c=0.0, settings=fast)
+        res = uk.numeric_partition_bound([uk.build_three_outcome(p) for p in plist], uk.Partition.parse("1|2"), c=0.0)
         assert res.converged
-        assert 0.0 < res.value < 1.0
+        # |H> (<Pi_2> = 1/2) on the x = 0.7 agent, the top of Pi_2 (1 - x/2) on the other
+        assert res.value == pytest.approx(0.5 * (1 - 0.5 / 2), abs=1e-12)
 
-    def test_capacity_limit(self, fast):
+    @pytest.mark.parametrize(
+        "params, text",
+        [
+            ([(0.5, 0.0), (0.7, 0.0)], "1|2"),
+            ([(0.5, 0.0), (0.7, 1.0), (0.8, 0.0)], "1|2,3"),
+            ([(0.5, 0.0), (0.7, 0.0), (0.8, 0.0), (0.6, 0.4)], "1,3|2,4"),
+            ([(0.5, 0.0), (0.7, 0.0), (0.8, 0.3), (0.6, 0.0)], "2|1|3,4"),
+            ([(X, 0.0)] * 4, "1|2|3|4"),
+        ],
+    )
+    def test_maximizer_attains_value_and_c(self, params, text):
+        # dense reference: the operators of the whole system in the
+        # partition's normalized agent order, against the block maximizer
+        povms = [uk.build_three_outcome(uk.ThreeOutcomeParams(*p)) for p in params]
+        part = uk.Partition.parse(text)
+        l_op, c_op = uk.multi_operators([povms[i - 1] for b in part.blocks for i in b])
+        top = float(np.prod([p[0] for p in params]))
+        for c in [0.0, 0.01 * top, 0.1 * top, 0.5 * top, 0.9 * top, top]:
+            res = uk.numeric_partition_bound(povms, part, c)
+            assert res.converged
+            assert [f.dims for f in res.maximizer.factors] == [(2,) * len(b) for b in part.blocks]
+            assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-12)
+            assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-9)
+            assert res.feasibility_residual <= 1e-9
+
+    def test_flat_frontier_of_commuting_effects(self):
+        # diagonal effects commute, so the block's reachable set is the polygon
+        # of its diagonal (<C>, <L>) pairs and its frontier is straight
+        # between vertices: the maximizer mixes two degenerate top eigenvectors
+        pi1, pi2 = np.diag([0.0, 0.3, 0.9]), np.diag([0.6, 0.5, 0.05])
+        device = uk.Povm(tuple(uk.Effect(uk.HermitianOperator((3,), m)) for m in (pi1, pi2, np.eye(3) - pi1 - pi2)))
+        l_op, c_op = uk.multi_operators([device, device])
+        cs, ls = np.diag(c_op.mat).real, np.diag(l_op.mat).real
+        for c in [0.05, 0.2, 0.5]:
+            # top of the polygon at c: the best chord between two of its points
+            ref = max(
+                ls[i] + (ls[j] - ls[i]) * (c - cs[i]) / (cs[j] - cs[i])
+                for i in range(9) for j in range(9) if cs[i] <= c < cs[j]
+            )
+            res = uk.numeric_partition_bound([device, device], uk.Partition.parse("1,2"), c)
+            assert res.converged
+            assert res.value == pytest.approx(ref, abs=1e-12)
+            assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-12)
+            assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-9)
+
+    def test_five_and_six_agents(self):
+        for text in ["1,2|3,4,5", "1|2|3|4|5", "1,2,3|4,5,6", "1|2|3|4|5|6"]:
+            part = uk.Partition.parse(text)
+            n = part.n_agents
+            res = uk.numeric_partition_bound(devices(X, n), part, c=0.0)
+            assert res.value == pytest.approx(uk.closed_form_bound(X, n, part.largest_block).g, abs=1e-12)
+            l_op, c_op = uk.multi_operators(devices(X, n))
+            c = 0.3 * X**n
+            res = uk.numeric_partition_bound(devices(X, n), part, c=c)
+            assert res.converged
+            assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-12)
+            assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-9)
+            # no state at all exceeds the top of L's spectrum
+            assert res.value <= (1 - X / 2) ** n
+
+    def test_capacity_limit(self):
         with pytest.raises(uk.CapacityError):
-            uk.numeric_partition_bound(devices(X, 5), uk.Partition.parse("1|2|3|4|5"), 0.0, settings=fast)
+            uk.numeric_partition_bound(devices(X, 13), uk.Partition(tuple((i,) for i in range(1, 14))), 0.0)
 
-    def test_device_count_must_match_partition(self, fast):
+    def test_device_count_must_match_partition(self):
         with pytest.raises(ValueError, match="partition covers 3 agents, got 2 devices"):
-            uk.numeric_partition_bound(devices(X, 2), uk.Partition.parse("1|2,3"), 0.0, settings=fast)
+            uk.numeric_partition_bound(devices(X, 2), uk.Partition.parse("1|2,3"), 0.0)
 
-    def test_c_range_validation(self, fast):
+    def test_c_range_validation(self):
         with pytest.raises(ValueError):
-            uk.numeric_partition_bound(devices(X, 2), uk.Partition.parse("1|2"), c=0.6, settings=fast)
+            uk.numeric_partition_bound(devices(X, 2), uk.Partition.parse("1|2"), c=0.6)
+        with pytest.raises(ValueError):
+            uk.numeric_partition_bound(devices(X, 2), uk.Partition.parse("1|2"), c=float("nan"))
         plist = [uk.ThreeOutcomeParams(0.5, 0.0), uk.ThreeOutcomeParams(0.8, 0.0)]
         with pytest.raises(ValueError, match=r"constraint value 0\.41 outside the spectrum \[0, 0\.4\] of C"):
-            uk.numeric_partition_bound([uk.build_three_outcome(p) for p in plist], uk.Partition.parse("1|2"), c=0.41, settings=fast)
+            uk.numeric_partition_bound([uk.build_three_outcome(p) for p in plist], uk.Partition.parse("1|2"), c=0.41)

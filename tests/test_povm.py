@@ -40,6 +40,12 @@ def test_rejects_degenerate_x(x):
         uk.ThreeOutcomeParams(x, 0.0)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match=f"theta must be finite, got {theta}"):
+        uk.ThreeOutcomeParams(0.5, theta)
+
+
 def test_product_operator_constraint(povm23):
     c_op = uk.product_operator([povm23, povm23], [1, 1])
     assert c_op.mat[3, 3].real == pytest.approx(4 / 9)

@@ -166,11 +166,11 @@ def _bound_entry_points():
             lambda: uk.constrained_pure_state_sup(l_op, c_op, 0.2, few), [(2, 2)]
         ),
         "partition 1|2,3": (
-            lambda: uk.numeric_partition_bound(devices(x, 3), uk.Partition.parse("1|2,3"), 0.01, settings=few),
+            lambda: uk.numeric_partition_bound(devices(x, 3), uk.Partition.parse("1|2,3"), 0.01),
             [(2,), (2, 2)],
         ),
         "partition 1,2,3|4": (
-            lambda: uk.numeric_partition_bound(devices(x, 4), uk.Partition.parse("1,2,3|4"), 0.01, settings=few),
+            lambda: uk.numeric_partition_bound(devices(x, 4), uk.Partition.parse("1,2,3|4"), 0.01),
             [(2,), (2, 2, 2)],
         ),
     }
@@ -400,6 +400,20 @@ class TestEntangledMax:
             uk.entangled_max(0.5)
         with pytest.raises(ValueError):
             uk.entangled_max(-0.1)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: uk.entangled_max(math.nan), "c=nan outside"),
+            (lambda: uk.optimal_entangled_state(0.0, math.nan), "c=nan outside"),
+            (lambda: uk.optimal_entangled_state(math.nan, 0.1), "theta must be finite, got nan"),
+            (lambda: uk.optimal_entangled_state(math.inf, 0.1), "theta must be finite, got inf"),
+            (lambda: uk.semianalytic_pair_bound(X, math.nan), "c=nan outside"),
+        ],
+    )
+    def test_non_finite_inputs(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.3, 4 / 9])
