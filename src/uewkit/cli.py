@@ -363,9 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multiparty", help="multipartite bounds table and partition bounds")
     _add_device_flags(p, povm_file=False)  # the closed forms are formulas in x
-    # kept so existing command lines still parse; the partition bound draws no random starts
-    p.add_argument("--restarts", type=int, help="no effect: partition bounds are exact")
-    p.add_argument("--seed", type=int, help="no effect: partition bounds are exact")
+    # accepted because the perfbench `bounds` workload passes it; the partition bound draws no random starts
+    p.add_argument("--seed", type=int, help="no effect: the partition bound draws no random starts")
     p.add_argument("--agents", type=int, required=True, help="number of agents N (2..6)")
     p.add_argument("--partition", help='partition like "1,2|3" for a numeric bound')
     p.add_argument("--c", type=_number, default=0.0, help="constraint value for the partition bound")

@@ -219,10 +219,9 @@ class _Block:
         """(<C_B>, <L_B>) of a block state."""
         return float((vec.conj() @ self.c_mat @ vec).real), float((vec.conj() @ self.l_mat @ vec).real)
 
-    def top(self, t) -> np.ndarray:
-        """Top eigenvector(s) of cos(t) L_B - sin(t) C_B, for a scalar or an array of t."""
-        t = np.asarray(t)[..., None, None]
-        return np.linalg.eigh(np.cos(t) * self.l_mat - np.sin(t) * self.c_mat)[1][..., -1]
+    def top(self, t: float) -> np.ndarray:
+        """Top eigenvector of cos(t) L_B - sin(t) C_B."""
+        return np.linalg.eigh(math.cos(t) * self.l_mat - math.sin(t) * self.c_mat)[1][:, -1]
 
     def edge(self, q: float) -> np.ndarray:
         """Best state on the eigenspace of C_B at its end eigenvalue q (lo or hi)."""
@@ -256,13 +255,15 @@ class _Block:
         return vec, math.tan(0.5 * (a + b))
 
     def log_frontier(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>."""
+        """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>.
+
+        One eigenproblem per slope, so memory stays at a few d x d matrices.
+        """
         # slopes sinh(r) for evenly spaced r: points as dense in log <C_B>
         # near the ends of the range as around the peak
-        vecs = self.top(np.arctan(np.sinh(np.linspace(20.0, -20.0, 801))))
-        vecs = np.vstack([self.edge(self.lo), vecs, self.edge(self.hi)])
-        q = np.einsum("ti,ij,tj->t", vecs.conj(), self.c_mat, vecs).real
-        l = np.einsum("ti,ij,tj->t", vecs.conj(), self.l_mat, vecs).real
+        angles = np.arctan(np.sinh(np.linspace(20.0, -20.0, 801)))
+        points = [self.values(self.top(t)) for t in angles]
+        q, l = np.array([self.values(self.edge(self.lo)), *points, self.values(self.edge(self.hi))]).T
         keep = (q > 0.0) & (l > 0.0)
         return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
 
@@ -328,9 +329,12 @@ def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: floa
     prod m_B(q_B) subject to prod q_B = c.  At the ends of the attainable
     range it is closed-form: at c = 0 one block sits on ker C_B and every
     other block on the top eigenvector of its L_B; at the top every block
-    sits on the top eigenspace of its C_B.  In between, a grid over how
-    log c splits among the blocks picks the split, with no random draws,
-    and SLSQP on the exact frontiers polishes it.  A c more than RANGE_TOL
+    sits on the top eigenspace of its C_B.  A single block is its frontier
+    at c.  In between, with several blocks, a grid over how log c splits
+    among them picks the split, with no random draws, and SLSQP on the
+    exact frontiers polishes it.  That split is a local optimum, not a
+    proven one, so the value can read low (never high: a state attains it);
+    `converged` is the polish's success.  A c more than RANGE_TOL
     outside [prod lo_B, prod hi_B], the spectrum of C, raises ValueError.
     The maximizer holds one state per block in the partition's normalized
     order, and `value` is the <L> it attains.  `povms` holds one device per
@@ -348,6 +352,8 @@ def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: floa
     converged = True
     if c >= hi:
         vecs = [b.edge(b.hi) for b in blocks]
+    elif c > lo and len(blocks) == 1:
+        vecs = [blocks[0].frontier(c)[0]]
     elif c > lo:
         s_total = math.log(hi / c)
         res = _polish(blocks, _split(blocks, s_total), s_total)

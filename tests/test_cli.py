@@ -155,7 +155,7 @@ def test_multiparty_partition(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert run(
         "multiparty", "--x", "2/3", "--agents", 3, "--partition", "1|2,3",
-        "--restarts", 12, "--out", out,
+        "--seed", 12, "--out", out,
     ) == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert payload["bound"] == pytest.approx(5 / 18, abs=2e-3)

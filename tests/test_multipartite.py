@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import uewkit as uk
 
@@ -280,6 +281,28 @@ class TestNumericPartitionBound:
             assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-9)
             # no state at all exceeds the top of L's spectrum
             assert res.value <= (1 - X / 2) ** n
+
+    def test_seven_agents(self):
+        # past the old N <= 4 cap and the CLI's N <= 6: one block of seven,
+        # and a block of six beside a singleton
+        n = 7
+        l_op, c_op = uk.multi_operators(devices(X, n))
+        for c in [0.1 * X**n, 0.5 * X**n]:
+            whole = uk.numeric_partition_bound(devices(X, n), uk.Partition.parse("1,2,3,4,5,6,7"), c)
+            # one block spans every state, so its bound is the dual
+            # min over s of lambda_max(L - s C) + s c of the joint numerical range
+            dual = minimize_scalar(
+                lambda s: np.linalg.eigvalsh(l_op.mat - s * c_op.mat)[-1] + s * c, bounds=(-5.0, 5.0), method="bounded",
+                options={"xatol": 1e-12},
+            )
+            assert whole.converged
+            assert whole.value == pytest.approx(dual.fun, abs=1e-9)
+            split = uk.numeric_partition_bound(devices(X, n), uk.Partition.parse("1|2,3,4,5,6,7"), c)
+            assert split.converged
+            assert uk.expectation(l_op, split.maximizer) == pytest.approx(split.value, abs=1e-12)
+            assert uk.expectation(c_op, split.maximizer) == pytest.approx(c, abs=1e-9)
+            # a coarser partition admits more states
+            assert split.value <= whole.value + 1e-12
 
     def test_capacity_limit(self):
         with pytest.raises(uk.CapacityError):
