@@ -58,17 +58,16 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Random starts per bound: `restarts` cold, `warm_restarts` beside warm-start factors."""
+    """Multistart budget of one bound: `restarts` random starts, their draws
+    keyed by the operators, c and `seed`.  Product curves and partition
+    bounds run no multistart and take no settings."""
 
     restarts: int = 64
-    warm_restarts: int = 8
     seed: Optional[int] = None
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.warm_restarts < 0:
-            raise ValueError(f"warm_restarts must be >= 0, got {self.warm_restarts}")
 
 
 def fingerprint_operators(*mats_and_scalars) -> str:
@@ -153,23 +152,6 @@ class ProductManifold:
 
     def factors(self, params: np.ndarray) -> list[np.ndarray]:
         return self.factors_and_jacobians(params)[0]
-
-    def params_of(self, factors: Sequence[np.ndarray]) -> np.ndarray:
-        """Parameters whose `factors` are the given unit vectors, up to phase."""
-        parts = []
-        for dim, v in zip(self.block_dims, factors):
-            if dim == 2:
-                a0, a1 = v
-                theta = 2.0 * math.atan2(abs(a1), abs(a0))
-                phi = math.atan2(a1.imag, a1.real) - math.atan2(a0.imag, a0.real)
-                parts.extend([theta, phi % (2.0 * math.pi)])
-            else:
-                ph = v[0] / abs(v[0]) if abs(v[0]) > 1e-12 else 1.0
-                v = v / ph
-                parts.append(v[0].real)
-                for z in v[1:]:
-                    parts.extend([z.real, z.imag])
-        return np.array(parts, dtype=np.float64)
 
     def state_vector(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         # the outer product multiplies the same pairs as np.kron, at a tenth of its cost
@@ -350,7 +332,6 @@ def optimize_product_bound(
     c_value: Optional[float] = None,
     direction: str = "sup",
     settings: Optional[OptimizerSettings] = None,
-    warm_factors: Sequence[Sequence[np.ndarray]] = (),
 ) -> BoundResult:
     """Multistart supremum (or infimum) of <L> over product states.
 
@@ -362,8 +343,6 @@ def optimize_product_bound(
     after the starts when none reaches |<C> - c| <= RESIDUAL_OK (no product
     state attains it).  The bound is converged when a feasible start whose
     local solver succeeded comes within STALL_GAIN_TOL of the best one.
-    `warm_factors` are extra starts (factor vectors), tried before
-    `settings.warm_restarts` random ones; without them `settings.restarts`.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
@@ -386,9 +365,7 @@ def optimize_product_bound(
     if settings.seed is not None:
         key = ((key[0] ^ settings.seed) & _MASK64, key[1])
 
-    starts = [manifold.params_of(w) for w in warm_factors]
-    for i in range(settings.warm_restarts if warm_factors else settings.restarts):
-        starts.append(manifold.random_params(stream(key[0], key[1] + i)))
+    starts = [manifold.random_params(stream(key[0], key[1] + i)) for i in range(settings.restarts)]
 
     candidates = [
         _solve_from(objective, x0, c_value, sign, idx) for idx, x0 in enumerate(starts)

@@ -116,12 +116,11 @@ def _operator_pair(args, parties: int = 2):
 def cmd_curve(args) -> int:
     if args.grid < 3:
         raise ValueError("need at least 3 grid points")
-    settings = _settings(args)
     povms, l_op, c_op = _operator_pair(args)
     report = povm.uew_admissibility_check(c_op, l_op)
     lo, hi = witness.attainable_constraint_range(povms, args.c_indices)
     grid = np.linspace(lo, hi, args.grid)
-    curve = witness.separability_curve(l_op, c_op, grid, settings)
+    curve = witness.separability_curve(povms, args.l_indices, args.c_indices, grid)
     # exact for a product of effects, like the c range
     g_s = witness.attainable_constraint_range(povms, args.l_indices)[1]
 
@@ -135,7 +134,6 @@ def cmd_curve(args) -> int:
         "c_range": [lo, hi],
         "grid_points": args.grid,
         "admissibility": dataclasses.asdict(report),
-        "settings": dataclasses.asdict(settings),
     }
     if report.commutes:
         summary["warning"] = (
@@ -330,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="compute a separability curve")
     _add_device_flags(p)
     _add_pair_flags(p)
-    _add_opt_flags(p)
+    # accepted because the perfbench `curve` workload passes it; a product curve draws no random starts
+    p.add_argument("--seed", type=int, help="no effect: a product curve draws no random starts")
     p.add_argument("--grid", type=int, default=201, help="number of grid points")
     p.add_argument("--out", default="curve.csv", help="output CSV (summary JSON alongside)")
     p.set_defaults(func=cmd_curve)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -199,7 +199,7 @@ def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool)
 
 
 class _Block:
-    """One block's operators L_B = (x)Pi_2, C_B = (x)Pi_1 and their frontier.
+    """One block's product operators L_B and C_B and their frontier.
 
     The block's reachable (<C_B>, <L_B>) set is convex (Toeplitz-Hausdorff),
     so its upper frontier m(q) = max{<L_B> : <C_B> = q} is concave and exact
@@ -208,10 +208,10 @@ class _Block:
     t runs from -pi/2 to pi/2.
     """
 
-    def __init__(self, povms: Sequence[Povm]):
+    def __init__(self, povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int]):
         self.dims = tuple(d for p in povms for d in p.dims)
-        self.l_mat = product_operator(povms, [2] * len(povms)).mat
-        self.c_mat = product_operator(povms, [1] * len(povms)).mat
+        self.l_mat = product_operator(povms, l_indices).mat
+        self.c_mat = product_operator(povms, c_indices).mat
         self.c_spectrum, self.c_basis = np.linalg.eigh(self.c_mat)
         self.lo, self.hi = float(self.c_spectrum[0]), float(self.c_spectrum[-1])
 
@@ -254,10 +254,12 @@ class _Block:
             vec = basis @ (math.sqrt(1.0 - s) * u[:, 1] + math.sqrt(s) * u[:, 0])
         return vec, math.tan(0.5 * (a + b))
 
+    @cached_property
     def log_frontier(self) -> tuple[np.ndarray, np.ndarray]:
         """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>.
 
-        One eigenproblem per slope, so memory stays at a few d x d matrices.
+        One eigenproblem per slope, so memory stays at a few d x d matrices;
+        built once per block, however many c it serves.
         """
         # slopes sinh(r) for evenly spaced r: points as dense in log <C_B>
         # near the ends of the range as around the peak
@@ -275,16 +277,18 @@ def _split(blocks: Sequence[_Block], s_total: float) -> np.ndarray:
     s = np.linspace(0.0, s_total, 1001)
     tables = []
     for b in blocks:
-        f = np.interp(np.log(b.hi) - s, *b.log_frontier())
+        f = np.interp(np.log(b.hi) - s, *b.log_frontier)
         tables.append(np.where(b.hi * np.exp(-s) >= b.lo, f, -np.inf))
     j = np.arange(s.size)
-    rest = j[:, None] - j[None, :]  # grid index left to the earlier blocks
     best, picks = tables[0], []
-    for f in tables[1:]:
+    for f in tables[1:-1]:
+        rest = j[:, None] - j[None, :]  # grid index left to the earlier blocks
         total = np.where(rest >= 0, best[np.maximum(rest, 0)] + f[None, :], -np.inf)
         picks.append(total.argmax(axis=1))
         best = total[j, picks[-1]]
-    left, shares = j[-1], []
+    # the last block is only read at the full deficit, grid index j[-1]
+    last = int(np.argmax(best[::-1] + tables[-1]))
+    left, shares = j[-1] - last, [last]
     for pick in reversed(picks):
         shares.append(pick[left])
         left -= pick[left]
@@ -323,27 +327,34 @@ def _polish(blocks: Sequence[_Block], s0: np.ndarray, s_total: float):
 def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: float) -> BoundResult:
     """Separable bound for a partition at any attainable c, block by block.
 
-    L and C factor across blocks, so <L> = prod <L_B> and <C> = prod <C_B>
-    for a block-product state, and each block is solved on its own
-    2^|B|-dimensional space (`_Block`).  The bound is the maximum of
-    prod m_B(q_B) subject to prod q_B = c.  At the ends of the attainable
-    range it is closed-form: at c = 0 one block sits on ker C_B and every
-    other block on the top eigenvector of its L_B; at the top every block
-    sits on the top eigenspace of its C_B.  A single block is its frontier
-    at c.  In between, with several blocks, a grid over how log c splits
-    among them picks the split, with no random draws, and SLSQP on the
-    exact frontiers polishes it.  That split is a local optimum, not a
-    proven one, so the value can read low (never high: a state attains it);
-    `converged` is the polish's success.  A c more than RANGE_TOL
-    outside [prod lo_B, prod hi_B], the spectrum of C, raises ValueError.
-    The maximizer holds one state per block in the partition's normalized
-    order, and `value` is the <L> it attains.  `povms` holds one device per
-    agent, in agent order.
+    L = (x)Pi_2 and C = (x)Pi_1 factor across blocks, and `_block_bound`
+    solves each block on its own 2^|B|-dimensional space.  The maximizer
+    holds one state per block in the partition's normalized order.  `povms`
+    holds one device per agent, in agent order.
     """
     if partition.n_agents != len(povms):
         raise ValueError(f"partition covers {partition.n_agents} agents, got {len(povms)} devices")
     _check_agents(len(povms))
-    blocks = [_Block([povms[i - 1] for i in b]) for b in partition.blocks]
+    blocks = [_Block([povms[i - 1] for i in b], [2] * len(b), [1] * len(b)) for b in partition.blocks]
+    return _block_bound(blocks, c)
+
+
+def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
+    """Sup of <L> = prod <L_B> over block-product states with <C> = prod <C_B> = c.
+
+    The bound is the maximum of prod m_B(q_B) subject to prod q_B = c.  At
+    the ends of the attainable range it is closed-form: at c = 0 one block
+    sits on ker C_B and every other block on the top eigenvector of its L_B;
+    at the top every block sits on the top eigenspace of its C_B.  A single
+    block is its frontier at c.  In between, with several blocks, a grid over
+    how log c splits among them picks the split, with no random draws, and
+    SLSQP on the exact frontiers polishes it.  That split is a local
+    optimum, not a proven one, so the value can read low (never high: a
+    state attains it); `converged` is the polish's success.  A c more than
+    RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of C, raises
+    ValueError.  The maximizer holds one state per block, and `value` is the
+    <L> it attains.
+    """
     lo, hi = math.prod(b.lo for b in blocks), math.prod(b.hi for b in blocks)
     if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
         raise ValueError(

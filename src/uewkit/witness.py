@@ -9,6 +9,11 @@ x = 2/3, but not in general (at x = 0.8, g(0.256) lies 1.2e-3 below the chord
 from g(0.192) to g(0.320)); a curve that fails the chord test is unreliable,
 because the bound over mixed separable states is the concave hull of g.
 
+`separability_curve` takes product operators L = (x)L_k, C = (x)C_k and
+solves each party k on its own from eigenproblems, with no random starts
+(`multipartite._block_bound`, one block per party).  Operators that are not
+products go through the seeded multistart of `constrained_bound`.
+
 Between grid nodes a curve is read through its secant envelope.  `detect`
 compares a measurement with the envelope's supremum over its c error box,
 which at an end of the range is the envelope's limit there, not the end row.
@@ -19,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -32,6 +38,7 @@ from ._optimize import (
     fingerprint_operators,
     optimize_product_bound,
 )
+from .multipartite import _Block, _block_bound
 from .povm import Povm, product_operator, selected_effects
 from .qcore import HermitianOperator, PureState
 
@@ -218,7 +225,6 @@ def constrained_bound(
     c_op: HermitianOperator,
     c: float,
     settings: Optional[OptimizerSettings] = None,
-    warm_factors: Sequence[Sequence[np.ndarray]] = (),
 ) -> BoundResult:
     """Supremum of <L> over pure product states with <C> = c.
 
@@ -228,8 +234,7 @@ def constrained_bound(
     `feasibility_residual` reports |<C> - c| at the returned point.  Raises
     ValueError when c lies outside the spectrum of C (checked before any
     restart) or when no restart reaches <C> = c (no product state attains
-    it).  `warm_factors` (factor vectors) add starts and switch to
-    `warm_restarts`.
+    it).
     """
     if l_op.dims != c_op.dims:
         raise ValueError("test and constraint operators must share dims")
@@ -239,7 +244,6 @@ def constrained_bound(
         c_mat=c_op.mat,
         c_value=float(c),
         settings=settings,
-        warm_factors=warm_factors,
     )
 
 
@@ -265,18 +269,16 @@ def constrained_pure_state_sup(
 
 
 def separability_curve(
-    l_op: HermitianOperator,
-    c_op: HermitianOperator,
-    c_grid: Sequence[float],
-    settings: Optional[OptimizerSettings] = None,
+    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c_grid: Sequence[float]
 ) -> SeparabilityCurve:
-    """Constrained bound at every grid value, warm-starting along the grid.
+    """g(c) for L = product_operator(povms, l_indices) and C at c_indices, at every grid value.
 
-    Each grid value is first snapped to the digits `curve_to_csv` writes, so
-    every stored row bounds g at the c it states.  The first point runs
-    `settings.restarts` random restarts, later points `settings.warm_restarts`
-    plus the previous point's maximizer.  A c no product state attains raises
-    ValueError; the curve's `reliable` is read from its points.
+    Each party is one block whose frontier table is built once for the whole
+    grid; every row is the block bound at its c, with `restarts` 0 and
+    `converged` the polish's success.  Each grid value is first snapped to
+    the digits `curve_to_csv` writes, so every stored row bounds g at the c
+    it states.  A c outside the product-state range raises ValueError; the
+    curve's `reliable` is read from its points.
     """
     grid = np.array([float(_csv_number(c)) for c in c_grid])
     if grid.size < 3:
@@ -284,14 +286,13 @@ def separability_curve(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("c grid must be sorted strictly increasing")
 
-    fingerprint = fingerprint_operators(l_op.mat, c_op.mat)
+    l_op, c_op = product_operator(povms, l_indices), product_operator(povms, c_indices)
+    blocks = [_Block([p], [l], [c]) for p, l, c in zip(povms, l_indices, c_indices)]
     points = []
-    warm: list[list[np.ndarray]] = []
     for c in grid:
-        res = constrained_bound(l_op, c_op, float(c), settings=settings, warm_factors=warm)
+        res = _block_bound(blocks, float(c))
         points.append(CurvePoint(float(c), res.value, res.converged, res.restarts_used))
-        warm = [[f.amplitudes for f in res.maximizer.factors]]
-    return SeparabilityCurve(tuple(points), fingerprint)
+    return SeparabilityCurve(tuple(points), fingerprint_operators(l_op.mat, c_op.mat))
 
 
 def branch_bounds(curve: SeparabilityCurve, c: float) -> tuple[float, float]:
@@ -472,7 +473,7 @@ def semianalytic_pair_bound(x: float, c: float, refine: int = 200001) -> float:
 
 # ---------------------------------------------------------------------------
 # Curve CSV format: header "c,g,converged,restarts", one row per grid point,
-# 12 significant digits, deterministic row order.
+# 12 significant digits (c to nearest, g rounded up), deterministic row order.
 # ---------------------------------------------------------------------------
 
 
@@ -480,12 +481,19 @@ def _csv_number(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _csv_upper(value: float) -> str:
+    """`value` at 12 significant digits, rounded toward +inf: a stored bound
+    never reads below the computed one."""
+    exact = Decimal(value)
+    return _csv_number(float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 11), ROUND_CEILING)))
+
+
 def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["c", "g", "converged", "restarts"])
         for p in curve.points:
-            writer.writerow([_csv_number(p.c), _csv_number(p.g), str(p.converged).lower(), p.restarts])
+            writer.writerow([_csv_number(p.c), _csv_upper(p.g), str(p.converged).lower(), p.restarts])
 
 
 def curve_from_csv(path: Union[str, Path], fingerprint: str = "") -> SeparabilityCurve:

@@ -27,7 +27,7 @@ def pair23(povm23):
 @pytest.fixture(scope="session")
 def fast():
     """Reduced multistart budget for unit tests; anchors verified at 16."""
-    return uk.OptimizerSettings(restarts=16, warm_restarts=4)
+    return uk.OptimizerSettings(restarts=16)
 
 
 def devices(x, n):

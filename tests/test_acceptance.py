@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines inline.  The heavyweight shared artifact is the default 201-point
-separability curve at x = 2/3, built once with production settings and timed
-as part of criterion 2.
+separability curve at x = 2/3, built once and timed as part of criterion 2.
 """
 
 import json
@@ -40,14 +39,11 @@ def ops():
 def full_curve(ops):
     """201-point production curve plus its build time and the SEW bound."""
     device, l_op, c_op = ops
-    settings = uk.OptimizerSettings()
     lo, hi = uk.attainable_constraint_range([device, device], (1, 1))
     t0 = time.perf_counter()
-    curve = uk.separability_curve(
-        l_op, c_op, np.linspace(lo, hi, 201), settings
-    )
+    curve = uk.separability_curve([device, device], (2, 2), (1, 1), np.linspace(lo, hi, 201))
     elapsed = time.perf_counter() - t0
-    sew = uk.sew_bound(l_op, settings=settings)
+    sew = uk.sew_bound(l_op)
     return curve, elapsed, sew
 
 
@@ -96,21 +92,20 @@ def test_criterion_02_curve_anchors_and_oracles(ops, full_curve):
         assert res.value == pytest.approx(bf, abs=2e-3)
     semi = np.array([uk.semianalytic_pair_bound(X, c) for c in curve.c_values])
     max_err = float(np.max(np.abs(curve.g_values - semi)))
-    assert max_err <= 1e-6
+    assert max_err <= 1e-9
     # a curve point below g(c) would certify a separable state as entangled
     min_err = float(np.min(curve.g_values - semi))
-    assert min_err >= -1e-9
+    assert min_err >= -1e-12
 
-    # the second benchmark device: x = 1/2, theta = 0.3 at production settings
+    # the second benchmark device: x = 1/2, theta = 0.3
     device = uk.build_three_outcome(uk.ThreeOutcomeParams(0.5, 0.3))
-    l_half = uk.product_operator([device, device], [2, 2])
-    c_half = uk.product_operator([device, device], [1, 1])
     lo, hi = uk.attainable_constraint_range([device, device], (1, 1))
-    half = uk.separability_curve(l_half, c_half, np.linspace(lo, hi, 201))
+    half = uk.separability_curve([device, device], (2, 2), (1, 1), np.linspace(lo, hi, 201))
     assert half.reliable
+    assert all(p.converged for p in curve.points + half.points)
     semi_half = np.array([uk.semianalytic_pair_bound(0.5, c) for c in half.c_values])
-    assert float(np.max(np.abs(half.g_values - semi_half))) <= 1e-6
-    assert float(np.min(half.g_values - semi_half)) >= -1e-9
+    assert float(np.max(np.abs(half.g_values - semi_half))) <= 1e-9
+    assert float(np.min(half.g_values - semi_half)) >= -1e-12
     report(
         2,
         f"curve endpoints/peak match oracles; 201 points in {elapsed:.1f}s "
@@ -309,8 +304,11 @@ def test_criterion_09_commuting_diagonal_property():
         xs, ys = zip(*hull)
         return float(np.interp(c, xs, ys))
 
+    # not a product pair, so each row is a cold multistart bound
     grid = np.linspace(0.0, 0.7, 29)
-    curve = uk.separability_curve(l_op, c_op, grid)
+    rows = [uk.constrained_bound(l_op, c_op, c) for c in grid]
+    points = tuple(uk.CurvePoint(float(c), r.value, r.converged, r.restarts_used) for c, r in zip(grid, rows))
+    curve = uk.SeparabilityCurve(points, "")
     assert curve.reliable
     for p in curve.points:
         assert p.g == pytest.approx(hull_value(p.c), abs=1e-6)
@@ -337,7 +335,7 @@ def test_criterion_10_tightening(ops, tmp_path):
     assert out.improvement == pytest.approx(1 / 9, abs=2e-3)
 
     # never worse across randomized inputs
-    settings = uk.OptimizerSettings(restarts=12, warm_restarts=4)
+    settings = uk.OptimizerSettings(restarts=12)
     rng = uk.stream(161803)
     decomps = [
         [(1.0, (2, 2))],
@@ -386,7 +384,7 @@ def test_criterion_12_determinism(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / f"{name}.csv"
         assert cli_main([
-            "curve", "--x", "2/3", "--grid", "9", "--restarts", "8", "--out", str(out),
+            "curve", "--x", "2/3", "--grid", "9", "--out", str(out),
         ]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]

@@ -20,7 +20,7 @@ def run(*argv):
 @pytest.fixture(scope="module")
 def curve_files(tmp_path_factory):
     out = tmp_path_factory.mktemp("curve") / "curve.csv"
-    code = run("curve", "--x", "2/3", "--grid", 15, "--restarts", 12, "--out", out)
+    code = run("curve", "--x", "2/3", "--grid", 15, "--out", out)
     assert code == 0
     return out
 
@@ -46,7 +46,7 @@ def test_curve_g_s_from_spectra(tmp_path, monkeypatch):
 
     monkeypatch.setattr(uk.witness, "sew_bound", no_multistart)
     out = tmp_path / "curve.csv"
-    assert run("curve", "--x", "2/3", "--grid", 5, "--restarts", 8, "--out", out) == 0
+    assert run("curve", "--x", "2/3", "--grid", 5, "--out", out) == 0
     summary = json.loads(out.with_suffix(".json").read_text())
     x = 2.0 / 3.0
     assert f"{summary['g_s']:.12g}" == f"{(1 - x / 2) ** 2:.12g}"
@@ -59,21 +59,21 @@ def test_curve_povm_file_sets_the_ceiling(tmp_path, file_x, flag_x, ceiling):
     device = uk.build_three_outcome(uk.ThreeOutcomeParams(file_x, 0.0))
     povm_file.write_text(json.dumps(uk.povm_to_dict([device, device])))
     out = tmp_path / "curve.csv"
-    argv = ("curve", "--povm", povm_file, "--x", flag_x, "--grid", 5, "--restarts", 8, "--out", out)
+    argv = ("curve", "--povm", povm_file, "--x", flag_x, "--grid", 5, "--out", out)
     assert run(*argv) == 0
     assert ("entangled_max" in json.loads(out.with_suffix(".json").read_text())) is ceiling
 
 
 def test_curve_minimal_grid(tmp_path):
     out = tmp_path / "tiny.csv"
-    assert run("curve", "--x", "2/3", "--grid", 3, "--restarts", 8, "--out", out) == 0
+    assert run("curve", "--x", "2/3", "--grid", 3, "--out", out) == 0
     assert len(out.read_text().splitlines()) == 4
 
 
 def test_curve_commuting_pair_warns(tmp_path):
     out = tmp_path / "commuting.csv"
     assert run(
-        "curve", "--x", "2/3", "--grid", 5, "--restarts", 8,
+        "curve", "--x", "2/3", "--grid", 5,
         "--c-indices", "1,1", "--l-indices", "1,1", "--out", out,
     ) == 0
     summary = json.loads(out.with_suffix(".json").read_text())
@@ -517,10 +517,41 @@ def test_curve_determinism(tmp_path):
     outs = []
     for name in ("t1.csv", "t1b.csv"):
         out = tmp_path / name
-        assert run("curve", "--x", "2/3", "--grid", 9, "--restarts", 8, "--out", out) == 0
+        assert run("curve", "--x", "2/3", "--grid", 9, "--out", out) == 0
         outs.append(out)
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert outs[0].with_suffix(".json").read_bytes() == outs[1].with_suffix(".json").read_bytes()
+
+
+def test_curve_seed_has_no_effect(tmp_path):
+    # a product curve draws no random starts; --seed is accepted for old callers
+    outs = []
+    for seed in (1, 2):
+        out = tmp_path / f"seed{seed}.csv"
+        assert run("curve", "--x", "1/2", "--theta", "0.3", "--grid", 11, "--seed", seed, "--out", out) == 0
+        outs.append(out)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].with_suffix(".json").read_bytes() == outs[1].with_suffix(".json").read_bytes()
+    assert "settings" not in json.loads(outs[0].with_suffix(".json").read_text())
+
+
+def test_curve_takes_no_restarts(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        run("curve", "--x", "2/3", "--grid", 5, "--restarts", 8, "--out", tmp_path / "c.csv")
+    assert exit_info.value.code == 2
+
+
+def test_curve_runs_no_multistart(tmp_path, monkeypatch):
+    def no_multistart(*args, **kwargs):
+        raise AssertionError("a product curve must not run the multistart")
+
+    for module in (uk.witness, uk.multipartite):
+        monkeypatch.setattr(module, "optimize_product_bound", no_multistart)
+    monkeypatch.setattr(uk.witness, "constrained_bound", no_multistart)
+    out = tmp_path / "curve.csv"
+    assert run("curve", "--x", "2/3", "--grid", 11, "--out", out) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert all(row.endswith(",true,0") for row in rows)
 
 
 @pytest.mark.parametrize("path", ["cli", "library"])
@@ -534,10 +565,8 @@ def test_curve_rows_bound_g_at_stated_c(tmp_path, device, path):
         assert run("curve", "--x", x, "--theta", theta, "--grid", 21, "--out", out) == 0
     else:
         dev = uk.build_three_outcome(uk.ThreeOutcomeParams(float(Fraction(x)), float(theta)))
-        l_op = uk.product_operator([dev, dev], [2, 2])
-        c_op = uk.product_operator([dev, dev], [1, 1])
         lo, hi = uk.attainable_constraint_range([dev, dev], (1, 1))
-        curve = uk.separability_curve(l_op, c_op, np.linspace(lo, hi, 21))
+        curve = uk.separability_curve([dev, dev], (2, 2), (1, 1), np.linspace(lo, hi, 21))
         assert curve.reliable
         uk.curve_to_csv(curve, out)
     rows = out.read_text().splitlines()[1:]
@@ -549,4 +578,4 @@ def test_curve_rows_bound_g_at_stated_c(tmp_path, device, path):
     for row in rows:
         c, g = (float(v) for v in row.split(",")[:2])
         oracle = uk.semianalytic_pair_bound(float(Fraction(x)), c)
-        assert g >= oracle - 1e-9, f"c={c}"
+        assert g >= oracle - 1e-12, f"c={c}"

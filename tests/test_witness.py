@@ -13,11 +13,10 @@ C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
 
 
 @pytest.fixture(scope="module")
-def small_curve(pair23, fast):
-    l_op, c_op = pair23
+def small_curve(povm23):
     grid = np.linspace(0.0, 4.0 / 9.0, 21)
     grid[0] = 1e-12
-    return uk.separability_curve(l_op, c_op, grid, fast)
+    return uk.separability_curve([povm23, povm23], (2, 2), (1, 1), grid)
 
 
 class TestSewBound:
@@ -139,17 +138,11 @@ class TestAttainableRange:
             uk.attainable_constraint_range([povm23, povm23], (1,))
 
 
-def test_optimizer_settings_validation(pair23):
+def test_optimizer_settings_validation():
     with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
         uk.OptimizerSettings(restarts=0)
     with pytest.raises(ValueError, match="restarts must be >= 1, got -2"):
         uk.OptimizerSettings(restarts=-2)
-    with pytest.raises(ValueError, match="warm_restarts must be >= 0, got -1"):
-        uk.OptimizerSettings(warm_restarts=-1)
-    # warm points may run on the previous maximizer alone
-    settings = uk.OptimizerSettings(restarts=4, warm_restarts=0)
-    curve = uk.separability_curve(pair23[0], pair23[1], [0.1, 0.2, 0.3], settings)
-    assert [p.restarts for p in curve.points] == [4, 1, 1]
 
 
 def _bound_entry_points():
@@ -187,11 +180,8 @@ def test_bound_entry_points_share_one_result_shape(entry):
 
 
 class TestSeparabilityCurve:
-    def test_anchor_grid(self, pair23, fast):
-        l_op, c_op = pair23
-        curve = uk.separability_curve(
-            l_op, c_op, [0.0, C_STAR, 4 / 9], fast
-        )
+    def test_anchor_grid(self, povm23):
+        curve = uk.separability_curve([povm23, povm23], (2, 2), (1, 1), [0.0, C_STAR, 4 / 9])
         g = curve.g_values
         assert g[0] == pytest.approx(1 / 3, abs=2e-3)
         assert g[1] == pytest.approx(4 / 9, abs=2e-3)
@@ -211,14 +201,23 @@ class TestSeparabilityCurve:
         assert small_curve.reliable
         assert all(p.converged for p in small_curve.points)
 
-    def test_grid_validation(self, pair23, fast):
-        l_op, c_op = pair23
+    def test_grid_validation(self, povm23):
+        pair = ([povm23, povm23], (2, 2), (1, 1))
         with pytest.raises(ValueError):
-            uk.separability_curve(l_op, c_op, [0.0, 0.2], fast)
+            uk.separability_curve(*pair, [0.0, 0.2])
         with pytest.raises(ValueError):
-            uk.separability_curve(l_op, c_op, [0.2, 0.1, 0.3], fast)
+            uk.separability_curve(*pair, [0.2, 0.1, 0.3])
         with pytest.raises(ValueError):
-            uk.separability_curve(l_op, c_op, [0.0, 0.2, 0.7], fast)
+            uk.separability_curve(*pair, [0.0, 0.2, 0.7])
+
+    @pytest.mark.parametrize("indices", [(1, 1), (2, 2)])
+    def test_commuting_product_pair_is_its_constraint(self, povm23, indices):
+        # L = C: every party's frontier is straight, the degenerate branch of
+        # the block frontier, and g(c) = c on the whole range
+        lo, hi = uk.attainable_constraint_range([povm23, povm23], indices)
+        curve = uk.separability_curve([povm23, povm23], indices, indices, np.linspace(lo, hi, 41))
+        assert curve.reliable
+        assert np.max(np.abs(curve.g_values - curve.c_values)) <= 1e-12
 
     def test_commuting_pair_curve_equals_all_state_bound(self, fast):
         # degenerate case: commuting diagonal operators admit no entangled
@@ -242,6 +241,16 @@ class TestSeparabilityCurve:
         np.testing.assert_allclose(back.c_values, small_curve.c_values, atol=1e-12)
         np.testing.assert_allclose(back.g_values, small_curve.g_values, atol=1e-12)
         assert back.reliable
+
+    def test_csv_rounds_g_up(self, small_curve, tmp_path):
+        # c is rounded to nearest, but a stored bound must never read below
+        # the computed one
+        path = tmp_path / "curve.csv"
+        uk.curve_to_csv(small_curve, path)
+        back = uk.curve_from_csv(path)
+        assert np.all(back.g_values >= small_curve.g_values)
+        # by less than one unit in the twelfth significant digit
+        assert np.all(back.g_values - small_curve.g_values <= 1e-11 * np.abs(small_curve.g_values))
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
