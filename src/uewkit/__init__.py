@@ -73,6 +73,8 @@ from .witness import (
     detect,
     entangled_max,
     optimal_entangled_state,
+    product_constrained_bound,
+    product_sew_bound,
     semianalytic_pair_bound,
     separability_curve,
     sew_bound,

@@ -59,8 +59,9 @@ _MASK64 = (1 << 64) - 1
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Multistart budget of one bound: `restarts` random starts, their draws
-    keyed by the operators, c and `seed`.  Product curves and partition
-    bounds run no multistart and take no settings."""
+    keyed by the operators, c and `seed`.  Bounds on products of effects
+    (device bounds, curves, partition bounds) run no multistart and take no
+    settings."""
 
     restarts: int = 64
     seed: Optional[int] = None
@@ -326,7 +327,7 @@ def _slsqp(objective: PairObjective, x0: np.ndarray, c_value: float, sign: float
 
 def optimize_product_bound(
     l_mat: np.ndarray,
-    factor_dims: Sequence[Sequence[int]],
+    dims: Sequence[int],
     *,
     c_mat: Optional[np.ndarray] = None,
     c_value: Optional[float] = None,
@@ -335,8 +336,7 @@ def optimize_product_bound(
 ) -> BoundResult:
     """Multistart supremum (or infimum) of <L> over product states.
 
-    `factor_dims` gives the subsystem dims of each factor of the maximizer;
-    the optimizer treats each factor as one block of their product dimension.
+    `dims` gives each party's dimension, one factor of the maximizer each.
     With `c_mat`/`c_value` given, maximizes subject to <C> = c with one
     SLSQP solve per start.  Raises ValueError before any start when c lies
     more than RANGE_TOL outside the spectrum of C (no state attains it), and
@@ -357,7 +357,7 @@ def optimize_product_bound(
                 "of C: no state attains it"
             )
     settings = settings or OptimizerSettings()
-    manifold = ProductManifold([math.prod(dims) for dims in factor_dims])
+    manifold = ProductManifold(dims)
     objective = PairObjective(manifold, l_mat, c_mat)
     sign = 1.0 if direction == "sup" else -1.0
     fp = fingerprint_operators(l_mat, c_mat if c_mat is not None else 0)
@@ -380,10 +380,10 @@ def optimize_product_bound(
         )
     best = max(feasible, key=lambda c: (c.value, -c.index))
     converged = any(c.local_ok and best.value - c.value <= STALL_GAIN_TOL for c in feasible)
-    factors = zip(factor_dims, manifold.factors(best.params))
+    factors = zip(manifold.block_dims, manifold.factors(best.params))
     return BoundResult(
         value=sign * best.value,
-        maximizer=ProductState(tuple(PureState(dims, vec) for dims, vec in factors)),
+        maximizer=ProductState(tuple(PureState((d,), vec) for d, vec in factors)),
         feasibility_residual=best.residual,
         restarts_used=len(starts),
         converged=converged,

@@ -38,7 +38,8 @@ class UnreliableComputation(RuntimeError):
 
 
 def _fmt(value):
-    """Round-trip floats at 12 significant digits for stable serialization."""
+    """Round-trip floats at 12 significant digits for stable serialization;
+    bounds come rounded toward their safe side by `_safe` already."""
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
@@ -46,6 +47,12 @@ def _fmt(value):
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     return value
+
+
+def _safe(bound: float, direction: str = "sup") -> float:
+    """A bound at 12 significant digits, rounded away from the states it
+    bounds: up for a supremum, down for an infimum."""
+    return witness.round_up(bound) if direction == "sup" else -witness.round_up(-bound)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -247,7 +254,7 @@ def cmd_multiparty(args) -> int:
             "partition": part.label,
             "normalized": multipartite.Partition.format_blocks(part.blocks),
             "c": args.c,
-            "bound": res.value,
+            "bound": _safe(res.value),
             "converged": res.converged,
         }
         print(json.dumps(_fmt(payload), sort_keys=True))
@@ -261,6 +268,7 @@ def cmd_tighten(args) -> int:
     povms = _build_povms(args, counts.n_parties)
     c_measured = counts.frequency(args.constraint)
     result = witness.tighten(povms, args.decomposition, c_measured, args.constraint, settings=_settings(args))
+    result = dataclasses.replace(result, g_of_c=_safe(result.g_of_c), old_bound=_safe(result.old_bound))
     payload = {**dataclasses.asdict(result), "constraint": list(args.constraint)}
     _write_json(Path(args.out), payload)
     print(f"tighten: {result.old_bound:.12g} -> {result.g_of_c:.12g} (improvement {result.improvement:.12g})")
@@ -271,30 +279,36 @@ def cmd_tighten(args) -> int:
 
 def cmd_bound(args) -> int:
     settings = _settings(args)
+    if args.c is not None and args.direction == "inf":
+        raise ValueError("--direction inf takes no --c: a constrained bound is a supremum")
     if args.L or args.C:
+        # operators given as matrices take the multistart; device bounds ignore --restarts/--seed
         if not (args.L and args.C):
             raise ValueError("give both --L and --C operator files")
         l_op = qcore.operator_from_dict(qcore.load_json(args.L))
         c_op = qcore.operator_from_dict(qcore.load_json(args.C))
+        if args.c is None:
+            res = witness.sew_bound(l_op, direction=args.direction, settings=settings)
+        else:
+            res = witness.constrained_bound(l_op, c_op, args.c, settings=settings)
+    elif args.c is None:
+        res = witness.product_sew_bound(_build_povms(args, 2), args.l_indices, direction=args.direction)
     else:
-        _, l_op, c_op = _operator_pair(args)
-    if args.c is None:
-        res = witness.sew_bound(l_op, direction=args.direction, settings=settings)
-        kind = f"sew-{args.direction}"
-    else:
-        res = witness.constrained_bound(l_op, c_op, args.c, settings=settings)
-        kind = f"constrained(c={args.c:.12g})"
+        res = witness.product_constrained_bound(_build_povms(args, 2), args.l_indices, args.c_indices, args.c)
+    kind = f"sew-{args.direction}" if args.c is None else f"constrained(c={args.c:.12g})"
+    value = _safe(res.value, args.direction)
     payload = {
         "kind": kind,
-        "value": res.value,
+        "value": value,
         "feasibility_residual": res.feasibility_residual,
         "restarts_used": res.restarts_used,
         "converged": res.converged,
         "maximizer": [qcore.state_to_dict(f) for f in res.maximizer.factors],
-        "settings": dataclasses.asdict(settings),
     }
+    if args.L:
+        payload["settings"] = dataclasses.asdict(settings)
     _write_json(Path(args.out), payload)
-    print(f"{kind}: {res.value:.12g} (converged={res.converged})")
+    print(f"{kind}: {value:.12g} (converged={res.converged})")
     if not res.converged:
         raise UnreliableComputation("bound optimization did not converge")
     return EXIT_OK
@@ -315,8 +329,8 @@ def _add_pair_flags(p):
 
 
 def _add_opt_flags(p):
-    p.add_argument("--restarts", type=int, default=OptimizerSettings.restarts, help="multistart restarts per bound")
-    p.add_argument("--seed", type=int, default=None, help="seed for optimizer restarts")
+    p.add_argument("--restarts", type=int, default=OptimizerSettings.restarts, help="restarts per multistart bound (--L/--C files, tighten)")
+    p.add_argument("--seed", type=int, default=None, help="seed for the multistart restarts")
 
 
 @functools.cache

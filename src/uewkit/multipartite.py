@@ -199,7 +199,7 @@ def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool)
 
 
 class _Block:
-    """One block's product operators L_B and C_B and their frontier.
+    """One block's operators L_B and C_B, any Hermitian pair on its space, and their frontier.
 
     The block's reachable (<C_B>, <L_B>) set is convex (Toeplitz-Hausdorff),
     so its upper frontier m(q) = max{<L_B> : <C_B> = q} is concave and exact
@@ -208,10 +208,8 @@ class _Block:
     t runs from -pi/2 to pi/2.
     """
 
-    def __init__(self, povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int]):
-        self.dims = tuple(d for p in povms for d in p.dims)
-        self.l_mat = product_operator(povms, l_indices).mat
-        self.c_mat = product_operator(povms, c_indices).mat
+    def __init__(self, l_op: HermitianOperator, c_op: HermitianOperator):
+        self.dims, self.l_mat, self.c_mat = l_op.dims, l_op.mat, c_op.mat
         self.c_spectrum, self.c_basis = np.linalg.eigh(self.c_mat)
         self.lo, self.hi = float(self.c_spectrum[0]), float(self.c_spectrum[-1])
 
@@ -232,9 +230,11 @@ class _Block:
         """State on the frontier at <C_B> = q and the frontier's slope there.
 
         Bisects t to float resolution, keeping the top eigenvectors on either
-        side of q.  Where <C_B> jumps across q, the top eigenvalue at t is
-        degenerate and the frontier is straight: the two sides span that
-        eigenspace, and its state with <C_B> = q lies on the frontier.
+        side of q.  Where <C_B> jumps across q (the sides differ by more
+        than RANGE_TOL), the top eigenvalue at t is degenerate and the
+        frontier is straight: the two sides span that eigenspace, and its
+        state with <C_B> = q lies on the frontier.  Otherwise both sides hit
+        q to float resolution and the nearer one is returned.
         """
         a, b = -np.pi / 2, np.pi / 2
         va, vb = self.edge(self.hi), self.edge(self.lo)
@@ -247,7 +247,7 @@ class _Block:
                 b, vb = t, v
         qa, qb = self.values(va)[0], self.values(vb)[0]
         vec = va if qa - q <= q - qb else vb
-        if min(qa - q, q - qb) > RANGE_TOL:
+        if qa - qb > RANGE_TOL:
             basis = np.linalg.qr(np.column_stack([va, vb]))[0]
             w, u = np.linalg.eigh(basis.conj().T @ self.c_mat @ basis)
             s = min(max((w[1] - q) / (w[1] - w[0]), 0.0), 1.0)
@@ -335,7 +335,8 @@ def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: floa
     if partition.n_agents != len(povms):
         raise ValueError(f"partition covers {partition.n_agents} agents, got {len(povms)} devices")
     _check_agents(len(povms))
-    blocks = [_Block([povms[i - 1] for i in b], [2] * len(b), [1] * len(b)) for b in partition.blocks]
+    agents = [[povms[i - 1] for i in b] for b in partition.blocks]
+    blocks = [_Block(product_operator(a, [2] * len(a)), product_operator(a, [1] * len(a))) for a in agents]
     return _block_bound(blocks, c)
 
 

@@ -9,10 +9,13 @@ x = 2/3, but not in general (at x = 0.8, g(0.256) lies 1.2e-3 below the chord
 from g(0.192) to g(0.320)); a curve that fails the chord test is unreliable,
 because the bound over mixed separable states is the concave hull of g.
 
-`separability_curve` takes product operators L = (x)L_k, C = (x)C_k and
-solves each party k on its own from eigenproblems, with no random starts
-(`multipartite._block_bound`, one block per party).  Operators that are not
-products go through the seeded multistart of `constrained_bound`.
+Product operators L = (x)L_k, C = (x)C_k, given as devices and outcome
+indices, are solved party by party from eigenproblems, with no random starts:
+`product_sew_bound` from each party's extreme eigenvalue, and
+`product_constrained_bound` and `separability_curve` from the per-party
+frontiers of `multipartite._block_bound`.  `constrained_pure_state_sup` is
+that frontier on one block, the whole space.  Operators given as matrices go
+through the seeded multistart of `sew_bound` and `constrained_bound`.
 
 Between grid nodes a curve is read through its secant envelope.  `detect`
 compares a measurement with the envelope's supremum over its c error box,
@@ -40,7 +43,7 @@ from ._optimize import (
 )
 from .multipartite import _Block, _block_bound
 from .povm import Povm, product_operator, selected_effects
-from .qcore import HermitianOperator, PureState
+from .qcore import HermitianOperator, ProductState, PureState
 
 __all__ = [
     "OptimizerSettings",
@@ -53,6 +56,8 @@ __all__ = [
     "attainable_constraint_range",
     "constrained_bound",
     "constrained_pure_state_sup",
+    "product_sew_bound",
+    "product_constrained_bound",
     "separability_curve",
     "branch_bounds",
     "detect",
@@ -61,6 +66,7 @@ __all__ = [
     "optimal_entangled_state",
     "witness_from_bound",
     "semianalytic_pair_bound",
+    "round_up",
     "curve_to_csv",
     "curve_from_csv",
 ]
@@ -195,14 +201,12 @@ def sew_bound(
 ) -> BoundResult:
     """Unconstrained separable bound: extremum of <L> over pure product states.
 
-    Multistart local optimization; for a product test operator the result can
-    be cross-checked against the per-party eigenvalue product.
+    Multistart local optimization; a product of effects has the exact
+    `product_sew_bound`.
     """
     if len(l_op.dims) < 2:
         raise ValueError("standard witnessing needs at least 2 parties")
-    return optimize_product_bound(
-        l_op.mat, [(d,) for d in l_op.dims], direction=direction, settings=settings
-    )
+    return optimize_product_bound(l_op.mat, l_op.dims, direction=direction, settings=settings)
 
 
 def attainable_constraint_range(
@@ -213,11 +217,30 @@ def attainable_constraint_range(
     Holds for any product of effects, constraint or test operator alike: each
     party's <a|E|a> ranges over the spectrum of its PSD effect E, so the range
     is [prod lambda_min(E), prod lambda_max(E)], reached by products of bottom
-    and top eigenvectors.  For a product test operator the upper end is the
-    separable bound g_s.
+    and top eigenvectors: `product_sew_bound` in each direction.  For a
+    product test operator the upper end is the separable bound g_s.
     """
-    spectra = [np.linalg.eigvalsh(e.op.mat) for e in selected_effects(povms, outcome_indices)]
-    return math.prod(float(s[0]) for s in spectra), math.prod(float(s[-1]) for s in spectra)
+    return tuple(product_sew_bound(povms, outcome_indices, d).value for d in ("inf", "sup"))
+
+
+def product_sew_bound(povms: Sequence[Povm], l_indices: Sequence[int], direction: str = "sup") -> BoundResult:
+    """Extremum of <L> over product states, L = product_operator(povms, l_indices).
+
+    Each party's PSD effect contributes its extreme eigenvalue, so the bound
+    is their product, attained by the product of the matching eigenvectors;
+    no multistart.
+    """
+    if direction not in ("sup", "inf"):
+        raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
+    column = -1 if direction == "sup" else 0
+    eigen = [(e.op.dims, np.linalg.eigh(e.op.mat)) for e in selected_effects(povms, l_indices)]
+    return BoundResult(
+        value=math.prod(float(w[column]) for _, (w, _) in eigen),
+        maximizer=ProductState(tuple(PureState(dims, v[:, column]) for dims, (_, v) in eigen)),
+        feasibility_residual=0.0,
+        restarts_used=0,
+        converged=True,
+    )
 
 
 def constrained_bound(
@@ -240,32 +263,45 @@ def constrained_bound(
         raise ValueError("test and constraint operators must share dims")
     return optimize_product_bound(
         l_op.mat,
-        [(d,) for d in l_op.dims],
+        l_op.dims,
         c_mat=c_op.mat,
         c_value=float(c),
         settings=settings,
     )
 
 
-def constrained_pure_state_sup(
-    l_op: HermitianOperator,
-    c_op: HermitianOperator,
-    c: float,
-    settings: Optional[OptimizerSettings] = None,
-) -> BoundResult:
+def constrained_pure_state_sup(l_op: HermitianOperator, c_op: HermitianOperator, c: float) -> BoundResult:
     """Supremum of <L> over ALL pure states (entanglement allowed) with <C> = c.
 
-    The whole system is treated as a single block, so the optimization runs
-    over the full Hilbert sphere.  Used to quantify the gap between entangled
+    The whole system is one block, so the value is that block's frontier at
+    c, exact for any Hermitian L and C because their joint numerical range is
+    convex (Toeplitz-Hausdorff).  Used to quantify the gap between entangled
     states and the separable curve, and to verify that commuting pairs give
-    no gap at all.  With a single block the spectrum of C is exactly the
-    attainable range, so a c outside it raises ValueError before any restart.
+    no gap at all.  The spectrum of C is exactly the attainable range, so a c
+    outside it raises ValueError.  The maximizer is one factor on all of
+    `l_op.dims`.
     """
     if l_op.dims != c_op.dims:
         raise ValueError("operators must share dims")
-    return optimize_product_bound(
-        l_op.mat, [l_op.dims], c_mat=c_op.mat, c_value=float(c), settings=settings
-    )
+    return _block_bound([_Block(l_op, c_op)], float(c))
+
+
+def _party_blocks(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int]) -> list[_Block]:
+    """One block per party: its effects at l_indices and c_indices."""
+    pairs = zip(selected_effects(povms, l_indices), selected_effects(povms, c_indices))
+    return [_Block(l.op, c.op) for l, c in pairs]
+
+
+def product_constrained_bound(
+    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c: float
+) -> BoundResult:
+    """Supremum of <L> over product states with <C> = c, for L and C products of effects.
+
+    The block bound with one block per party, the same computation as each
+    `separability_curve` row, so both give the same value at the same c; no
+    multistart.  A c outside the product-state range raises ValueError.
+    """
+    return _block_bound(_party_blocks(povms, l_indices, c_indices), float(c))
 
 
 def separability_curve(
@@ -287,7 +323,7 @@ def separability_curve(
         raise ValueError("c grid must be sorted strictly increasing")
 
     l_op, c_op = product_operator(povms, l_indices), product_operator(povms, c_indices)
-    blocks = [_Block([p], [l], [c]) for p, l, c in zip(povms, l_indices, c_indices)]
+    blocks = _party_blocks(povms, l_indices, c_indices)
     points = []
     for c in grid:
         res = _block_bound(blocks, float(c))
@@ -481,11 +517,11 @@ def _csv_number(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _csv_upper(value: float) -> str:
-    """`value` at 12 significant digits, rounded toward +inf: a stored bound
-    never reads below the computed one."""
+def round_up(value: float) -> float:
+    """`value` at the 12 significant digits uewkit writes, rounded toward
+    +inf: a written upper bound never reads below the computed one."""
     exact = Decimal(value)
-    return _csv_number(float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 11), ROUND_CEILING)))
+    return float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 11), ROUND_CEILING))
 
 
 def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
@@ -493,7 +529,7 @@ def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["c", "g", "converged", "restarts"])
         for p in curve.points:
-            writer.writerow([_csv_number(p.c), _csv_upper(p.g), str(p.converged).lower(), p.restarts])
+            writer.writerow([_csv_number(p.c), _csv_number(round_up(p.g)), str(p.converged).lower(), p.restarts])
 
 
 def curve_from_csv(path: Union[str, Path], fingerprint: str = "") -> SeparabilityCurve:

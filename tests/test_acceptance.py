@@ -134,11 +134,14 @@ def test_criterion_04_entangled_maximum(ops):
     # 4/9, and the ceiling meets the separable curve exactly at c* = 1/36
     assert uk.entangled_max(0.0) == pytest.approx(E0, abs=1e-15)
     assert uk.entangled_max(4 / 9) == pytest.approx(1 / 36, abs=1e-15)
-    # numeric optimization over constrained entangled pure states
+    # the frontier of the joint numerical range over all pure states, whose
+    # maximizer attains the value at the stated c
     for c in ACCEPT_C_GRID:
         res = uk.constrained_pure_state_sup(l_op, c_op, c)
         assert res.converged
-        assert res.value == pytest.approx(uk.entangled_max(c), abs=1e-4), f"c={c}"
+        assert res.value == pytest.approx(uk.entangled_max(c), abs=1e-12), f"c={c}"
+        assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-12), f"c={c}"
+        assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-12), f"c={c}"
     # theta independence: the adjusted state reaches the same value under L(theta)
     for theta in (0.0, math.pi / 2, math.pi):
         device = uk.build_three_outcome(uk.ThreeOutcomeParams(X, theta))
@@ -147,7 +150,7 @@ def test_criterion_04_entangled_maximum(ops):
             state = uk.optimal_entangled_state(theta, c)
             val = uk.expectation(l_theta, state)
             assert val == pytest.approx(uk.entangled_max(c), abs=1e-9)
-    report(4, "entangled maximum: closed form = numeric (1e-4), theta-independent (1e-9)")
+    report(4, "entangled maximum: closed form = numeric (1e-12), theta-independent (1e-9)")
 
 
 def test_criterion_05_detection_gap_and_sew_blindness(ops, full_curve):
@@ -164,7 +167,7 @@ def test_criterion_05_detection_gap_and_sew_blindness(ops, full_curve):
     assert uk.entangled_max(C_STAR) == pytest.approx(G_S, abs=1e-12)
     assert float(np.linalg.eigvalsh(l_op.mat)[-1]) <= sew.value + 1e-9
     top = uk.constrained_pure_state_sup(l_op, c_op, C_STAR)
-    assert top.value <= G_S + 1e-6
+    assert top.value <= G_S + 1e-12
     report(
         5,
         f"detection gap at c=0 is {gap:.6f} (=1/12); curves meet at c*=1/36; "

@@ -161,6 +161,17 @@ def test_multiparty_partition(tmp_path, capsys):
     assert payload["bound"] == pytest.approx(5 / 18, abs=2e-3)
 
 
+@pytest.mark.parametrize("partition", ["1|2", "1|2|3", "1,2,3|4", "1,2,3|4,5,6"])
+def test_multiparty_prints_bound_rounded_up(tmp_path, capsys, partition):
+    # the block bound at c = 0 is exact to a few ulps; rounding it to
+    # nearest at 12 digits printed up to 4.4e-13 below the closed form
+    part = uk.Partition.parse(partition)
+    out = tmp_path / "bounds.csv"
+    assert run("multiparty", "--x", "2/3", "--agents", part.n_agents, "--partition", partition, "--out", out) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert payload["bound"] >= uk.closed_form_bound(2 / 3, part.n_agents, part.largest_block).g
+
+
 def test_multiparty_range_validation(tmp_path):
     assert run("multiparty", "--x", "2/3", "--agents", 9, "--out", tmp_path / "b.csv") == 2
 
@@ -178,6 +189,8 @@ def test_tighten_command(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["improvement"] == pytest.approx(1 / 9, abs=2e-3)
     assert payload["improvement"] >= -1e-9
+    # bounds are written rounded up: 4/9 reads 0.444444444445, never ...444
+    assert payload["old_bound"] >= 4 / 9
 
 
 def test_bound_command(tmp_path):
@@ -188,7 +201,57 @@ def test_bound_command(tmp_path):
     assert payload["value"] == pytest.approx(4 / 9, abs=1e-6)
     assert run("bound", "--x", "2/3", "--c", "0.1", "--restarts", 12, "--out", out) == 0
     payload = json.loads(out.read_text())
-    assert payload["value"] == pytest.approx(uk.semianalytic_pair_bound(2 / 3, 0.1), abs=1e-4)
+    assert payload["value"] == pytest.approx(uk.semianalytic_pair_bound(2 / 3, 0.1), abs=1e-9)
+
+
+def test_bound_runs_no_multistart(tmp_path, monkeypatch):
+    def no_multistart(*args, **kwargs):
+        raise AssertionError("a bound on devices must not run the multistart")
+
+    for module in (uk.witness, uk.multipartite):
+        monkeypatch.setattr(module, "optimize_product_bound", no_multistart)
+    monkeypatch.setattr(uk.witness, "sew_bound", no_multistart)
+    monkeypatch.setattr(uk.witness, "constrained_bound", no_multistart)
+    device = uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 0.0))
+    pi2 = np.linalg.eigvalsh(device.effect(2).op.mat)
+    out = tmp_path / "bound.json"
+    cases = [
+        (["--direction", "sup"], pi2[-1] ** 2),
+        (["--direction", "inf"], pi2[0] ** 2),
+        (["--c", "0"], 1 / 3),
+        (["--c", "0.1"], uk.semianalytic_pair_bound(2 / 3, 0.1)),
+        (["--c", "4/9"], 1 / 36),
+    ]
+    for flags, oracle in cases:
+        assert run("bound", "--x", "2/3", *flags, "--restarts", 2, "--out", out) == 0, flags
+        payload = json.loads(out.read_text())
+        assert payload["converged"] and payload["restarts_used"] == 0
+        assert payload["value"] == pytest.approx(oracle, abs=1e-9), flags
+        # written rounded away from the states it bounds
+        if "inf" in flags:
+            assert payload["value"] <= oracle
+        else:
+            assert payload["value"] >= oracle - 1e-15, flags
+
+
+@pytest.mark.parametrize("x", ["1/2", "2/3", "0.8"])
+def test_bound_c_matches_curve_row(tmp_path, x):
+    # `bound --c` evaluates the same per-party blocks as the curve row at
+    # that c, and both write g rounded up at 12 digits
+    curve = tmp_path / "curve.csv"
+    # the curve at x = 0.8 is not concave, so `curve` exits 3, but writes its rows
+    assert run("curve", "--x", x, "--grid", 11, "--out", curve) == (3 if x == "0.8" else 0)
+    rows = [row.split(",") for row in curve.read_text().splitlines()[1:]]
+    out = tmp_path / "bound.json"
+    for c, g, *_ in (rows[0], rows[5], rows[-1]):
+        assert run("bound", "--x", x, "--c", c, "--out", out) == 0
+        assert f"{json.loads(out.read_text())['value']:.12g}" == g, c
+
+
+def test_bound_inf_takes_no_c(tmp_path, capsys):
+    assert run("bound", "--x", "2/3", "--c", "0.1", "--direction", "inf", "--out", tmp_path / "b.json") == 2
+    assert "--direction inf takes no --c" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_bound_operator_files(tmp_path, pair23):

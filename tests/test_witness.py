@@ -49,6 +49,14 @@ class TestSewBound:
         res = uk.sew_bound(pair23[0], settings=fast)
         assert uk.expectation(pair23[0], res.maximizer) == pytest.approx(res.value, abs=1e-9)
 
+    @pytest.mark.parametrize("direction", ["sup", "inf"])
+    def test_product_of_effects_matches_multistart(self, povm23, pair23, fast, direction):
+        exact = uk.product_sew_bound([povm23, povm23], (2, 2), direction)
+        assert exact.value == pytest.approx(uk.sew_bound(pair23[0], direction, fast).value, abs=1e-8)
+        assert uk.expectation(pair23[0], exact.maximizer) == pytest.approx(exact.value, abs=1e-15)
+        with pytest.raises(ValueError, match="direction must be 'sup' or 'inf'"):
+            uk.product_sew_bound([povm23, povm23], (2, 2), "max")
+
 
 class TestConstrainedBound:
     @pytest.mark.parametrize(
@@ -92,7 +100,7 @@ class TestConstrainedBound:
             ValueError,
             match=r"constraint value 0\.5 outside the spectrum \[0, 0\.444444444444\] of C",
         ):
-            uk.constrained_pure_state_sup(l_op, c_op, 0.5, fast)
+            uk.constrained_pure_state_sup(l_op, c_op, 0.5)
         # inside the spectrum [0, 1] of a Bell projector, but product states
         # reach only [0, 1/2]: the multistart's residual rule rejects it, and
         # reports the true distance to that range
@@ -155,8 +163,12 @@ def _bound_entry_points():
     return {
         "sew_bound": (lambda: uk.sew_bound(qutrit_qubit, settings=few), [(3,), (2,)]),
         "constrained_bound": (lambda: uk.constrained_bound(l_op, c_op, 0.2, few), [(2,), (2,)]),
+        "product_sew_bound": (lambda: uk.product_sew_bound([device, device], (2, 2)), [(2,), (2,)]),
+        "product_constrained_bound": (
+            lambda: uk.product_constrained_bound([device, device], (2, 2), (1, 1), 0.2), [(2,), (2,)]
+        ),
         "constrained_pure_state_sup": (
-            lambda: uk.constrained_pure_state_sup(l_op, c_op, 0.2, few), [(2, 2)]
+            lambda: uk.constrained_pure_state_sup(l_op, c_op, 0.2), [(2, 2)]
         ),
         "partition 1|2,3": (
             lambda: uk.numeric_partition_bound(devices(x, 3), uk.Partition.parse("1|2,3"), 0.01),
@@ -219,6 +231,21 @@ class TestSeparabilityCurve:
         assert curve.reliable
         assert np.max(np.abs(curve.g_values - curve.c_values)) <= 1e-12
 
+    def test_straight_frontier_exact_near_its_ends(self):
+        # L = 1 - C on one qubit: the frontier is one straight segment, so the
+        # top eigenvectors jump from end to end, and a c within RANGE_TOL of
+        # an end must still mix them rather than snap to that end
+        e1 = uk.HermitianOperator((2,), np.diag([0.9, 0.2]))
+        e2 = uk.HermitianOperator((2,), np.eye(2) - e1.mat)
+        qubit = uk.Povm((uk.Effect(e1), uk.Effect(e2)))
+        cs = [0.2, 0.2 + 5e-10, 0.5, 0.9 - 5e-10, 0.9]
+        curve = uk.separability_curve([qubit], (2,), (1,), cs)
+        assert np.max(np.abs(curve.g_values - (1.0 - curve.c_values))) <= 1e-15
+        for c in cs:
+            res = uk.constrained_pure_state_sup(e2, e1, c)
+            assert res.value == pytest.approx(1.0 - c, abs=1e-15), c
+            assert uk.expectation(e1, res.maximizer) == pytest.approx(c, abs=1e-15), c
+
     def test_commuting_pair_curve_equals_all_state_bound(self, fast):
         # degenerate case: commuting diagonal operators admit no entangled
         # advantage, the product-state curve equals the all-states bound
@@ -229,7 +256,7 @@ class TestSeparabilityCurve:
             prod = uk.constrained_bound(
                 l_op, c_op, c, fast
             )
-            full = uk.constrained_pure_state_sup(l_op, c_op, c, fast)
+            full = uk.constrained_pure_state_sup(l_op, c_op, c)
             assert prod.value == pytest.approx(full.value, abs=2e-3)
 
     def test_csv_roundtrip(self, small_curve, tmp_path):
@@ -438,7 +465,7 @@ class TestEntangledMax:
     def test_beta_gamma_symmetry_not_beaten(self, pair23, fast):
         # relaxing the equal-amplitude assumption cannot beat the closed form
         l_op, c_op = pair23
-        res = uk.constrained_pure_state_sup(l_op, c_op, 0.15, fast)
+        res = uk.constrained_pure_state_sup(l_op, c_op, 0.15)
         assert res.value <= uk.entangled_max(0.15) + 1e-6
 
 
