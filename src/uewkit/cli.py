@@ -291,10 +291,12 @@ def cmd_bound(args) -> int:
             res = witness.sew_bound(l_op, direction=args.direction, settings=settings)
         else:
             res = witness.constrained_bound(l_op, c_op, args.c, settings=settings)
-    elif args.c is None:
-        res = witness.product_sew_bound(_build_povms(args, 2), args.l_indices, direction=args.direction)
     else:
-        res = witness.product_constrained_bound(_build_povms(args, 2), args.l_indices, args.c_indices, args.c)
+        povms = _build_povms(args, 2)
+        if args.c is None:
+            res = witness.product_sew_bound(povms, args.l_indices, direction=args.direction)
+        else:
+            res = witness.product_constrained_bound(povms, args.l_indices, args.c_indices, args.c)
     kind = f"sew-{args.direction}" if args.c is None else f"constrained(c={args.c:.12g})"
     value = _safe(res.value, args.direction)
     payload = {
@@ -329,7 +331,10 @@ def _add_pair_flags(p):
 
 
 def _add_opt_flags(p):
-    p.add_argument("--restarts", type=int, default=OptimizerSettings.restarts, help="restarts per multistart bound (--L/--C files, tighten)")
+    p.add_argument(
+        "--restarts", type=int, default=OptimizerSettings.restarts,
+        help="restarts per multistart bound (--L/--C files, tighten)",
+    )
     p.add_argument("--seed", type=int, default=None, help="seed for the multistart restarts")
 
 

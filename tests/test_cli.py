@@ -212,26 +212,29 @@ def test_bound_runs_no_multistart(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "optimize_product_bound", no_multistart)
     monkeypatch.setattr(uk.witness, "sew_bound", no_multistart)
     monkeypatch.setattr(uk.witness, "constrained_bound", no_multistart)
-    device = uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 0.0))
-    pi2 = np.linalg.eigvalsh(device.effect(2).op.mat)
+    pair = [uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 0.0))] * 2
+    pi2 = np.linalg.eigvalsh(pair[0].effect(2).op.mat)
     out = tmp_path / "bound.json"
+    def at(c):
+        return uk.product_constrained_bound(pair, (2, 2), (1, 1), c)
+
     cases = [
-        (["--direction", "sup"], pi2[-1] ** 2),
-        (["--direction", "inf"], pi2[0] ** 2),
-        (["--c", "0"], 1 / 3),
-        (["--c", "0.1"], uk.semianalytic_pair_bound(2 / 3, 0.1)),
-        (["--c", "4/9"], 1 / 36),
+        (["--direction", "sup"], pi2[-1] ** 2, uk.product_sew_bound(pair, (2, 2), "sup")),
+        (["--direction", "inf"], pi2[0] ** 2, uk.product_sew_bound(pair, (2, 2), "inf")),
+        (["--c", "0"], 1 / 3, at(0.0)),
+        (["--c", "0.1"], uk.semianalytic_pair_bound(2 / 3, 0.1), at(0.1)),
+        (["--c", "4/9"], 1 / 36, at(4 / 9)),
     ]
-    for flags, oracle in cases:
+    for flags, oracle, exact in cases:
         assert run("bound", "--x", "2/3", *flags, "--restarts", 2, "--out", out) == 0, flags
         payload = json.loads(out.read_text())
         assert payload["converged"] and payload["restarts_used"] == 0
         assert payload["value"] == pytest.approx(oracle, abs=1e-9), flags
         # written rounded away from the states it bounds
         if "inf" in flags:
-            assert payload["value"] <= oracle
+            assert payload["value"] <= exact.value
         else:
-            assert payload["value"] >= oracle - 1e-15, flags
+            assert payload["value"] >= exact.value, flags
 
 
 @pytest.mark.parametrize("x", ["1/2", "2/3", "0.8"])
