@@ -215,6 +215,7 @@ def test_bound_runs_no_multistart(tmp_path, monkeypatch):
     pair = [uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 0.0))] * 2
     pi2 = np.linalg.eigvalsh(pair[0].effect(2).op.mat)
     out = tmp_path / "bound.json"
+
     def at(c):
         return uk.product_constrained_bound(pair, (2, 2), (1, 1), c)
 
