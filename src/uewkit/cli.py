@@ -128,8 +128,8 @@ def cmd_curve(args) -> int:
     lo, hi = witness.attainable_constraint_range(povms, args.c_indices)
     grid = np.linspace(lo, hi, args.grid)
     curve = witness.separability_curve(povms, args.l_indices, args.c_indices, grid)
-    # exact for a product of effects, like the c range
-    g_s = witness.attainable_constraint_range(povms, args.l_indices)[1]
+    # exact for a product of effects, like the c range, and written rounded up like every bound
+    g_s = _safe(witness.attainable_constraint_range(povms, args.l_indices)[1])
 
     out_csv = Path(args.out)
     witness.curve_to_csv(curve, out_csv)
@@ -333,7 +333,7 @@ def _add_pair_flags(p):
 def _add_opt_flags(p):
     p.add_argument(
         "--restarts", type=int, default=OptimizerSettings.restarts,
-        help="restarts per multistart bound (--L/--C files, tighten)",
+        help="restarts per multistart bound: --L/--C files, and tighten unless its decomposition is one beta > 0 term",
     )
     p.add_argument("--seed", type=int, default=None, help="seed for the multistart restarts")
 

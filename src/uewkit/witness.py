@@ -14,7 +14,9 @@ indices, are solved party by party from eigenproblems, with no random starts:
 `product_sew_bound` from each party's extreme eigenvalue, and
 `product_constrained_bound` and `separability_curve` from the per-party
 frontiers of `multipartite._block_bound`.  `constrained_pure_state_sup` is
-that frontier on one block, the whole space.  Operators given as matrices go
+that frontier on one block, the whole space.  `tighten` uses the same two
+product bounds for a one-term decomposition with a positive weight.
+Operators given as matrices, and `tighten` on any other decomposition, go
 through the seeded multistart of `sew_bound` and `constrained_bound`.
 
 Between grid nodes a curve is read through its secant envelope.  `detect`
@@ -228,14 +230,15 @@ def product_sew_bound(povms: Sequence[Povm], l_indices: Sequence[int], direction
 
     Each party's PSD effect contributes its extreme eigenvalue, so the bound
     is their product, attained by the product of the matching eigenvectors;
-    no multistart.
+    no multistart.  An eigenvalue that rounding puts below 0 is read as 0,
+    so a product with a singular effect has infimum exactly 0.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
     column = -1 if direction == "sup" else 0
     eigen = [(e.op.dims, np.linalg.eigh(e.op.mat)) for e in selected_effects(povms, l_indices)]
     return BoundResult(
-        value=math.prod(float(w[column]) for _, (w, _) in eigen),
+        value=math.prod(max(float(w[column]), 0.0) for _, (w, _) in eigen),
         maximizer=ProductState(tuple(PureState(dims, v[:, column]) for dims, (_, v) in eigen)),
         feasibility_residual=0.0,
         restarts_used=0,
@@ -395,11 +398,17 @@ def tighten(
 ) -> TightenResult:
     """Tighten an existing witnessing bound with the measured constraint value.
 
-    The test operator is reassembled from its local decomposition
+    The test operator is the local decomposition
     L = sum_i beta_i (tensor of outcome-i effects), C is the product operator
     at `constraint_pair`, and the bound is re-optimized over product states
     with <C> = c_measured.  The result is never worse than the unconstrained
     bound: improvement >= 0 up to solver tolerance.
+
+    One term with beta > 0 is beta times a product of effects, so both bounds
+    come from `product_sew_bound` and `product_constrained_bound`, the values
+    `bound` writes, with no dense operator and `settings` unused.  Any other
+    decomposition is assembled into a dense L and bounded by the seeded
+    multistart of `sew_bound` and `constrained_bound`.
 
     Finite-shot frequencies can fall slightly outside the range of <C> over
     product states (where the constrained set would be empty); the measured
@@ -409,21 +418,24 @@ def tighten(
     pairs = [tuple(int(i) for i in p) for _, p in decomposition]
     if not betas:
         raise ValueError("decomposition must be nonempty")
-    l_mat = sum(
-        b * product_operator(povms, pair).mat for b, pair in zip(betas, pairs)
-    )
-    dims = tuple(d for p in povms for d in p.dims)
-    l_op = HermitianOperator(dims, l_mat)
-    c_op = product_operator(povms, constraint_pair)
     attainable = attainable_constraint_range(povms, constraint_pair)
     c_used = min(max(float(c_measured), attainable[0]), attainable[1])
-    old = sew_bound(l_op, settings=settings)
-    new = constrained_bound(l_op, c_op, c_used, settings=settings)
+    if len(betas) == 1 and betas[0] > 0:
+        scale = betas[0]
+        old = product_sew_bound(povms, pairs[0])
+        new = product_constrained_bound(povms, pairs[0], constraint_pair, c_used)
+    else:
+        scale = 1.0
+        l_mat = sum(b * product_operator(povms, pair).mat for b, pair in zip(betas, pairs))
+        l_op = HermitianOperator(tuple(d for p in povms for d in p.dims), l_mat)
+        old = sew_bound(l_op, settings=settings)
+        new = constrained_bound(l_op, product_operator(povms, constraint_pair), c_used, settings=settings)
+    g_of_c, old_bound = scale * new.value, scale * old.value
     return TightenResult(
         c=c_used,
-        g_of_c=new.value,
-        old_bound=old.value,
-        improvement=old.value - new.value,
+        g_of_c=g_of_c,
+        old_bound=old_bound,
+        improvement=old_bound - g_of_c,
         converged=old.converged and new.converged,
     )
 

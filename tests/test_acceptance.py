@@ -335,7 +335,10 @@ def test_criterion_10_tightening(ops, tmp_path):
     counts = uk.simulate_counts(rho, [device, device], shots=10**6, seed=777)
     out = uk.tighten([device, device], [(1.0, (2, 2))], counts.frequency((1, 1)), (1, 1))
     assert out.c == pytest.approx(0.0, abs=1e-9)
-    assert out.improvement == pytest.approx(1 / 9, abs=2e-3)
+    # one positive term takes the exact product bounds
+    assert out.old_bound == pytest.approx(4 / 9, abs=1e-12)
+    assert out.g_of_c == pytest.approx(1 / 3, abs=1e-12)
+    assert out.improvement == pytest.approx(1 / 9, abs=1e-12)
 
     # never worse across randomized inputs
     settings = uk.OptimizerSettings(restarts=12)

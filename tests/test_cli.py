@@ -49,7 +49,9 @@ def test_curve_g_s_from_spectra(tmp_path, monkeypatch):
     assert run("curve", "--x", "2/3", "--grid", 5, "--out", out) == 0
     summary = json.loads(out.with_suffix(".json").read_text())
     x = 2.0 / 3.0
-    assert f"{summary['g_s']:.12g}" == f"{(1 - x / 2) ** 2:.12g}"
+    # written rounded up like every bound: 4/9 reads 0.444444444445, never ...444
+    assert summary["g_s"] == uk.witness.round_up((1 - x / 2) ** 2)
+    assert summary["g_s"] >= 4 / 9
 
 
 @pytest.mark.parametrize("file_x, flag_x, ceiling", [(0.5, "2/3", False), (2 / 3, "1/2", True)])
@@ -238,6 +240,44 @@ def test_bound_runs_no_multistart(tmp_path, monkeypatch):
             assert payload["value"] >= exact.value, flags
 
 
+def test_one_term_tighten_runs_no_multistart(tmp_path, monkeypatch):
+    # one term with beta > 0 is a product of effects: tighten writes what
+    # `bound` and `bound --c` write, while other decompositions still reach
+    # the multistart
+    def no_multistart(*args, **kwargs):
+        raise AssertionError("a one-term tighten must not run the multistart")
+
+    for module in (uk.witness, uk.multipartite):
+        monkeypatch.setattr(module, "optimize_product_bound", no_multistart)
+    monkeypatch.setattr(uk.witness, "sew_bound", no_multistart)
+    monkeypatch.setattr(uk.witness, "constrained_bound", no_multistart)
+    counts, out, bound = tmp_path / "counts.json", tmp_path / "tighten.json", tmp_path / "bound.json"
+
+    def written(*argv):
+        assert run("bound", *argv, "--out", bound) == 0, argv
+        return f"{json.loads(bound.read_text())['value']:.12g}"
+
+    # (count at (1,1), shots, c as written for `bound --c`): c = 0, interior and x^2
+    for x, top in (("1/2", (1, 4, "1/4")), ("2/3", (4, 9, "4/9")), ("0.8", (16, 25, "0.64"))):
+        for hits, shots, c in ((0, 10, "0"), (1, 10, "0.1"), top):
+            uk.save_counts(counts, uk.CountsTable((3, 3), {(1, 1): hits, (2, 2): shots - hits}))
+            for pair in ("2,2", "2,3"):
+                argv = ("tighten", "--counts", counts, "--x", x, "--decomposition", f"1:{pair}", "--out", out)
+                assert run(*argv) == 0, (x, c, pair)
+                payload = json.loads(out.read_text())
+                assert f"{payload['c']:.12g}" == f"{float(Fraction(c)):.12g}" and payload["converged"]
+                assert f"{payload['old_bound']:.12g}" == written("--x", x, "--l-indices", pair), (x, pair)
+                assert f"{payload['g_of_c']:.12g}" == written("--x", x, "--l-indices", pair, "--c", c), (x, c, pair)
+    # any other decomposition reaches the multistart with --restarts and --seed
+    reached = []
+    monkeypatch.setattr(uk.witness, "sew_bound", lambda l_op, settings: reached.append(settings) or no_multistart())
+    for decomposition in ("-1:2,2", "0.6:2,2;0.4:3,3"):
+        argv = ("tighten", "--counts", counts, f"--decomposition={decomposition}", "--restarts", 2, "--seed", 3)
+        with pytest.raises(AssertionError, match="must not run the multistart"):
+            run(*argv, "--out", out)
+    assert reached == [uk.OptimizerSettings(restarts=2, seed=3)] * 2
+
+
 @pytest.mark.parametrize("x", ["1/2", "2/3", "0.8"])
 def test_bound_c_matches_curve_row(tmp_path, x):
     # `bound --c` evaluates the same per-party blocks as the curve row at
@@ -250,6 +290,19 @@ def test_bound_c_matches_curve_row(tmp_path, x):
     for c, g, *_ in (rows[0], rows[5], rows[-1]):
         assert run("bound", "--x", x, "--c", c, "--out", out) == 0
         assert f"{json.loads(out.read_text())['value']:.12g}" == g, c
+    # the summary's g_s is the unconstrained `bound`, rounded up alike
+    assert run("bound", "--x", x, "--out", out) == 0
+    assert json.loads(curve.with_suffix(".json").read_text())["g_s"] == json.loads(out.read_text())["value"]
+
+
+@pytest.mark.parametrize("x", ["1/2", "2/3", "0.8"])
+def test_bound_inf_of_singular_effects_is_zero(tmp_path, x):
+    # Pi_2 is singular, and a rounding-negative bottom eigenvalue is read as 0
+    pair = [uk.build_three_outcome(uk.ThreeOutcomeParams(float(Fraction(x)), 0.0))] * 2
+    assert uk.attainable_constraint_range(pair, (2, 2))[0] == 0.0
+    out = tmp_path / "bound.json"
+    assert run("bound", "--x", x, "--direction", "inf", "--out", out) == 0
+    assert json.loads(out.read_text())["value"] == 0.0
 
 
 def test_bound_inf_takes_no_c(tmp_path, capsys):
@@ -493,17 +546,19 @@ def test_tighten_unconverged_exits_3(tmp_path, monkeypatch):
         "simulate", "--preset", "optimal-entangled", "--c", 0, "--shots", 1000, "--seed", 5, "--out", counts
     ) == 0
     out = tmp_path / "tighten.json"
-    assert run("tighten", "--counts", counts, "--restarts", 4, "--out", out) == 0
-    assert json.loads(out.read_text())["converged"] is True
+    # the default one-term decomposition takes the block engine, a sum the multistart
+    for decomposition, engine in (("1:2,2", "product_constrained_bound"), ("0.6:2,2;0.4:3,3", "constrained_bound")):
+        argv = ("tighten", "--counts", counts, "--decomposition", decomposition, "--restarts", 4, "--out", out)
+        assert run(*argv) == 0
+        assert json.loads(out.read_text())["converged"] is True
 
-    constrained_bound = uk.witness.constrained_bound
+        def unconverged(*args, bound=getattr(uk.witness, engine), **kwargs):
+            return dataclasses.replace(bound(*args, **kwargs), converged=False)
 
-    def unconverged(*args, **kwargs):
-        return dataclasses.replace(constrained_bound(*args, **kwargs), converged=False)
-
-    monkeypatch.setattr(uk.witness, "constrained_bound", unconverged)
-    assert run("tighten", "--counts", counts, "--restarts", 4, "--out", out) == 3
-    assert json.loads(out.read_text())["converged"] is False
+        with monkeypatch.context() as patched:
+            patched.setattr(uk.witness, engine, unconverged)
+            assert run(*argv) == 3, decomposition
+        assert json.loads(out.read_text())["converged"] is False
 
 
 class TestMalformedInput:

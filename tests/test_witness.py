@@ -388,9 +388,12 @@ class TestTighten:
         out = uk.tighten(
             [povm23, povm23], [(1.0, (2, 2))], 0.0, (1, 1), settings=fast
         )
-        assert out.old_bound == pytest.approx(4 / 9, abs=1e-6)
-        assert out.g_of_c == pytest.approx(1 / 3, abs=2e-3)
-        assert out.improvement == pytest.approx(1 / 9, abs=2e-3)
+        # one positive term takes the exact product bounds
+        assert out.old_bound == pytest.approx(4 / 9, abs=1e-12)
+        assert out.g_of_c == pytest.approx(1 / 3, abs=1e-12)
+        assert out.improvement == pytest.approx(1 / 9, abs=1e-12)
+        half = uk.tighten([povm23, povm23], [(0.5, (2, 2))], 0.0, (1, 1), settings=fast)
+        assert (half.old_bound, half.g_of_c) == (out.old_bound / 2, out.g_of_c / 2)
 
     def test_no_improvement_at_peak(self, povm23, fast):
         out = uk.tighten(
