@@ -13,6 +13,7 @@ spectra of Pi_2, Pi_3 and every bound built on them.  Outcome indices are
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,11 +138,14 @@ def chi_vectors(params: ThreeOutcomeParams) -> tuple[np.ndarray, np.ndarray]:
     return chi_p, chi_m
 
 
+@functools.lru_cache(maxsize=32)
 def build_three_outcome(params: ThreeOutcomeParams) -> ThreeOutcomePovm:
     """Build the three-outcome qubit POVM for the given parameters.
 
     Completeness holds by construction: the chi+/chi- cross terms cancel and
-    the |V><V| weights add up to 1 - x + x.
+    the |V><V| weights add up to 1 - x + x.  Equal parameters (theta is
+    normalised first) return the same device object, checked once; its
+    matrices are read-only, so sharing it is safe.
     """
     chi_p, chi_m = chi_vectors(params)
     pi1 = np.zeros((2, 2), dtype=np.complex128)

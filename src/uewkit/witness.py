@@ -196,6 +196,12 @@ class TightenResult:
     converged: bool
 
 
+def _require_parties(n_parties: int) -> None:
+    """Separable and all states coincide on one party, so a bound there certifies nothing."""
+    if n_parties < 2:
+        raise ValueError("standard witnessing needs at least 2 parties")
+
+
 def sew_bound(
     l_op: HermitianOperator,
     direction: str = "sup",
@@ -206,8 +212,7 @@ def sew_bound(
     Multistart local optimization; a product of effects has the exact
     `product_sew_bound`.
     """
-    if len(l_op.dims) < 2:
-        raise ValueError("standard witnessing needs at least 2 parties")
+    _require_parties(len(l_op.dims))
     return optimize_product_bound(l_op.mat, l_op.dims, direction=direction, settings=settings)
 
 
@@ -231,10 +236,12 @@ def product_sew_bound(povms: Sequence[Povm], l_indices: Sequence[int], direction
     Each party's PSD effect contributes its extreme eigenvalue, so the bound
     is their product, attained by the product of the matching eigenvectors;
     no multistart.  An eigenvalue that rounding puts below 0 is read as 0,
-    so a product with a singular effect has infimum exactly 0.
+    so a product with a singular effect has infimum exactly 0.  Fewer than
+    2 parties raise ValueError, as in `sew_bound`.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
+    _require_parties(len(povms))
     column = -1 if direction == "sup" else 0
     eigen = [(e.op.dims, np.linalg.eigh(e.op.mat)) for e in selected_effects(povms, l_indices)]
     return BoundResult(
@@ -291,6 +298,7 @@ def constrained_pure_state_sup(l_op: HermitianOperator, c_op: HermitianOperator,
 
 def _party_blocks(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int]) -> list[_Block]:
     """One block per party: its effects at l_indices and c_indices."""
+    _require_parties(len(povms))
     pairs = zip(selected_effects(povms, l_indices), selected_effects(povms, c_indices))
     return [_Block(l.op, c.op) for l, c in pairs]
 
@@ -302,7 +310,8 @@ def product_constrained_bound(
 
     The block bound with one block per party, the same computation as each
     `separability_curve` row, so both give the same value at the same c; no
-    multistart.  A c outside the product-state range raises ValueError.
+    multistart.  A c outside the product-state range, or fewer than 2
+    parties, raises ValueError.
     """
     return _block_bound(_party_blocks(povms, l_indices, c_indices), float(c))
 
@@ -316,8 +325,9 @@ def separability_curve(
     grid; every row is the block bound at its c, with `restarts` 0 and
     `converged` the polish's success.  Each grid value is first snapped to
     the digits `curve_to_csv` writes, so every stored row bounds g at the c
-    it states.  A c outside the product-state range raises ValueError; the
-    curve's `reliable` is read from its points.
+    it states.  A c outside the product-state range, or fewer than 2
+    parties, raises ValueError; the curve's `reliable` is read from its
+    points.
     """
     grid = np.array([float(_csv_number(c)) for c in c_grid])
     if grid.size < 3:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uewkit as uk
+from uewkit import cli
 from uewkit.cli import main
 
 from conftest import random_hermitian
@@ -141,6 +142,18 @@ def test_sample_output(tmp_path):
     again = tmp_path / "scatter2.csv"
     assert run("sample", "--x", "2/3", "--n", 500, "--seed", 3, "--out", again) == 0
     assert out.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, cli.SAMPLE_BLOCK, cli.SAMPLE_BLOCK + 1])
+def test_sample_csv_bytes(tmp_path, n):
+    # the block writer gives the bytes of one f"{v:.12g}" row at a time, for
+    # an exact and a partial last block alike
+    out = tmp_path / "scatter.csv"
+    assert run("sample", "--x", "2/3", "--n", n, "--seed", 5, "--out", out) == 0
+    device = uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 0.0))
+    pts = uk.scatter([device, device], (2, 2), (1, 1), n=n, seed=5)
+    expected = "c,l\n" + "".join(f"{c:.12g},{l:.12g}\n" for c, l in pts.tolist())
+    assert out.read_text() == expected
 
 
 def test_multiparty_table(tmp_path):
@@ -510,6 +523,34 @@ class TestErrorExits:
         out = tmp_path / "out.json"
         assert run(*argv, "--out", out) == 2
         assert f"{bad} is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--l-indices", "2", "--c-indices", "1"],
+            ["bound", "--l-indices", "2", "--c-indices", "1", "--c", "0.2"],
+            ["curve", "--l-indices", "2", "--c-indices", "1", "--grid", "5"],
+            ["tighten", "--decomposition", "1:2", "--constraint", "1"],
+        ],
+    )
+    def test_one_party_device_bound_refused(self, tmp_path, capsys, argv):
+        # one party has no entangled states to tell apart: the device bounds
+        # refuse it like the matrix path's sew_bound
+        povm_file = tmp_path / "one.json"
+        povm_file.write_text(json.dumps({"parties": [{"x": 2 / 3}]}))
+        counts = tmp_path / "counts.json"
+        # simulate and sample still take one party
+        assert run("simulate", "--preset", "maximally-mixed", "--parties", 1, "--povm", povm_file,
+                   "--shots", 1000, "--out", counts) == 0
+        assert run("sample", "--povm", povm_file, "--l-indices", 2, "--c-indices", 1, "--n", 10,
+                   "--out", tmp_path / "s.csv") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if argv[0] == "tighten":
+            argv = argv + ["--counts", counts]
+        assert run(*argv, "--povm", povm_file, "--out", out) == 2
+        assert "standard witnessing needs at least 2 parties" in capsys.readouterr().err
         assert not out.exists()
 
     def test_multiparty_rejects_povm_file(self, tmp_path, capsys):

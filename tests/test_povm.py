@@ -34,6 +34,15 @@ def test_theta_pi_swaps_chi_branches():
     np.testing.assert_allclose(a.effects[1].op.mat, b.effects[2].op.mat, atol=1e-15)
 
 
+def test_equal_params_share_one_frozen_device():
+    # theta is normalised before hashing, so 0 and 2 pi name one device
+    a = uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 0.0))
+    assert uk.build_three_outcome(uk.ThreeOutcomeParams(2 / 3, 2 * math.pi)) is a
+    assert uk.build_three_outcome(uk.ThreeOutcomeParams(0.5, 0.0)) is not a
+    with pytest.raises(ValueError, match="read-only"):
+        a.effect(2).op.mat[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.7])
 def test_rejects_degenerate_x(x):
     with pytest.raises(ValueError):

@@ -234,12 +234,14 @@ class TestSeparabilityCurve:
     def test_straight_frontier_exact_near_its_ends(self):
         # L = 1 - C on one qubit: the frontier is one straight segment, so the
         # top eigenvectors jump from end to end, and a c within RANGE_TOL of
-        # an end must still mix them rather than snap to that end
+        # an end must still mix them rather than snap to that end; a second
+        # party measuring the identity leaves g(c) = 1 - c
         e1 = uk.HermitianOperator((2,), np.diag([0.9, 0.2]))
         e2 = uk.HermitianOperator((2,), np.eye(2) - e1.mat)
         qubit = uk.Povm((uk.Effect(e1), uk.Effect(e2)))
+        trivial = uk.Povm((uk.Effect(uk.identity((2,))),))
         cs = [0.2, 0.2 + 5e-10, 0.5, 0.9 - 5e-10, 0.9]
-        curve = uk.separability_curve([qubit], (2,), (1,), cs)
+        curve = uk.separability_curve([qubit, trivial], (2, 1), (1, 1), cs)
         assert np.max(np.abs(curve.g_values - (1.0 - curve.c_values))) <= 1e-15
         for c in cs:
             res = uk.constrained_pure_state_sup(e2, e1, c)
