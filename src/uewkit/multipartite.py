@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -42,6 +42,10 @@ __all__ = [
 ]
 
 MAX_AGENTS = 12
+# most matrix entries one stacked eigh of a block receives
+STACK_ENTRIES = 2**16
+# bisection steps per stacked eigh of a d-dim block, by ceil(log2 d); 1 beyond
+BISECT_LEVELS = (4, 4, 3, 2)
 
 
 @dataclass(frozen=True)
@@ -209,17 +213,34 @@ class _Block:
     """
 
     def __init__(self, l_op: HermitianOperator, c_op: HermitianOperator):
-        self.dims, self.l_mat, self.c_mat = l_op.dims, l_op.mat, c_op.mat
+        # C_B and L_B as one stack, so that `tops` reads both expectations in one matmul
+        self.c_and_l = np.stack([c_op.mat, l_op.mat])
+        self.dims, (self.c_mat, self.l_mat) = l_op.dims, self.c_and_l
         self.c_spectrum, self.c_basis = np.linalg.eigh(self.c_mat)
         self.lo, self.hi = float(self.c_spectrum[0]), float(self.c_spectrum[-1])
+        log_d = (self.l_mat.shape[0] - 1).bit_length()
+        self.bisect_levels = BISECT_LEVELS[log_d] if log_d < len(BISECT_LEVELS) else 1
 
     def values(self, vec: np.ndarray) -> tuple[float, float]:
         """(<C_B>, <L_B>) of a block state."""
         return float((vec.conj() @ self.c_mat @ vec).real), float((vec.conj() @ self.l_mat @ vec).real)
 
-    def top(self, t: float) -> np.ndarray:
-        """Top eigenvector of cos(t) L_B - sin(t) C_B."""
-        return np.linalg.eigh(math.cos(t) * self.l_mat - math.sin(t) * self.c_mat)[1][:, -1]
+    def tops(self, ts: Sequence[float]) -> Iterator[tuple[np.ndarray, list[float]]]:
+        """Top eigenvector v of cos(t) L_B - sin(t) C_B for each t in ts, with [<C_B>, <L_B>] at v.
+
+        The matrices go to `np.linalg.eigh` in stacks of at most STACK_ENTRIES
+        entries (one matrix if a single one is larger), so memory stays at a
+        few such stacks however many t there are; a generator, so a caller
+        holding no vector frees each stack before the next.  Each matrix,
+        vector and expectation is computed as for a single t, so the results
+        are bitwise those of one eigenproblem and `values` per t.
+        """
+        step = max(1, STACK_ENTRIES // self.l_mat.size)
+        for i in range(0, len(ts), step):
+            terms = np.array([(math.sin(t), math.cos(t)) for t in ts[i : i + step]])[:, :, None, None] * self.c_and_l
+            vecs = np.linalg.eigh(terms[:, 1] - terms[:, 0])[1][:, :, -1]
+            values = vecs.conj()[:, None, None, :] @ self.c_and_l @ vecs[:, None, :, None]
+            yield from zip(vecs, values.real.reshape(-1, 2).tolist())
 
     def edge(self, q: float) -> np.ndarray:
         """Best state on the eigenspace of C_B at its end eigenvalue q (lo or hi)."""
@@ -230,21 +251,33 @@ class _Block:
         """State on the frontier at <C_B> = q and the frontier's slope there.
 
         Bisects t to float resolution, keeping the top eigenvectors on either
-        side of q.  Where <C_B> jumps across q (the sides differ by more
-        than RANGE_TOL), the top eigenvalue at t is degenerate and the
-        frontier is straight: the two sides span that eigenspace, and its
-        state with <C_B> = q lies on the frontier.  Otherwise both sides hit
-        q to float resolution and the nearer one is returned.
+        side of q.  The bisection runs `bisect_levels` steps per stacked
+        eigenproblem: the midpoints of every path those steps can take, in
+        heap order, with the same expressions as one step at a time, so the
+        bracket and vectors are bitwise those of plain bisection.  Where
+        <C_B> jumps across q (the sides differ by more than RANGE_TOL), the
+        top eigenvalue at t is degenerate and the frontier is straight: the
+        two sides span that eigenspace, and its state with <C_B> = q lies on
+        the frontier.  Otherwise both sides hit q to float resolution and the
+        nearer one is returned.
         """
         a, b = -np.pi / 2, np.pi / 2
         va, vb = self.edge(self.hi), self.edge(self.lo)
-        while b - a > 4 * np.finfo(float).eps:
-            t = 0.5 * (a + b)
-            v = self.top(t)
-            if self.values(v)[0] >= q:
-                a, va = t, v
-            else:
-                b, vb = t, v
+        resolution = 4 * np.finfo(float).eps
+        while b - a > resolution:
+            # node n brackets (ends[n]); its children 2n + 1 and 2n + 2 take its lower and upper half
+            ends, ts = [(a, b)], []
+            for n in range(2**self.bisect_levels - 1):
+                ta, tb = ends[n]
+                ts.append(0.5 * (ta + tb))
+                ends += [(ta, ts[-1]), (ts[-1], tb)]
+            nodes, n = list(self.tops(ts)), 0
+            while n < len(nodes) and b - a > resolution:
+                v, (qv, _) = nodes[n]
+                if qv >= q:
+                    a, va, n = ts[n], v, 2 * n + 2
+                else:
+                    b, vb, n = ts[n], v, 2 * n + 1
         qa, qb = self.values(va)[0], self.values(vb)[0]
         vec = va if qa - q <= q - qb else vb
         if qa - qb > RANGE_TOL:
@@ -258,13 +291,14 @@ class _Block:
     def log_frontier(self) -> tuple[np.ndarray, np.ndarray]:
         """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>.
 
-        One eigenproblem per slope, so memory stays at a few d x d matrices;
-        built once per block, however many c it serves.
+        The 801 slopes go through `tops` in stacks of at most STACK_ENTRIES
+        matrix entries, so memory stays at a few such stacks; built once per
+        block, however many c it serves.
         """
         # slopes sinh(r) for evenly spaced r: points as dense in log <C_B>
         # near the ends of the range as around the peak
         angles = np.arctan(np.sinh(np.linspace(20.0, -20.0, 801)))
-        points = [self.values(self.top(t)) for t in angles]
+        points = [ql for _, ql in self.tops(angles)]
         q, l = np.array([self.values(self.edge(self.lo)), *points, self.values(self.edge(self.hi))]).T
         keep = (q > 0.0) & (l > 0.0)
         return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
@@ -346,10 +380,12 @@ def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
     The bound is the maximum of prod m_B(q_B) subject to prod q_B = c.  At
     the ends of the attainable range it is closed-form: at c = 0 one block
     sits on ker C_B and every other block on the top eigenvector of its L_B;
-    at the top every block sits on the top eigenspace of its C_B.  A single
-    block is its frontier at c.  In between, with several blocks, a grid over
-    how log c splits among them picks the split, with no random draws, and
-    SLSQP on the exact frontiers polishes it.  That split is a local
+    at the top every block sits on the top eigenspace of its C_B.  In
+    between, a block whose C_B is a multiple of the identity sits on the top
+    eigenvector of its L_B, and the others take the rest of c: a single one
+    is its frontier there; with several, a grid over how log c splits among
+    them picks the split, with no random draws, and SLSQP on the exact
+    frontiers polishes it.  That split is a local
     optimum, not a proven one, so the value can read low (never high: a
     state attains it); `converged` is the polish's success.  A c more than
     RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of C, raises
@@ -364,19 +400,28 @@ def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
     converged = True
     if c >= hi:
         vecs = [b.edge(b.hi) for b in blocks]
-    elif c > lo and len(blocks) == 1:
-        vecs = [blocks[0].frontier(c)[0]]
     elif c > lo:
-        s_total = math.log(hi / c)
-        res = _polish(blocks, _split(blocks, s_total), s_total)
-        s = s_total * (res.x + (1.0 - res.x.sum()) / len(blocks))
-        vecs = [b.frontier(b.hi * math.exp(-sk))[0] for b, sk in zip(blocks, s)]
-        converged = bool(res.success)
+        # a block whose C_B is a multiple of the identity (to RANGE_TOL) has
+        # one <C_B>: it stays at its edge state and the others share c
+        vecs = [b.edge(b.hi) for b in blocks]
+        live = [k for k, b in enumerate(blocks) if b.hi - b.lo > RANGE_TOL]
+        parts = [blocks[k] for k in live]
+        c_live = c / math.prod(b.hi for b in blocks if b not in parts)
+        hi_live = math.prod(b.hi for b in parts)
+        if len(parts) == 1:
+            vecs[live[0]] = parts[0].frontier(c_live)[0]
+        elif parts and c_live < hi_live:
+            s_total = math.log(hi_live / c_live)
+            res = _polish(parts, _split(parts, s_total), s_total)
+            s = s_total * (res.x + (1.0 - res.x.sum()) / len(parts))
+            for k, b, sk in zip(live, parts, s):
+                vecs[k] = b.frontier(b.hi * math.exp(-sk))[0]
+            converged = bool(res.success)
     elif all(b.lo > RANGE_TOL for b in blocks):
         vecs = [b.edge(b.lo) for b in blocks]
     else:
         # c = 0 puts one block with a singular C_B on its kernel; the others are free
-        free = [b.top(0.0) for b in blocks]
+        free = [next(b.tops([0.0]))[0] for b in blocks]
         options = [
             free[:k] + [b.edge(b.lo)] + free[k + 1 :] for k, b in enumerate(blocks) if b.lo <= RANGE_TOL
         ]

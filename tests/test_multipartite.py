@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 import uewkit as uk
+from uewkit._optimize import RANGE_TOL
+from uewkit.multipartite import STACK_ENTRIES, _Block
 
 from conftest import devices
 
@@ -320,3 +324,83 @@ class TestNumericPartitionBound:
         plist = [uk.ThreeOutcomeParams(0.5, 0.0), uk.ThreeOutcomeParams(0.8, 0.0)]
         with pytest.raises(ValueError, match=r"constraint value 0\.41 outside the spectrum \[0, 0\.4\] of C"):
             uk.numeric_partition_bound([uk.build_three_outcome(p) for p in plist], uk.Partition.parse("1|2"), c=0.41)
+
+
+class TestStackedFrontier:
+    """`_Block` stacks its eigenproblems; every result must be bitwise that of
+    plain bisection with one eigenproblem per slope, the reference below."""
+
+    @staticmethod
+    def top(block, t):
+        return np.linalg.eigh(math.cos(t) * block.l_mat - math.sin(t) * block.c_mat)[1][:, -1]
+
+    def serial_frontier(self, block, q):
+        a, b = -np.pi / 2, np.pi / 2
+        va, vb = block.edge(block.hi), block.edge(block.lo)
+        while b - a > 4 * np.finfo(float).eps:
+            t = 0.5 * (a + b)
+            v = self.top(block, t)
+            if block.values(v)[0] >= q:
+                a, va = t, v
+            else:
+                b, vb = t, v
+        qa, qb = block.values(va)[0], block.values(vb)[0]
+        vec = va if qa - q <= q - qb else vb
+        if qa - qb > RANGE_TOL:
+            basis = np.linalg.qr(np.column_stack([va, vb]))[0]
+            w, u = np.linalg.eigh(basis.conj().T @ block.c_mat @ basis)
+            s = min(max((w[1] - q) / (w[1] - w[0]), 0.0), 1.0)
+            vec = basis @ (math.sqrt(1.0 - s) * u[:, 1] + math.sqrt(s) * u[:, 0])
+        return vec, math.tan(0.5 * (a + b))
+
+    def serial_log_frontier(self, block):
+        angles = np.arctan(np.sinh(np.linspace(20.0, -20.0, 801)))
+        points = [block.values(self.top(block, t)) for t in angles]
+        q, l = np.array([block.values(block.edge(block.lo)), *points, block.values(block.edge(block.hi))]).T
+        keep = (q > 0.0) & (l > 0.0)
+        return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
+
+    @staticmethod
+    def random_pair(d, seed):
+        # positive pairs, so log_frontier keeps every point
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(2):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mats.append(a @ a.conj().T / d + 0.1 * np.eye(d))
+        return _Block(*(uk.HermitianOperator((d,), m) for m in mats))
+
+    def assert_bitwise(self, block):
+        span = block.hi - block.lo
+        for q in [block.lo + 1e-12 * span, block.lo + 1e-7 * span, block.lo + 0.37 * span,
+                  block.hi - 1e-7 * span, block.hi - 1e-12 * span]:
+            (vec, slope), (ref, ref_slope) = block.frontier(q), self.serial_frontier(block, q)
+            assert np.array_equal(vec, ref), q
+            assert slope == ref_slope, q
+        for got, ref in zip(block.log_frontier, self.serial_log_frontier(block)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_random_pairs(self, d):
+        for seed in range(3):
+            self.assert_bitwise(self.random_pair(d, seed))
+
+    def test_straight_segment_pair(self):
+        # the pair of the straight-frontier curve test: L = 1 - C on one qubit
+        e1 = np.diag([0.9, 0.2])
+        self.assert_bitwise(_Block(uk.HermitianOperator((2,), np.eye(2) - e1), uk.HermitianOperator((2,), e1)))
+
+    def test_stacks_hold_at_most_the_entry_cap(self, monkeypatch):
+        # a block of six agents is 64-dimensional, so 801 slopes would be
+        # 3.3 M entries in one stack; the cap splits them
+        sizes, eigh = [], np.linalg.eigh
+
+        def counted(m):
+            sizes.append(np.asarray(m).size)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        block = _Block(*uk.multi_operators(devices(X, 6)))
+        block.log_frontier
+        block.frontier(0.3 * block.hi)
+        assert max(sizes) == STACK_ENTRIES

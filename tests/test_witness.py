@@ -248,6 +248,23 @@ class TestSeparabilityCurve:
             assert res.value == pytest.approx(1.0 - c, abs=1e-15), c
             assert uk.expectation(e1, res.maximizer) == pytest.approx(c, abs=1e-15), c
 
+    def test_zero_width_party_converges(self):
+        # a party measuring {I/2, I/2} has one <C>, 1/2: it sits on its edge
+        # state and the other party takes all of c, so g(c) = 1/2 - c with
+        # nothing left to split and every row converged
+        e1 = uk.HermitianOperator((2,), np.diag([0.9, 0.2]))
+        qubit = uk.Povm((uk.Effect(e1), uk.Effect(uk.HermitianOperator((2,), np.eye(2) - e1.mat))))
+        half = uk.Povm((uk.Effect(uk.HermitianOperator((2,), np.eye(2) / 2)),) * 2)
+        cs = [0.1, 0.1 + 5e-10, 0.25, 0.3, 0.45 - 5e-10, 0.45]
+        curve = uk.separability_curve([qubit, half], (2, 1), (1, 1), cs)
+        assert all(p.converged for p in curve.points)
+        assert curve.reliable
+        assert np.max(np.abs(curve.g_values - (0.5 - curve.c_values))) <= 1e-15
+        for c in [0.25, 0.3]:
+            res = uk.product_constrained_bound([qubit, half], (2, 1), (1, 1), c)
+            assert res.converged
+            assert res.value == pytest.approx(0.5 - c, abs=1e-15)
+
     def test_commuting_pair_curve_equals_all_state_bound(self, fast):
         # degenerate case: commuting diagonal operators admit no entangled
         # advantage, the product-state curve equals the all-states bound
