@@ -209,7 +209,9 @@ class _Block:
     so its upper frontier m(q) = max{<L_B> : <C_B> = q} is concave and exact
     from top eigenvectors: that of cos(t) L_B - sin(t) C_B touches the
     frontier where its slope is tan(t), and its <C_B> falls from hi to lo as
-    t runs from -pi/2 to pi/2.
+    t runs from -pi/2 to pi/2.  A block keeps its two edge states and the
+    bisection path of its last `frontier` call (`memo`), so that the many
+    nearby q one bound asks of a block share their eigenproblems.
     """
 
     def __init__(self, l_op: HermitianOperator, c_op: HermitianOperator):
@@ -220,13 +222,20 @@ class _Block:
         self.lo, self.hi = float(self.c_spectrum[0]), float(self.c_spectrum[-1])
         log_d = (self.l_mat.shape[0] - 1).bit_length()
         self.bisect_levels = BISECT_LEVELS[log_d] if log_d < len(BISECT_LEVELS) else 1
+        # slopes per stacked eigh, and most nodes `memo` keeps: its vectors are
+        # rows of their eigenvector stacks, not copies (a contiguous copy can change
+        # the last bits `values` reads), so it keeps at most one stack's entries alive
+        self.stack = max(1, STACK_ENTRIES // self.l_mat.size)
+        # t -> (top vector, [<C_B>]) for the nodes of the last frontier call's path
+        self.memo: dict[float, tuple[np.ndarray, list[float]]] = {}
 
     def values(self, vec: np.ndarray) -> tuple[float, float]:
         """(<C_B>, <L_B>) of a block state."""
         return float((vec.conj() @ self.c_mat @ vec).real), float((vec.conj() @ self.l_mat @ vec).real)
 
-    def tops(self, ts: Sequence[float]) -> Iterator[tuple[np.ndarray, list[float]]]:
-        """Top eigenvector v of cos(t) L_B - sin(t) C_B for each t in ts, with [<C_B>, <L_B>] at v.
+    def tops(self, ts: Sequence[float], mats: np.ndarray) -> Iterator[tuple[np.ndarray, list[float]]]:
+        """Top eigenvector v of cos(t) L_B - sin(t) C_B for each t in ts, with
+        the expectations at v of each matrix in the stack `mats`.
 
         The matrices go to `np.linalg.eigh` in stacks of at most STACK_ENTRIES
         entries (one matrix if a single one is larger), so memory stays at a
@@ -235,49 +244,67 @@ class _Block:
         vector and expectation is computed as for a single t, so the results
         are bitwise those of one eigenproblem and `values` per t.
         """
-        step = max(1, STACK_ENTRIES // self.l_mat.size)
+        step = self.stack
         for i in range(0, len(ts), step):
             terms = np.array([(math.sin(t), math.cos(t)) for t in ts[i : i + step]])[:, :, None, None] * self.c_and_l
             vecs = np.linalg.eigh(terms[:, 1] - terms[:, 0])[1][:, :, -1]
-            values = vecs.conj()[:, None, None, :] @ self.c_and_l @ vecs[:, None, :, None]
-            yield from zip(vecs, values.real.reshape(-1, 2).tolist())
+            values = vecs.conj()[:, None, None, :] @ mats @ vecs[:, None, :, None]
+            yield from zip(vecs, values.real.reshape(len(vecs), -1).tolist())
 
     def edge(self, q: float) -> np.ndarray:
         """Best state on the eigenspace of C_B at its end eigenvalue q (lo or hi)."""
         basis = self.c_basis[:, np.abs(self.c_spectrum - q) <= RANGE_TOL]
         return basis @ np.linalg.eigh(basis.conj().T @ self.l_mat @ basis)[1][:, -1]
 
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """`edge` at hi and at lo, solved once per block."""
+        return self.edge(self.hi), self.edge(self.lo)
+
     def frontier(self, q: float) -> tuple[np.ndarray, float]:
         """State on the frontier at <C_B> = q and the frontier's slope there.
 
         Bisects t to float resolution, keeping the top eigenvectors on either
-        side of q.  The bisection runs `bisect_levels` steps per stacked
-        eigenproblem: the midpoints of every path those steps can take, in
-        heap order, with the same expressions as one step at a time, so the
-        bracket and vectors are bitwise those of plain bisection.  Where
-        <C_B> jumps across q (the sides differ by more than RANGE_TOL), the
-        top eigenvalue at t is degenerate and the frontier is straight: the
-        two sides span that eigenspace, and its state with <C_B> = q lies on
-        the frontier.  Otherwise both sides hit q to float resolution and the
-        nearer one is returned.
+        side of q.  Where the previous call's path passed, the step is read
+        from `memo`; elsewhere the bisection runs `bisect_levels` steps per
+        stacked eigenproblem: the midpoints of every path those steps can
+        take, in heap order, with the same expressions as one step at a time,
+        so the bracket and vectors are bitwise those of plain bisection.  The
+        top vector at t depends on t alone, so a step read from `memo` is the
+        one a fresh solve would take.  At return `memo` holds this call's
+        path, its first `stack` nodes, so the vectors it keeps alive stay
+        within one stack's entries.  Where <C_B> jumps across q (the sides
+        differ by more than RANGE_TOL), the top eigenvalue at t is degenerate
+        and the frontier is straight: the two sides span that eigenspace, and
+        its state with <C_B> = q lies on the frontier.  Otherwise both sides
+        hit q to float resolution and the nearer one is returned.
         """
         a, b = -np.pi / 2, np.pi / 2
-        va, vb = self.edge(self.hi), self.edge(self.lo)
+        va, vb = self.edges
         resolution = 4 * np.finfo(float).eps
+        path = {}
         while b - a > resolution:
-            # node n brackets (ends[n]); its children 2n + 1 and 2n + 2 take its lower and upper half
-            ends, ts = [(a, b)], []
-            for n in range(2**self.bisect_levels - 1):
-                ta, tb = ends[n]
-                ts.append(0.5 * (ta + tb))
-                ends += [(ta, ts[-1]), (ts[-1], tb)]
-            nodes, n = list(self.tops(ts)), 0
+            t = 0.5 * (a + b)
+            if t in self.memo:
+                ts, nodes = [t], [self.memo[t]]
+            else:
+                # node n brackets (ends[n]); its children 2n + 1 and 2n + 2 take its lower and upper half
+                ends, ts = [(a, b)], []
+                for n in range(2**self.bisect_levels - 1):
+                    ta, tb = ends[n]
+                    ts.append(0.5 * (ta + tb))
+                    ends += [(ta, ts[-1]), (ts[-1], tb)]
+                nodes = list(self.tops(ts, self.c_mat[None]))
+            n = 0
             while n < len(nodes) and b - a > resolution:
-                v, (qv, _) = nodes[n]
+                if len(path) < self.stack:
+                    path[ts[n]] = nodes[n]
+                v, (qv,) = nodes[n]
                 if qv >= q:
                     a, va, n = ts[n], v, 2 * n + 2
                 else:
                     b, vb, n = ts[n], v, 2 * n + 1
+        self.memo = path
         qa, qb = self.values(va)[0], self.values(vb)[0]
         vec = va if qa - q <= q - qb else vb
         if qa - qb > RANGE_TOL:
@@ -298,8 +325,9 @@ class _Block:
         # slopes sinh(r) for evenly spaced r: points as dense in log <C_B>
         # near the ends of the range as around the peak
         angles = np.arctan(np.sinh(np.linspace(20.0, -20.0, 801)))
-        points = [ql for _, ql in self.tops(angles)]
-        q, l = np.array([self.values(self.edge(self.lo)), *points, self.values(self.edge(self.hi))]).T
+        points = [ql for _, ql in self.tops(angles, self.c_and_l)]
+        top, bottom = self.edges
+        q, l = np.array([self.values(bottom), *points, self.values(top)]).T
         keep = (q > 0.0) & (l > 0.0)
         return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
 
@@ -390,7 +418,10 @@ def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
     state attains it); `converged` is the polish's success.  A c more than
     RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of C, raises
     ValueError.  The maximizer holds one state per block, and `value` is the
-    <L> it attains.
+    <L> it attains.  The edge states come from each block's `edges`, solved
+    once, and the polish's frontier calls on a block share their bisection
+    steps through its `memo`, so callers that pass the same blocks for many c
+    (a curve's rows) reuse both; the value is bitwise that of fresh blocks.
     """
     lo, hi = math.prod(b.lo for b in blocks), math.prod(b.hi for b in blocks)
     if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
@@ -399,11 +430,11 @@ def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
         )
     converged = True
     if c >= hi:
-        vecs = [b.edge(b.hi) for b in blocks]
+        vecs = [b.edges[0] for b in blocks]
     elif c > lo:
         # a block whose C_B is a multiple of the identity (to RANGE_TOL) has
         # one <C_B>: it stays at its edge state and the others share c
-        vecs = [b.edge(b.hi) for b in blocks]
+        vecs = [b.edges[0] for b in blocks]
         live = [k for k, b in enumerate(blocks) if b.hi - b.lo > RANGE_TOL]
         parts = [blocks[k] for k in live]
         c_live = c / math.prod(b.hi for b in blocks if b not in parts)
@@ -418,12 +449,12 @@ def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
                 vecs[k] = b.frontier(b.hi * math.exp(-sk))[0]
             converged = bool(res.success)
     elif all(b.lo > RANGE_TOL for b in blocks):
-        vecs = [b.edge(b.lo) for b in blocks]
+        vecs = [b.edges[1] for b in blocks]
     else:
         # c = 0 puts one block with a singular C_B on its kernel; the others are free
-        free = [next(b.tops([0.0]))[0] for b in blocks]
+        free = [next(b.tops([0.0], b.c_mat[None]))[0] for b in blocks]
         options = [
-            free[:k] + [b.edge(b.lo)] + free[k + 1 :] for k, b in enumerate(blocks) if b.lo <= RANGE_TOL
+            free[:k] + [b.edges[1]] + free[k + 1 :] for k, b in enumerate(blocks) if b.lo <= RANGE_TOL
         ]
         vecs = max(options, key=lambda vs: math.prod(b.values(v)[1] for b, v in zip(blocks, vs)))
     attained = [b.values(v) for b, v in zip(blocks, vecs)]

@@ -385,10 +385,14 @@ class TestStackedFrontier:
         for seed in range(3):
             self.assert_bitwise(self.random_pair(d, seed))
 
-    def test_straight_segment_pair(self):
+    @staticmethod
+    def straight_pair():
         # the pair of the straight-frontier curve test: L = 1 - C on one qubit
         e1 = np.diag([0.9, 0.2])
-        self.assert_bitwise(_Block(uk.HermitianOperator((2,), np.eye(2) - e1), uk.HermitianOperator((2,), e1)))
+        return _Block(uk.HermitianOperator((2,), np.eye(2) - e1), uk.HermitianOperator((2,), e1))
+
+    def test_straight_segment_pair(self):
+        self.assert_bitwise(self.straight_pair())
 
     def test_stacks_hold_at_most_the_entry_cap(self, monkeypatch):
         # a block of six agents is 64-dimensional, so 801 slopes would be
@@ -404,3 +408,66 @@ class TestStackedFrontier:
         block.log_frontier
         block.frontier(0.3 * block.hi)
         assert max(sizes) == STACK_ENTRIES
+
+    @staticmethod
+    def counting_eigh(monkeypatch):
+        """Patch np.linalg.eigh to record the shape of every argument."""
+        shapes, eigh = [], np.linalg.eigh
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return shapes
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, None])
+    def test_memo_is_invisible(self, d):
+        # one block answers a shuffled run of q with repeats, SLSQP-like
+        # neighbours and near-end values; each answer is bitwise the serial
+        # reference's and a fresh block's (d None: the straight-segment pair)
+        make = self.straight_pair if d is None else lambda: self.random_pair(d, 7)
+        block = make()
+        lo, span = block.lo, block.hi - block.lo
+        qs = [lo + f * span for f in (1e-12, 0.3, 0.3 + 1e-9, 0.3 - 1e-9, 0.3 + 2e-9, 0.71, 1.0 - 1e-12)]
+        qs += [qs[1], qs[2], qs[-1], qs[0]]
+        np.random.default_rng(3).shuffle(qs)
+        for q in qs:
+            (vec, slope), (ref, ref_slope) = block.frontier(q), self.serial_frontier(block, q)
+            fresh, fresh_slope = make().frontier(q)
+            assert np.array_equal(vec, ref) and np.array_equal(vec, fresh), q
+            assert slope == ref_slope == fresh_slope, q
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_memo_reuse_is_real_and_bounded(self, monkeypatch, d):
+        shapes = self.counting_eigh(monkeypatch)
+        block, fresh = self.random_pair(d, 5), self.random_pair(d, 5)
+        fresh.edges  # compare bisection work only
+        span = block.hi - block.lo
+        q = block.lo + 0.4 * span
+        block.frontier(q)
+        shapes.clear()
+        block.frontier(q)
+        assert shapes == []
+        # a cold call's solved nodes: the matrices of its stacks
+        fresh.frontier(q + 1e-9 * span)
+        solved = sum(shape[0] for shape in shapes if len(shape) == 3)
+        cold, shapes[:] = len(shapes), []
+        block.frontier(q + 1e-9 * span)
+        assert len(shapes) < cold
+        for q in np.random.default_rng(d).uniform(block.lo, block.hi, 100):
+            block.frontier(q)
+        assert 0 < len(block.memo) <= min(solved, block.stack)
+
+    def test_memo_keeps_at_most_one_stack(self, monkeypatch):
+        # a block of six is 64-dimensional: the memo keeps the first
+        # STACK_ENTRIES / 64^2 = 16 nodes of a path, and a repeat solves the rest
+        shapes = self.counting_eigh(monkeypatch)
+        block = _Block(*uk.multi_operators(devices(X, 6)))
+        block.edges
+        shapes.clear()
+        block.frontier(0.3 * block.hi)
+        cold, shapes[:] = len(shapes), []
+        assert len(block.memo) == block.stack == STACK_ENTRIES // 64**2
+        block.frontier(0.3 * block.hi)
+        assert len(shapes) == cold - block.stack
