@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qcore import ProductState, PureState
 from .sampler import stream
@@ -283,6 +282,8 @@ def _solve_from(
     sign: float,
     index: int,
 ) -> _Candidate:
+    from scipy.optimize import minimize  # deferred: importing the CLI stays free of scipy
+
     if c_value is None:
         def negated(p):
             v_l, g_l, _, _ = objective.eval(p)
@@ -301,6 +302,8 @@ def _solve_from(
 
 def _slsqp(objective: PairObjective, x0: np.ndarray, c_value: float, sign: float):
     """One SLSQP maximization of sign*<L> subject to <C> = c_value."""
+    from scipy.optimize import minimize
+
     last: dict = {}
 
     def evaluated(p):

@@ -24,7 +24,6 @@ from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._optimize import MAXITER, RANGE_TOL, SLSQP_FTOL, BoundResult
 from ._optimize import optimize_product_bound  # noqa: F401  (patched by perfbench/tracing.py)
@@ -363,6 +362,7 @@ def _polish(blocks: Sequence[_Block], s0: np.ndarray, s_total: float):
     from s0, on the exact frontiers with their slopes for the gradient.  The
     variables are the fractions s_B / s_total, so that a c near the top of
     its range, where s_total is tiny, is as well scaled as any other."""
+    from scipy.optimize import minimize  # deferred: importing the CLI stays free of scipy
 
     def negated(r):
         value, grad = 0.0, np.empty(len(blocks))

@@ -115,6 +115,13 @@ class Povm:
     def n_outcomes(self) -> int:
         return len(self.effects)
 
+    @functools.cached_property
+    def effect_stack(self) -> np.ndarray:
+        """The effect matrices stacked along a leading outcome axis, read-only."""
+        stack = np.stack([e.op.mat for e in self.effects])
+        stack.setflags(write=False)
+        return stack
+
     def effect(self, outcome: int) -> Effect:
         """Effect for a 1-based outcome index."""
         if not 1 <= outcome <= len(self.effects):

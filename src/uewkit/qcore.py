@@ -30,6 +30,7 @@ __all__ = [
     "tensor",
     "expectation",
     "commutator_norm",
+    "bloch_form",
     "partial_transpose",
     "min_eigenvalue",
     "is_ppt",
@@ -114,7 +115,12 @@ class DensityMatrix(HermitianOperator):
         tr = self.mat.trace().real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        lam = np.linalg.eigvalsh(self.mat)[0]
+        diagonal = self.mat.diagonal()
+        if np.count_nonzero(self.mat) == np.count_nonzero(diagonal):
+            # no off-diagonal entry: the spectrum is the real diagonal, as eigvalsh returns it
+            lam = diagonal.real.min()
+        else:
+            lam = np.linalg.eigvalsh(self.mat)[0]
         if lam < -PSD_TOL:
             raise ValueError(f"not PSD: min eigenvalue {lam:.3e}")
 
@@ -238,6 +244,16 @@ def partial_transpose(rho: HermitianOperator, party_index: int) -> HermitianOper
     t = np.swapaxes(t, party_index, k + party_index)
     n = rho.total_dim
     return HermitianOperator(dims, t.reshape(n, n))
+
+
+def bloch_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decompose 2x2 Hermitians M = m0 I + m.sigma into (m0, m) arrays, so
+    that a qubit state with Bloch vector n has <M> = m0 + m.n."""
+    m0 = np.trace(mats, axis1=-2, axis2=-1).real / 2.0
+    mx = mats[..., 1, 0].real
+    my = mats[..., 1, 0].imag
+    mz = (mats[..., 0, 0] - mats[..., 1, 1]).real / 2.0
+    return m0, np.stack([mx, my, mz], axis=-1)
 
 
 def min_eigenvalue(h: HermitianOperator) -> float:

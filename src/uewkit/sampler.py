@@ -15,10 +15,9 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, minimize
 
 from .povm import Povm, selected_effects
-from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, load_json, save_json
+from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, bloch_form, load_json, save_json
 from .qcore import tensor  # noqa: F401  # perfbench/tracing.py patches uewkit.sampler.tensor
 
 __all__ = [
@@ -109,10 +108,15 @@ class EstimateResult:
     shots: int
 
 
-def _bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n qubit states uniform on the Bloch sphere: cos(theta) ~ U(-1,1)."""
+def _bloch_angles(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos(theta), phi) of n points uniform on the Bloch sphere: cos(theta) ~ U(-1,1)."""
     cos_t = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return cos_t, rng.uniform(0.0, 2.0 * np.pi, size=n)
+
+
+def _bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n qubit states uniform on the Bloch sphere, as amplitudes."""
+    cos_t, phi = _bloch_angles(rng, n)
     half = np.arccos(cos_t) / 2.0
     out = np.empty((n, 2), dtype=np.complex128)
     out[:, 0] = np.cos(half)
@@ -138,13 +142,22 @@ def sample_product_state(dims: Sequence[int], seed: int) -> ProductState:
 def scatter(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], n: int, seed: int) -> np.ndarray:
     """(n, 2) array of (<C>, <L>) over random pure product states, C and L the
     `product_operator`s at `c_indices` and `l_indices`: each value is a product
-    of per-party <f|E|f>, the factors drawn per subsystem in dims order."""
+    of per-party <f|E|f>, the factors drawn per subsystem in dims order.  A
+    qubit party's <f|E|f> is e0 + e.n from its Bloch vector n, read off the
+    same two draws that give its amplitudes."""
     pairs = zip(selected_effects(povms, c_indices), selected_effects(povms, l_indices))
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = stream(seed)
     vals = np.ones((n, 2))
     for povm, effects in zip(povms, pairs):
+        if povm.dims == (2,):
+            cos_t, phi = _bloch_angles(rng, n)
+            sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
+            bloch = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
+            e0, e = bloch_form(np.stack([effect.op.mat for effect in effects]))
+            vals *= e0 + bloch @ e.T
+            continue
         f = np.ones((n, 1))
         for d in povm.dims:
             g = _bloch_vectors(rng, n) if d == 2 else _haar_vectors(rng, n, d)
@@ -175,7 +188,7 @@ def joint_probabilities(rho: DensityMatrix, povms: Sequence[Povm]) -> np.ndarray
     t = rho.mat.reshape(tuple(math.prod(p.dims) for p in povms) * 2)
     for i, p in enumerate(povms):
         # Tr(E rho): E's rows meet this party's column axis of rho, its columns the row axis
-        t = np.tensordot(t, np.stack([e.op.mat for e in p.effects]), axes=([0, len(povms) - i], [2, 1]))
+        t = np.tensordot(t, p.effect_stack, axes=([0, len(povms) - i], [2, 1]))
     total = t.real.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"outcome probabilities sum to {total}, not 1 (invalid POVM or state)")
@@ -233,15 +246,6 @@ def weighted_estimate(
     return value, math.sqrt(max(var, 0.0) / n)
 
 
-def _bloch_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose 2x2 Hermitians M = m0 I + m.sigma into (m0, m) arrays."""
-    m0 = np.trace(mats, axis1=-2, axis2=-1).real / 2.0
-    mx = mats[..., 1, 0].real
-    my = mats[..., 1, 0].imag
-    mz = (mats[..., 0, 0] - mats[..., 1, 1]).real / 2.0
-    return m0, np.stack([mx, my, mz], axis=-1)
-
-
 def _bloch_state(r: np.ndarray) -> np.ndarray:
     """Unit Bloch vector -> qubit amplitudes (theta from z, phase from x+iy)."""
     theta = np.arccos(np.clip(r[2], -1.0, 1.0))
@@ -266,6 +270,8 @@ def brute_force_constrained_sup(
     finite-difference gradients, sharing no code with the production
     optimizer.  Accuracy O(1/resolution), dominated by the B grid.
     """
+    from scipy.optimize import NonlinearConstraint, minimize  # deferred: importing the CLI stays free of scipy
+
     if l_op.dims != (2, 2) or c_op.dims != (2, 2):
         raise ValueError("the brute-force oracle handles two qubit parties only")
     if not 2 <= resolution <= 400:
@@ -283,8 +289,8 @@ def brute_force_constrained_sup(
     # partial expectation over party B for every grid state: 2x2 forms on A
     mb_l = np.einsum("bj,ijkl,bl->bik", single.conj(), l4, single)
     mb_c = np.einsum("bj,ijkl,bl->bik", single.conj(), c4, single)
-    l0, lv = _bloch_form(mb_l)
-    c0, cv = _bloch_form(mb_c)
+    l0, lv = bloch_form(mb_l)
+    c0, cv = bloch_form(mb_c)
 
     c_norm = np.linalg.norm(cv, axis=1)
     degenerate = c_norm < 1e-14

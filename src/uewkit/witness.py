@@ -27,10 +27,11 @@ which at an end of the range is the envelope's limit there, not the end row.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -559,23 +560,30 @@ def curve_from_csv(path: Union[str, Path], fingerprint: str = "") -> Separabilit
 
     Each row holds exactly the four header fields: finite numbers c and g,
     converged `true` or `false` and an integer restarts; any other row
-    raises ValueError naming it.
+    raises ValueError naming it.  The file is read on every call and parsed
+    once per distinct (text, fingerprint): a repeat returns the same frozen
+    curve, and a rewritten file is parsed afresh.
     """
-    points = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["c", "g", "converged", "restarts"]:
-            raise ValueError(f"unexpected curve CSV header {reader.fieldnames}")
-        for row in reader:
-            where = f"curve CSV line {reader.line_num}"
-            # DictReader fills a short row with None values and files extra fields under None
-            if None in row or None in row.values():
-                raise ValueError(f"{where} does not hold exactly the fields c,g,converged,restarts")
-            if row["converged"] not in ("true", "false"):
-                raise ValueError(f"{where}: converged must be true or false, got {row['converged']!r}")
-            try:
-                c, g, restarts = float(row["c"]), float(row["g"]), int(row["restarts"])
-            except ValueError:
-                raise ValueError(f"{where}: c and g must be numbers and restarts an integer") from None
-            points.append(CurvePoint(c, g, row["converged"] == "true", restarts))
+        return _parse_curve(fh.read(), fingerprint)
+
+
+@lru_cache(maxsize=4)
+def _parse_curve(text: str, fingerprint: str) -> SeparabilityCurve:
+    points = []
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != ["c", "g", "converged", "restarts"]:
+        raise ValueError(f"unexpected curve CSV header {reader.fieldnames}")
+    for row in reader:
+        where = f"curve CSV line {reader.line_num}"
+        # DictReader fills a short row with None values and files extra fields under None
+        if None in row or None in row.values():
+            raise ValueError(f"{where} does not hold exactly the fields c,g,converged,restarts")
+        if row["converged"] not in ("true", "false"):
+            raise ValueError(f"{where}: converged must be true or false, got {row['converged']!r}")
+        try:
+            c, g, restarts = float(row["c"]), float(row["g"]), int(row["restarts"])
+        except ValueError:
+            raise ValueError(f"{where}: c and g must be numbers and restarts an integer") from None
+        points.append(CurvePoint(c, g, row["converged"] == "true", restarts))
     return SeparabilityCurve(tuple(points), fingerprint)

@@ -1,8 +1,12 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,48 @@ def test_certify_round_trip(tmp_path, curve_files):
         "certify", "--counts", counts_mm, "--curve", curve_files, "--out", verdict_path
     ) == 0
     assert json.loads(verdict_path.read_text())["verdict"]["entangled"] is False
+
+
+def test_certify_reads_a_rewritten_curve(tmp_path, curve_files, capsys):
+    # one process, one curve path: each certify reads the rows the file holds then
+    counts = tmp_path / "counts.json"
+    assert run(
+        "simulate", "--preset", "optimal-entangled", "--c", 0, "--x", "2/3",
+        "--shots", 200000, "--seed", 7, "--out", counts,
+    ) == 0
+    curve, verdict_path = tmp_path / "curve.csv", tmp_path / "verdict.json"
+    curve.write_bytes(curve_files.read_bytes())
+    argv = ("certify", "--counts", counts, "--curve", curve, "--out", verdict_path)
+    assert run(*argv) == 0
+    assert json.loads(verdict_path.read_text())["verdict"]["entangled"] is True
+
+    curve.write_text("c,g,converged,restarts\n0,0.9,true,0\n0.2,0.9,true,0\n0.444444444444,0.9,true,0\n")
+    assert run(*argv) == 0
+    payload = json.loads(verdict_path.read_text())
+    est = payload["estimate"]
+    assert payload["verdict"]["entangled"] is False
+    assert payload["verdict"]["margin"] == pytest.approx(est["l_hat"] - 3 * est["sigma_l"] - 0.9, abs=1e-11)
+
+    curve.write_text("c,g,converged,restarts\n0,0.9,true,0\n0.2,0.9,yes,0\n0.444444444444,0.9,true,0\n")
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert "curve CSV line 3: converged must be true or false, got 'yes'" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy's optimizers load on the first bound or curve, not with the CLI
+    code = (
+        "import sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import uewkit\n"
+        "after_package = loaded()\n"
+        "import uewkit.cli\n"
+        "print(after_package, loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(uk.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] []"
 
 
 def test_simulate_state_file(tmp_path, curve_files):

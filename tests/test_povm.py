@@ -43,6 +43,14 @@ def test_equal_params_share_one_frozen_device():
         a.effect(2).op.mat[0, 0] = 1.0
 
 
+def test_effect_stack_is_cached_and_read_only(povm23):
+    stack = povm23.effect_stack
+    assert stack is povm23.effect_stack
+    assert np.array_equal(stack, np.stack([e.op.mat for e in povm23.effects]))
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+
+
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.7])
 def test_rejects_degenerate_x(x):
     with pytest.raises(ValueError):

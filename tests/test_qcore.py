@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import uewkit as uk
 from uewkit import qcore
 
-from conftest import bell_state
+from conftest import bell_state, random_hermitian
 
 I2 = np.eye(2)
 
@@ -162,6 +163,15 @@ def test_is_ppt_random_product_states():
         assert uk.is_ppt(uk.pure_density(st))
 
 
+def test_bloch_form_rebuilds_the_matrices():
+    rng = np.random.default_rng(3)
+    mats = np.stack([random_hermitian(2, rng) for _ in range(5)])
+    m0, m = qcore.bloch_form(mats)
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    rebuilt = m0[:, None, None] * I2 + np.einsum("bk,kij->bij", m, paulis)
+    np.testing.assert_allclose(rebuilt, mats, rtol=0, atol=1e-15)
+
+
 class TestInvariantValidation:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -175,6 +185,31 @@ class TestInvariantValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             uk.DensityMatrix((2,), np.diag([1.5, -0.5]))
+
+    def test_rejects_diagonal_with_negative_entry(self, monkeypatch):
+        # a diagonal state is checked from its diagonal, with the dense check's message
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("a diagonal state needs no eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        with pytest.raises(ValueError, match=r"^not PSD: min eigenvalue -1\.000e-06$"):
+            uk.DensityMatrix((2, 2), np.diag([0.5, 0.3, 0.2 + 1e-6, -1e-6]))
+        uk.DensityMatrix((2, 2), np.diag([0.5, 0.3, 0.2, 0.0]))
+
+    def test_off_diagonal_state_still_takes_eigvalsh(self):
+        # unit trace, positive diagonal, eigenvalues 1.1 and -0.1
+        with pytest.raises(ValueError, match=r"^not PSD: min eigenvalue -1\.000e-01$"):
+            uk.DensityMatrix((2,), np.array([[0.5, 0.6], [0.6, 0.5]]))
+
+    def test_ten_party_maximally_mixed_validates_fast(self):
+        # the N = 10 preset: a dense eigvalsh of the 1024 x 1024 matrix took ~0.6 s
+        eye = qcore.identity((2,) * 10)
+        spent = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            uk.DensityMatrix(eye.dims, eye.mat / eye.total_dim)
+            spent.append(time.perf_counter() - t0)
+        assert min(spent) < 0.1
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError):

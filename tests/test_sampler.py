@@ -87,16 +87,17 @@ class TestScatter:
         )
 
 
-def random_qutrit_povm(rng):
-    """Three-outcome qutrit POVM: random PSD parts normalized by their sum."""
+def random_povm(rng, dim):
+    """Three-outcome POVM on one party of `dim`: random complex PSD parts
+    normalized by their sum."""
     parts = []
     for _ in range(3):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         parts.append(g @ g.conj().T)
     w, v = np.linalg.eigh(sum(parts))
     inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
     return uk.Povm(
-        tuple(uk.Effect(uk.HermitianOperator((3,), inv_sqrt @ a @ inv_sqrt)) for a in parts)
+        tuple(uk.Effect(uk.HermitianOperator((dim,), inv_sqrt @ a @ inv_sqrt)) for a in parts)
     )
 
 
@@ -119,6 +120,28 @@ class TestScatterAgainstDense:
         np.testing.assert_allclose(pts[:, 0], dense_c, rtol=0, atol=1e-14)
         np.testing.assert_allclose(pts[:, 1], dense_l, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_qubit_parties_match_dense_expectations(self, seed):
+        # qubit parties are read in closed form from their Bloch vectors; the
+        # random POVMs have complex off-diagonals, so the sigma_y part counts
+        rng = np.random.default_rng(seed)
+        device = uk.build_three_outcome(uk.ThreeOutcomeParams(2.0 / 3.0, 1.7))
+        povms = [random_povm(rng, 2), device, random_povm(rng, 2)]
+        assert all(e.op.mat[1, 0].imag != 0 for p in povms[::2] for e in p.effects)
+        l_idx, c_idx = (1, 2, 3), (3, 3, 2)
+        n = 2000
+        draws = uk.stream(seed)
+        psi = np.ones((n, 1))
+        for _ in povms:
+            psi = np.einsum("ni,nj->nij", psi, sampler._bloch_vectors(draws, n)).reshape(n, -1)
+        l_mat = uk.product_operator(povms, l_idx).mat
+        c_mat = uk.product_operator(povms, c_idx).mat
+        dense_c = np.einsum("ni,ij,nj->n", psi.conj(), c_mat, psi).real
+        dense_l = np.einsum("ni,ij,nj->n", psi.conj(), l_mat, psi).real
+        pts = uk.scatter(povms, l_idx, c_idx, n, seed=seed)
+        np.testing.assert_allclose(pts[:, 0], dense_c, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(pts[:, 1], dense_l, rtol=0, atol=1e-14)
+
     def test_index_length_mismatch(self, povm23):
         with pytest.raises(ValueError, match="2 parties but 1 outcome indices"):
             uk.scatter([povm23, povm23], (2,), (1, 1), 10, seed=1)
@@ -128,7 +151,7 @@ class TestJointProbabilities:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_dense_reference(self, povm23, seed):
         rng = np.random.default_rng(seed)
-        povms = [povm23, random_qutrit_povm(rng), povm23]
+        povms = [povm23, random_povm(rng, 3), povm23]
         rho = sampler.random_density_matrix((2, 3, 2), rng)
         probs = sampler.joint_probabilities(rho, povms)
         assert probs.shape == (3, 3, 3)

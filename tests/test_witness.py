@@ -298,6 +298,26 @@ class TestSeparabilityCurve:
         # by less than one unit in the twelfth significant digit
         assert np.all(back.g_values - small_curve.g_values <= 1e-11 * np.abs(small_curve.g_values))
 
+    def test_csv_parsed_once_per_text_and_fingerprint(self, tmp_path, monkeypatch):
+        built = []
+        curve_type = uk.witness.SeparabilityCurve
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return curve_type(*args, **kwargs)
+
+        monkeypatch.setattr(uk.witness, "SeparabilityCurve", counting)
+        path = tmp_path / "curve.csv"
+        path.write_text("c,g,converged,restarts\n0,0.31,true,0\n0.1,0.3125,true,0\n0.2,0.2,true,0\n")
+        first = uk.curve_from_csv(path, fingerprint="a")
+        assert len(built) == 1
+        assert uk.curve_from_csv(path, fingerprint="a") is first
+        assert len(built) == 1
+        other = uk.curve_from_csv(path, fingerprint="b")
+        assert len(built) == 2
+        assert (first.operator_fingerprint, other.operator_fingerprint) == ("a", "b")
+        assert other.points == first.points
+
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
