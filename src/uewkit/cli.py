@@ -200,8 +200,7 @@ def _preset_state(args) -> qcore.DensityMatrix:
         state = witness.optimal_entangled_state(args.theta, args.c)
         return qcore.pure_density(state)
     if args.preset == "maximally-mixed":
-        eye = qcore.identity((2,) * args.parties)  # checks the dims before allocating
-        return qcore.DensityMatrix(eye.dims, eye.mat / eye.total_dim)
+        return qcore.maximally_mixed((2,) * args.parties)
     if args.preset == "bell":
         vec = np.zeros(4)
         vec[0] = vec[3] = 1.0 / np.sqrt(2.0)

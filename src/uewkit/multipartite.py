@@ -12,14 +12,16 @@ c = 0 separable bound depends only on the largest block size M_k:
 
 `numeric_partition_bound` extends this to any attainable c without a
 multistart: L and C factor across blocks, so each block is solved on its own
-2^|B| space from eigenproblems, and the blocks meet in a search over K - 1
-scalars for K blocks.  Its cost grows with the largest block, not with N.
+2^|B| space, in closed form for a one-qubit block and from eigenproblems for
+a larger one, and the blocks meet in a search over K - 1 scalars for K
+blocks.  Its cost grows with the largest block, not with N.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Iterator, Sequence
 
@@ -28,7 +30,7 @@ import numpy as np
 from ._optimize import MAXITER, RANGE_TOL, SLSQP_FTOL, BoundResult
 from ._optimize import optimize_product_bound  # noqa: F401  (patched by perfbench/tracing.py)
 from .povm import Povm, ThreeOutcomeParams, chi_vectors, product_operator
-from .qcore import CapacityError, HermitianOperator, ProductState, PureState
+from .qcore import CapacityError, HermitianOperator, ProductState, PureState, bloch_form, bloch_state
 
 __all__ = [
     "Partition",
@@ -45,6 +47,8 @@ MAX_AGENTS = 12
 STACK_ENTRIES = 2**16
 # bisection steps per stacked eigh of a d-dim block, by ceil(log2 d); 1 beyond
 BISECT_LEVELS = (4, 4, 3, 2)
+# unit roundoff of a float: the relative rounding of c and of the block tops
+ROUNDING = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,93 @@ def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool)
     return "super-bound-anomaly"
 
 
-class _Block:
+class _Range:
+    """The range interface every block offers `_block_bound`.
+
+    A block holds its operators `l_mat` and `c_mat` on `dims`, and offers:
+    `lo` and `hi`, the ends of <C_B>; `edges`, its best states at hi and at
+    lo; `free`, the top eigenvector of L_B; and its upper frontier
+    m(q) = max{<L_B> : <C_B> = q} at log-deficits s = log(hi / q):
+    `log_frontier_at(s)`, log m on an array of s for `_split`, and
+    `point(s)`, the state on the frontier with its <L_B> and the slope dm/dq
+    there.  The deficit, not q, crosses the interface, so that a q a
+    rounding away from hi keeps its digits.
+    """
+
+    def values(self, vec: np.ndarray) -> tuple[float, float]:
+        """(<C_B>, <L_B>) of a block state."""
+        return float((vec.conj() @ self.c_mat @ vec).real), float((vec.conj() @ self.l_mat @ vec).real)
+
+
+class _Ellipse(_Range):
+    """One qubit party's range in closed form.
+
+    A qubit state with Bloch vector n has <C_B> = c0 + c.n and <L_B> =
+    l0 + l.n (`qcore.bloch_form`), so the reachable (<C_B>, <L_B>) set is an
+    affine image of the Bloch ball: a filled ellipse (C.-K. Li, Proc. AMS
+    124, 1985 (1996)).  With u = n.c/|c| and alpha, beta the parts of l
+    along and across c, its upper frontier is m = l0 + alpha u +
+    beta sqrt(1 - u^2), touched by n = u c/|c| + sqrt(1 - u^2) l_perp/beta.
+    `at` evaluates it from the nearer end's deficit t = 1 - |u|, with
+    sqrt(1 - u^2) = sqrt(t (2 - t)), so q close to an end keeps its
+    digits; the slope, the touch state and `log_frontier_at` come from the
+    same formula, with no eigenproblem, table or memo.  beta = 0 is a
+    straight frontier; |c| = 0 (C_B a multiple of the identity) leaves no
+    frontier, and `_block_bound` holds such a block at its edge.
+    """
+
+    def __init__(self, l_op: HermitianOperator, c_op: HermitianOperator):
+        self.dims, self.c_mat, self.l_mat = l_op.dims, c_op.mat, l_op.mat
+        m0, (c, self.l) = bloch_form(np.stack([c_op.mat, l_op.mat]))
+        self.c0, self.l0 = m0.tolist()
+        self.width = math.hypot(*c)  # |c|: <C_B> spans c0 -+ width
+        self.lo, self.hi = self.c0 - self.width, self.c0 + self.width
+        self.along = c / self.width if self.width > 0 else np.array([0.0, 0.0, 1.0])
+        self.alpha = float(self.l @ self.along)
+        across = self.l - self.alpha * self.along
+        self.beta = math.hypot(*across)
+        if self.beta == 0.0:
+            # a straight frontier: <C_B> and <L_B> only see u, and any unit normal to c serves
+            across = np.cross(self.along, np.eye(3)[np.argmin(np.abs(self.along))])
+        self.across = across / math.hypot(*across)
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        norm = math.hypot(*self.l)
+        return bloch_state(self.l / norm if norm > 0 else np.array([0.0, 0.0, 1.0]))
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.hi - self.lo <= RANGE_TOL:  # both ends lie in one eigenspace, the whole space
+            return self.free, self.free
+        return bloch_state(self.along), bloch_state(-self.along)
+
+    def at(self, t: float, side: float) -> tuple[np.ndarray, float, float]:
+        """Frontier state, <L_B> and slope at deficit t = 1 - |u| from the top
+        (side 1) or the bottom (side -1) end."""
+        u, w = side * (1.0 - t), math.sqrt(t * (2.0 - t))
+        value = self.l0 + self.alpha * u + self.beta * w
+        # at an end itself (w = 0) the slope is that of the nearest deficit a float resolves
+        slope = (self.alpha - self.beta * u / max(w, np.finfo(float).eps)) / self.width
+        return bloch_state(u * self.along + w * self.across), value, slope
+
+    def point(self, s: float) -> tuple[np.ndarray, float, float]:
+        top = -self.hi * math.expm1(-s)  # hi - q, with no q formed near hi
+        if top <= self.width:
+            return self.at(max(top, 0.0) / self.width, 1.0)
+        # at s = log(hi / lo) a rounding can put hi exp(-s) just below lo
+        return self.at(max(self.hi * math.exp(-s) - self.lo, 0.0) / self.width, -1.0)
+
+    def log_frontier_at(self, s: np.ndarray) -> np.ndarray:
+        top = -self.hi * np.expm1(-s)
+        side = np.where(top <= self.width, 1.0, -1.0)
+        t = np.where(side > 0, top, self.hi * np.exp(-s) - self.lo) / self.width
+        with np.errstate(invalid="ignore", divide="ignore"):  # below lo (t < 0): no state, -inf
+            values = self.l0 + self.alpha * side * (1.0 - t) + self.beta * np.sqrt(t * (2.0 - t))
+            return np.where(t >= 0.0, np.log(np.maximum(values, 0.0)), -np.inf)
+
+
+class _Block(_Range):
     """One block's operators L_B and C_B, any Hermitian pair on its space, and their frontier.
 
     The block's reachable (<C_B>, <L_B>) set is convex (Toeplitz-Hausdorff),
@@ -227,10 +317,6 @@ class _Block:
         self.stack = max(1, STACK_ENTRIES // self.l_mat.size)
         # t -> (top vector, [<C_B>]) for the nodes of the last frontier call's path
         self.memo: dict[float, tuple[np.ndarray, list[float]]] = {}
-
-    def values(self, vec: np.ndarray) -> tuple[float, float]:
-        """(<C_B>, <L_B>) of a block state."""
-        return float((vec.conj() @ self.c_mat @ vec).real), float((vec.conj() @ self.l_mat @ vec).real)
 
     def tops(self, ts: Sequence[float], mats: np.ndarray) -> Iterator[tuple[np.ndarray, list[float]]]:
         """Top eigenvector v of cos(t) L_B - sin(t) C_B for each t in ts, with
@@ -259,6 +345,19 @@ class _Block:
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """`edge` at hi and at lo, solved once per block."""
         return self.edge(self.hi), self.edge(self.lo)
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        return next(self.tops([0.0], self.c_mat[None]))[0]
+
+    def point(self, s: float) -> tuple[np.ndarray, float, float]:
+        vec, slope = self.frontier(self.hi * math.exp(-s))
+        return vec, self.values(vec)[1], slope
+
+    def log_frontier_at(self, s: np.ndarray) -> np.ndarray:
+        """`log_frontier` read at log-deficits s; -inf where q = hi exp(-s) < lo."""
+        f = np.interp(np.log(self.hi) - s, *self.log_frontier)
+        return np.where(self.hi * np.exp(-s) >= self.lo, f, -np.inf)
 
     def frontier(self, q: float) -> tuple[np.ndarray, float]:
         """State on the frontier at <C_B> = q and the frontier's slope there.
@@ -331,15 +430,12 @@ class _Block:
         return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
 
 
-def _split(blocks: Sequence[_Block], s_total: float) -> np.ndarray:
+def _split(blocks: Sequence[_Range], s_total: float) -> np.ndarray:
     """Deficits s_B = log hi_B - log <C_B>, summing to s_total, that maximize
-    the product of the tabulated block frontiers: dynamic programming over a
-    grid of s."""
+    the product of the block frontiers read at a grid of s (`log_frontier_at`):
+    dynamic programming over that grid."""
     s = np.linspace(0.0, s_total, 1001)
-    tables = []
-    for b in blocks:
-        f = np.interp(np.log(b.hi) - s, *b.log_frontier)
-        tables.append(np.where(b.hi * np.exp(-s) >= b.lo, f, -np.inf))
+    tables = [b.log_frontier_at(s) for b in blocks]
     j = np.arange(s.size)
     best, picks = tables[0], []
     for f in tables[1:-1]:
@@ -357,7 +453,7 @@ def _split(blocks: Sequence[_Block], s_total: float) -> np.ndarray:
     return s[shares[::-1]]
 
 
-def _polish(blocks: Sequence[_Block], s0: np.ndarray, s_total: float):
+def _polish(blocks: Sequence[_Range], s0: np.ndarray, s_total: float):
     """Maximize sum log m_B(hi_B exp(-s_B)) subject to sum s_B = s_total
     from s0, on the exact frontiers with their slopes for the gradient.  The
     variables are the fractions s_B / s_total, so that a c near the top of
@@ -367,11 +463,10 @@ def _polish(blocks: Sequence[_Block], s0: np.ndarray, s_total: float):
     def negated(r):
         value, grad = 0.0, np.empty(len(blocks))
         for k, (b, rk) in enumerate(zip(blocks, r)):
-            q = b.hi * math.exp(-s_total * rk)
-            vec, slope = b.frontier(q)
-            l = b.values(vec)[1]
+            s = s_total * rk
+            _, l, slope = b.point(s)
             value += math.log(l)
-            grad[k] = -s_total * q * slope / l
+            grad[k] = -s_total * (b.hi * math.exp(-s)) * slope / l
         return -value, -grad
 
     constraint = {"type": "eq", "fun": lambda r: r.sum() - 1.0, "jac": lambda r: np.ones_like(r)}
@@ -398,11 +493,31 @@ def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: floa
         raise ValueError(f"partition covers {partition.n_agents} agents, got {len(povms)} devices")
     _check_agents(len(povms))
     agents = [[povms[i - 1] for i in b] for b in partition.blocks]
-    blocks = [_Block(product_operator(a, [2] * len(a)), product_operator(a, [1] * len(a))) for a in agents]
+    blocks = [_range_of(product_operator(a, [2] * len(a)), product_operator(a, [1] * len(a))) for a in agents]
     return _block_bound(blocks, c)
 
 
-def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
+def _range_of(l_op: HermitianOperator, c_op: HermitianOperator) -> _Range:
+    """A block's range: the closed-form ellipse on one qubit, eigenproblems on any other space."""
+    return _Ellipse(l_op, c_op) if l_op.dims == (2,) else _Block(l_op, c_op)
+
+
+def _log_deficit(blocks: Sequence[_Range], c: float) -> float:
+    """log(prod hi_B / c) + ROUNDING, the total log-deficit an interior c hands the blocks.
+
+    The ratio of the floats is taken exactly (`Fraction`), so a c a few
+    roundings below the top keeps every digit of its deficit.  The added
+    unit roundoff makes the bound hold at c exp(-ROUNDING), one rounding
+    below c, too: c and the block tops place the top of the range only to
+    about one rounding (a parameter such as x = 2/3 reaches its float with a
+    relative rounding of 2^-54), and within ~1e-12 of the top one rounding
+    moves g by ~1e-11.  Away from the top the shift moves g by a few 1e-16.
+    """
+    top = math.prod(Fraction(b.hi) for b in blocks)
+    return math.log1p(float((top - Fraction(c)) / Fraction(c))) + ROUNDING
+
+
+def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
     """Sup of <L> = prod <L_B> over block-product states with <C> = prod <C_B> = c.
 
     The bound is the maximum of prod m_B(q_B) subject to prod q_B = c.  At
@@ -413,53 +528,52 @@ def _block_bound(blocks: Sequence[_Block], c: float) -> BoundResult:
     eigenvector of its L_B, and the others take the rest of c: a single one
     is its frontier there; with several, a grid over how log c splits among
     them picks the split, with no random draws, and SLSQP on the exact
-    frontiers polishes it.  That split is a local
-    optimum, not a proven one, so the value can read low (never high: a
-    state attains it); `converged` is the polish's success.  A c more than
+    frontiers polishes it.  The blocks receive log-deficits
+    (`_log_deficit`), never a rounded <C_B>.  That split is a local
+    optimum, not a proven one, so the value can read low;
+    `converged` is the polish's success.  A c more than
     RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of C, raises
     ValueError.  The maximizer holds one state per block, and `value` is the
-    <L> it attains.  The edge states come from each block's `edges`, solved
-    once, and the polish's frontier calls on a block share their bisection
-    steps through its `memo`, so callers that pass the same blocks for many c
-    (a curve's rows) reuse both; the value is bitwise that of fresh blocks.
+    product of the blocks' frontier values, each the <L_B> of its state at
+    the deficit it was given (at an end or at c = 0, the <L_B> the state
+    attains).  The edge states come from each block's `edges`, solved once,
+    and an eigenproblem block's frontier calls share their bisection steps
+    through its `memo`, so callers that pass the same blocks for many c (a
+    curve's rows) reuse both; the value is bitwise that of fresh blocks.
     """
     lo, hi = math.prod(b.lo for b in blocks), math.prod(b.hi for b in blocks)
     if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
         raise ValueError(
             f"constraint value {c} outside the spectrum [{lo:.12g}, {hi:.12g}] of C: no state attains it"
         )
-    converged = True
-    if c >= hi:
-        vecs = [b.edges[0] for b in blocks]
-    elif c > lo:
+    converged, on_frontier = True, {}
+    vecs = [b.edges[0] for b in blocks]
+    s_total = _log_deficit(blocks, c) if lo < c < hi else 0.0
+    if s_total > 0.0:
         # a block whose C_B is a multiple of the identity (to RANGE_TOL) has
         # one <C_B>: it stays at its edge state and the others share c
-        vecs = [b.edges[0] for b in blocks]
         live = [k for k, b in enumerate(blocks) if b.hi - b.lo > RANGE_TOL]
         parts = [blocks[k] for k in live]
-        c_live = c / math.prod(b.hi for b in blocks if b not in parts)
-        hi_live = math.prod(b.hi for b in parts)
         if len(parts) == 1:
-            vecs[live[0]] = parts[0].frontier(c_live)[0]
-        elif parts and c_live < hi_live:
-            s_total = math.log(hi_live / c_live)
+            vecs[live[0]], on_frontier[live[0]], _ = parts[0].point(s_total)
+        elif parts:
             res = _polish(parts, _split(parts, s_total), s_total)
             s = s_total * (res.x + (1.0 - res.x.sum()) / len(parts))
             for k, b, sk in zip(live, parts, s):
-                vecs[k] = b.frontier(b.hi * math.exp(-sk))[0]
+                vecs[k], on_frontier[k], _ = b.point(sk)
             converged = bool(res.success)
-    elif all(b.lo > RANGE_TOL for b in blocks):
+    elif c <= lo and all(b.lo > RANGE_TOL for b in blocks):
         vecs = [b.edges[1] for b in blocks]
-    else:
+    elif c <= lo:
         # c = 0 puts one block with a singular C_B on its kernel; the others are free
-        free = [next(b.tops([0.0], b.c_mat[None]))[0] for b in blocks]
+        free = [b.free for b in blocks]
         options = [
             free[:k] + [b.edges[1]] + free[k + 1 :] for k, b in enumerate(blocks) if b.lo <= RANGE_TOL
         ]
         vecs = max(options, key=lambda vs: math.prod(b.values(v)[1] for b, v in zip(blocks, vs)))
     attained = [b.values(v) for b, v in zip(blocks, vecs)]
     return BoundResult(
-        value=math.prod(l for _, l in attained),
+        value=math.prod(on_frontier.get(k, l) for k, (_, l) in enumerate(attained)),
         maximizer=ProductState(tuple(PureState(b.dims, v) for b, v in zip(blocks, vecs))),
         feasibility_residual=abs(math.prod(q for q, _ in attained) - c),
         restarts_used=0,

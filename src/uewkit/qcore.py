@@ -11,6 +11,7 @@ Party (subsystem) indices are 0-based throughout this module.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import index
@@ -27,10 +28,12 @@ __all__ = [
     "PureState",
     "ProductState",
     "identity",
+    "maximally_mixed",
     "tensor",
     "expectation",
     "commutator_norm",
     "bloch_form",
+    "bloch_state",
     "partial_transpose",
     "min_eigenvalue",
     "is_ppt",
@@ -194,6 +197,13 @@ def identity(dims: Sequence[int]) -> HermitianOperator:
     return HermitianOperator(dims, np.eye(int(np.prod(dims))))
 
 
+def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
+    """I / d on `dims`, with the dims cap checked before the d x d matrix is built."""
+    dims = _check_dims(dims)
+    n = int(np.prod(dims))
+    return DensityMatrix(dims, np.eye(n) / n)
+
+
 def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     """Kronecker product of operators, in list order; dims concatenate."""
     if not ops:
@@ -254,6 +264,13 @@ def bloch_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     my = mats[..., 1, 0].imag
     mz = (mats[..., 0, 0] - mats[..., 1, 1]).real / 2.0
     return m0, np.stack([mx, my, mz], axis=-1)
+
+
+def bloch_state(r: np.ndarray) -> np.ndarray:
+    """Unit Bloch vector -> qubit amplitudes (theta from z, phase from x+iy)."""
+    theta = np.arccos(np.clip(r[2], -1.0, 1.0))
+    phi = math.atan2(r[1], r[0]) if abs(r[0]) + abs(r[1]) > 1e-15 else 0.0
+    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 
 
 def min_eigenvalue(h: HermitianOperator) -> float:

@@ -17,7 +17,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .povm import Povm, selected_effects
-from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, bloch_form, load_json, save_json
+from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, bloch_form, bloch_state
+from .qcore import load_json, save_json
 from .qcore import tensor  # noqa: F401  # perfbench/tracing.py patches uewkit.sampler.tensor
 
 __all__ = [
@@ -246,13 +247,6 @@ def weighted_estimate(
     return value, math.sqrt(max(var, 0.0) / n)
 
 
-def _bloch_state(r: np.ndarray) -> np.ndarray:
-    """Unit Bloch vector -> qubit amplitudes (theta from z, phase from x+iy)."""
-    theta = np.arccos(np.clip(r[2], -1.0, 1.0))
-    phi = math.atan2(r[1], r[0]) if abs(r[0]) + abs(r[1]) > 1e-15 else 0.0
-    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
-
-
 def brute_force_constrained_sup(
     l_op: HermitianOperator,
     c_op: HermitianOperator,
@@ -330,7 +324,7 @@ def brute_force_constrained_sup(
         r_best = u * c_hat[b_idx]
         if pn > 1e-14:
             r_best = r_best + math.sqrt(max(1.0 - u * u, 0.0)) * perp / pn
-    a_amp = _bloch_state(r_best)
+    a_amp = bloch_state(r_best)
     best_val = float(vals[b_idx])
 
     theta_a = 2.0 * math.atan2(abs(a_amp[1]), abs(a_amp[0]))

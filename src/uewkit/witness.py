@@ -44,7 +44,7 @@ from ._optimize import (
     fingerprint_operators,
     optimize_product_bound,
 )
-from .multipartite import _Block, _block_bound
+from .multipartite import _Block, _block_bound, _range_of
 from .povm import Povm, product_operator, selected_effects
 from .qcore import HermitianOperator, ProductState, PureState
 
@@ -297,11 +297,11 @@ def constrained_pure_state_sup(l_op: HermitianOperator, c_op: HermitianOperator,
     return _block_bound([_Block(l_op, c_op)], float(c))
 
 
-def _party_blocks(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int]) -> list[_Block]:
+def _party_blocks(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int]) -> list:
     """One block per party: its effects at l_indices and c_indices."""
     _require_parties(len(povms))
     pairs = zip(selected_effects(povms, l_indices), selected_effects(povms, c_indices))
-    return [_Block(l.op, c.op) for l, c in pairs]
+    return [_range_of(l.op, c.op) for l, c in pairs]
 
 
 def product_constrained_bound(
@@ -322,8 +322,8 @@ def separability_curve(
 ) -> SeparabilityCurve:
     """g(c) for L = product_operator(povms, l_indices) and C at c_indices, at every grid value.
 
-    Each party is one block whose frontier table is built once for the whole
-    grid; every row is the block bound at its c, with `restarts` 0 and
+    Each party is one block, a qubit party's frontier in closed form, built
+    once for the whole grid; every row is the block bound at its c, with `restarts` 0 and
     `converged` the polish's success.  Each grid value is first snapped to
     the digits `curve_to_csv` writes, so every stored row bounds g at the c
     it states.  A c outside the product-state range, or fewer than 2

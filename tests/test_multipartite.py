@@ -6,9 +6,9 @@ from scipy.optimize import minimize_scalar
 
 import uewkit as uk
 from uewkit._optimize import RANGE_TOL
-from uewkit.multipartite import STACK_ENTRIES, _Block
+from uewkit.multipartite import STACK_ENTRIES, _Block, _Ellipse
 
-from conftest import devices
+from conftest import decimal_frontier, devices
 
 X = 2.0 / 3.0
 
@@ -471,3 +471,84 @@ class TestStackedFrontier:
         assert len(block.memo) == block.stack == STACK_ENTRIES // 64**2
         block.frontier(0.3 * block.hi)
         assert len(shapes) == cold - block.stack
+
+
+class TestQubitEllipse:
+    """A qubit block's frontier in closed form, against a 50-digit `decimal`
+    evaluation from the float effects' own entries."""
+
+    DEFICITS = [1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 0.05, 0.3, 0.7, 1.0]
+
+    @staticmethod
+    def device_pairs():
+        for x in [0.1, 0.5, 2.0 / 3.0, 0.8, 0.95]:
+            for theta in [0.0, 0.3, 1.7]:
+                device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, theta))
+                yield device.effect(2).op, device.effect(1).op
+
+    @staticmethod
+    def random_pairs():
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            mats = []
+            for _ in range(2):
+                a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                mats.append(uk.HermitianOperator((2,), a @ a.conj().T / np.trace(a @ a.conj().T).real))
+            yield mats
+
+    def assert_matches_reference(self, pairs):
+        for l_op, c_op in pairs:
+            ellipse = _Ellipse(l_op, c_op)
+            for side in (1, -1):
+                for t in self.DEFICITS:
+                    _, value, slope = ellipse.at(t, side)
+                    ref_value, ref_slope = decimal_frontier(c_op.mat, l_op.mat, t, side)
+                    assert abs(value - float(ref_value)) <= 1e-15, (t, side)
+                    assert abs(slope - float(ref_slope)) <= 1e-15 * max(1.0, abs(float(ref_slope))), (t, side)
+
+    def test_devices_match_decimal_reference(self):
+        self.assert_matches_reference(self.device_pairs())
+
+    def test_random_complex_pairs_match_decimal_reference(self):
+        self.assert_matches_reference(self.random_pairs())
+
+    def test_log_deficits_reach_both_ends(self):
+        # the device's C = Pi_1 spans [0, x] exactly, so s = log(x / q) names q
+        # exactly: 1 - q/x from the top, q/x from the bottom, both from 1e-15 up
+        for l_op, c_op in self.device_pairs():
+            ellipse = _Ellipse(l_op, c_op)
+            assert ellipse.lo == 0.0 and ellipse.hi == ellipse.c0 + ellipse.width
+            for t in self.DEFICITS:
+                for side, s in [(1, -math.log1p(-t / 2)), (-1, -math.log(t / 2))]:
+                    vec, value, slope = ellipse.point(s)
+                    ref_value, ref_slope = decimal_frontier(c_op.mat, l_op.mat, t, side)
+                    # s is t rounded to a float and back: compare with the relative error that leaves
+                    assert value == pytest.approx(float(ref_value), rel=1e-14, abs=1e-15), (t, side)
+                    assert slope == pytest.approx(float(ref_slope), rel=1e-13), (t, side)
+                    assert np.log(value) == ellipse.log_frontier_at(np.array([s]))[0]
+                    if t >= 1e-6:
+                        # the touch state attains the point
+                        q = ellipse.hi * math.exp(-s)
+                        assert ellipse.values(vec) == pytest.approx((q, value), abs=1e-12)
+
+    def test_straight_frontier(self):
+        # beta = 0: L = 1 - C on one qubit, so the frontier is 1 - q, slope -1
+        e1 = uk.HermitianOperator((2,), np.diag([0.9, 0.2]))
+        ellipse = _Ellipse(uk.HermitianOperator((2,), np.eye(2) - e1.mat), e1)
+        assert ellipse.beta == 0.0 and ellipse.lo == pytest.approx(0.2, abs=1e-15) and ellipse.hi == 0.9
+        for s in [1e-15, 1e-9, 0.3, 1.2, math.log(0.9 / 0.2)]:
+            vec, value, slope = ellipse.point(s)
+            q = 0.9 * math.exp(-s)
+            assert value == pytest.approx(1.0 - q, abs=1e-15)
+            assert slope == pytest.approx(-1.0, abs=1e-15)
+            assert ellipse.values(vec) == pytest.approx((max(q, ellipse.lo), 1.0 - q), abs=1e-15)
+        assert ellipse.log_frontier_at(np.array([0.0, 1.0, 2.0]))[-1] == -np.inf  # q below 0.2
+
+    def test_zero_width_holds_the_top_of_l(self):
+        # |c| = 0: C = I/2 gives one <C>, and both edges are the top state of L
+        l_op = uk.HermitianOperator((2,), np.array([[0.7, 0.2j], [-0.2j, 0.1]]))
+        ellipse = _Ellipse(l_op, uk.HermitianOperator((2,), np.eye(2) / 2))
+        assert ellipse.width == 0.0 and ellipse.lo == ellipse.hi == 0.5
+        top = np.linalg.eigvalsh(l_op.mat)[-1]
+        for vec in ellipse.edges:
+            assert ellipse.values(vec) == pytest.approx((0.5, top), abs=1e-15)

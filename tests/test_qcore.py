@@ -211,6 +211,24 @@ class TestInvariantValidation:
             spent.append(time.perf_counter() - t0)
         assert min(spent) < 0.1
 
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_maximally_mixed_checked_once(self, monkeypatch, n):
+        # the preset's state is I / 2^N as before, bit for bit, so its counts
+        # are unchanged, and its matrix is checked once, not once as an
+        # identity and again as a density matrix
+        checked, check = [], uk.HermitianOperator.__post_init__
+
+        def counted(op):
+            checked.append(op.dims)
+            check(op)
+
+        monkeypatch.setattr(uk.HermitianOperator, "__post_init__", counted)
+        rho = qcore.maximally_mixed((2,) * n)
+        assert checked == [(2,) * n]
+        monkeypatch.undo()
+        eye = qcore.identity((2,) * n)
+        assert isinstance(rho, uk.DensityMatrix) and np.array_equal(rho.mat, eye.mat / eye.total_dim)
+
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError):
             uk.PureState((2,), [1.0, 1.0])

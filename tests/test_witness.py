@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 import uewkit as uk
+from uewkit import witness as witness_module
+from uewkit.multipartite import _Block
 
-from conftest import bell_state, devices, gradient_rel_errors, qutrit_device_qutrit, random_hermitian
+from conftest import bell_state, decimal_pair_bound, devices, gradient_rel_errors, qutrit_device_qutrit
+from conftest import random_hermitian
 
 X = 2.0 / 3.0
 C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
@@ -264,6 +267,59 @@ class TestSeparabilityCurve:
             res = uk.product_constrained_bound([qubit, half], (2, 1), (1, 1), c)
             assert res.converged
             assert res.value == pytest.approx(0.5 - c, abs=1e-15)
+
+    def test_qubit_parties_solve_no_eigenproblem(self, povm23, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        curve = uk.separability_curve([povm23, povm23], (2, 2), (1, 1), np.linspace(0.0, 4 / 9, 21))
+        res = uk.product_constrained_bound([povm23, povm23], (2, 2), (1, 1), 0.1)
+        assert curve.reliable and res.converged
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "x, theta, rows", [(0.5, 0.0, [36]), (2 / 3, 0.0, [34]), (0.1, 0.0, [9, 135]), (0.95, 0.0, []), (0.5, 0.3, [])]
+    )
+    def test_qubit_curve_matches_eigenproblem_parties(self, x, theta, rows, monkeypatch):
+        # the closed form against `_Block`, the eigenproblem frontier, as every
+        # party's block, on rows 0-199 (the top row is float-limited there): never
+        # lower, and higher only where the table-started polish of the eigenproblem
+        # blocks stops short, as 50-digit values of the same rows show
+        device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, theta))
+        grid = np.linspace(*uk.attainable_constraint_range([device, device], (1, 1)), 201)
+        closed = uk.separability_curve([device, device], (2, 2), (1, 1), grid)
+        monkeypatch.setattr(witness_module, "_range_of", _Block)
+        eig = uk.separability_curve([device, device], (2, 2), (1, 1), grid)
+        assert np.array_equal(closed.c_values, eig.c_values)
+        gain = closed.g_values[:200] - eig.g_values[:200]
+        assert gain.min() >= -1e-14
+        assert gain.max() <= 1e-12
+        for row in rows:
+            # each row bounds g one rounding below its c (`multipartite._log_deficit`)
+            c = closed.c_values[row] * math.exp(-(2.0**-53))
+            assert closed.g_values[row] == pytest.approx(float(decimal_pair_bound(device, c)), abs=1e-15)
+            assert gain[row] > 5e-14
+
+    @pytest.mark.parametrize(
+        "x, top",
+        [
+            # the x = 2/3 device's g at the float c = 0.444444444444 (60-digit
+            # reduction), which the float device matches one rounding below c
+            (2 / 3, 0.027777913861146824),
+            # 50-digit `decimal` value of the float x = 0.1 device at c exp(-2^-53), c = 0.01
+            (0.1, 0.20250000856432016),
+        ],
+    )
+    def test_top_row_exact(self, x, top):
+        device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, 0.0))
+        grid = np.linspace(*uk.attainable_constraint_range([device, device], (1, 1)), 201)
+        curve = uk.separability_curve([device, device], (2, 2), (1, 1), grid)
+        assert curve.points[-1].converged
+        assert abs(curve.g_values[-1] - top) <= 1e-15
 
     def test_commuting_pair_curve_equals_all_state_bound(self, fast):
         # degenerate case: commuting diagonal operators admit no entangled
