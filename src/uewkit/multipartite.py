@@ -507,11 +507,12 @@ def _log_deficit(blocks: Sequence[_Range], c: float) -> float:
 
     The ratio of the floats is taken exactly (`Fraction`), so a c a few
     roundings below the top keeps every digit of its deficit.  The added
-    unit roundoff makes the bound hold at c exp(-ROUNDING), one rounding
-    below c, too: c and the block tops place the top of the range only to
-    about one rounding (a parameter such as x = 2/3 reaches its float with a
-    relative rounding of 2^-54), and within ~1e-12 of the top one rounding
-    moves g by ~1e-11.  Away from the top the shift moves g by a few 1e-16.
+    unit roundoff takes the bound one rounding below c, to c exp(-ROUNDING):
+    c and the block tops place the top of the range only to about one
+    rounding (a parameter such as x = 2/3 reaches its float with a relative
+    rounding of 2^-54), and within ~1e-12 of the top, where g falls, one
+    rounding moves g by ~1e-11.  Away from the top the shift moves g by a
+    few 1e-16 either way.
     """
     top = math.prod(Fraction(b.hi) for b in blocks)
     return math.log1p(float((top - Fraction(c)) / Fraction(c))) + ROUNDING

@@ -267,8 +267,12 @@ def bloch_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def bloch_state(r: np.ndarray) -> np.ndarray:
-    """Unit Bloch vector -> qubit amplitudes (theta from z, phase from x+iy)."""
-    theta = np.arccos(np.clip(r[2], -1.0, 1.0))
+    """Unit Bloch vector -> qubit amplitudes (theta from z, phase from x+iy).
+
+    theta is atan2(|r_xy|, r_z), which keeps the digits of a small |r_xy|
+    near a pole, where arccos(r_z) would lose them to the rounding of r_z.
+    """
+    theta = math.atan2(math.hypot(r[0], r[1]), r[2])
     phi = math.atan2(r[1], r[0]) if abs(r[0]) + abs(r[1]) > 1e-15 else 0.0
     return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
 

@@ -526,10 +526,9 @@ class TestQubitEllipse:
                     assert value == pytest.approx(float(ref_value), rel=1e-14, abs=1e-15), (t, side)
                     assert slope == pytest.approx(float(ref_slope), rel=1e-13), (t, side)
                     assert np.log(value) == ellipse.log_frontier_at(np.array([s]))[0]
-                    if t >= 1e-6:
-                        # the touch state attains the point
-                        q = ellipse.hi * math.exp(-s)
-                        assert ellipse.values(vec) == pytest.approx((q, value), abs=1e-12)
+                    # the touch state attains the point, however close to an end
+                    q = ellipse.hi * math.exp(-s)
+                    assert ellipse.values(vec) == pytest.approx((q, value), abs=1e-15), (t, side)
 
     def test_straight_frontier(self):
         # beta = 0: L = 1 - C on one qubit, so the frontier is 1 - q, slope -1
