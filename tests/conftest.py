@@ -84,24 +84,28 @@ def gradient_rel_errors(block_dims, l_mat, c_mat, rng, n_points, h=1e-6):
     return worst_l, worst_c
 
 
+def _decimal_bloch(m):
+    """`qcore.bloch_form` of one 2x2 matrix, from the exact `Decimal` values
+    of its float entries."""
+    from decimal import Decimal
+
+    diag = (Decimal(m[0, 0].real), Decimal(m[1, 1].real))
+    return (diag[0] + diag[1]) / 2, [Decimal(m[1, 0].real), Decimal(m[1, 0].imag), (diag[0] - diag[1]) / 2]
+
+
 def decimal_frontier(c_mat, l_mat, t, side, digits=50):
     """(<L>, slope) of a qubit pair's upper frontier at deficit t = 1 - |u|
     from the top (side 1) or bottom (side -1) end, evaluated with `decimal`
     at `digits` digits from the exact values of the float entries."""
     from decimal import Decimal, localcontext
 
-    def bloch(m):
-        m = np.asarray(m)
-        diag = (Decimal(m[0, 0].real), Decimal(m[1, 1].real))
-        return (diag[0] + diag[1]) / 2, [Decimal(m[1, 0].real), Decimal(m[1, 0].imag), (diag[0] - diag[1]) / 2]
-
     with localcontext() as ctx:
         ctx.prec = digits
-        (_, c), (l0, l) = bloch(c_mat), bloch(l_mat)
+        (_, c), (l0, l) = _decimal_bloch(c_mat), _decimal_bloch(l_mat)
         width = sum(v * v for v in c).sqrt()
         alpha = sum(a * b for a, b in zip(l, c)) / width
         beta = (sum(v * v for v in l) - alpha * alpha).sqrt()
-        t = Decimal(t) if not isinstance(t, Decimal) else t
+        t = Decimal(t)
         u, w = side * (1 - t), (t * (2 - t)).sqrt()
         return l0 + alpha * u + beta * w, (alpha - beta * u / w) / width
 
@@ -116,9 +120,8 @@ def decimal_pair_bound(device, c, digits=50):
     c_mat, l_mat = device.effect(1).op.mat, device.effect(2).op.mat
     with localcontext() as ctx:
         ctx.prec = digits
-        c0 = (Decimal(c_mat[0, 0].real) + Decimal(c_mat[1, 1].real)) / 2
-        width = (Decimal(c_mat[1, 0].real) ** 2 + Decimal(c_mat[1, 0].imag) ** 2
-                 + ((Decimal(c_mat[0, 0].real) - Decimal(c_mat[1, 1].real)) / 2) ** 2).sqrt()
+        c0, cv = _decimal_bloch(c_mat)
+        width = sum(v * v for v in cv).sqrt()
         hi, c = c0 + width, Decimal(c)
 
         def m(q):
