@@ -302,7 +302,6 @@ class TestSeparabilityCurve:
             # each row bounds g one rounding below its c (`multipartite._log_deficit`)
             c = closed.c_values[row] * math.exp(-(2.0**-53))
             assert closed.g_values[row] == pytest.approx(float(decimal_pair_bound(device, c)), abs=1e-15)
-            assert gain[row] > 5e-14
 
     @pytest.mark.parametrize(
         "x, top",
