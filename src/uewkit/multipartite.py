@@ -514,8 +514,12 @@ def _log_deficit(blocks: Sequence[_Range], c: float) -> float:
     rounding moves g by ~1e-11.  Away from the top the shift moves g by a
     few 1e-16 either way.
     """
-    top = math.prod(Fraction(b.hi) for b in blocks)
-    return math.log1p(float((top - Fraction(c)) / Fraction(c))) + ROUNDING
+    ratio = math.prod(Fraction(b.hi) for b in blocks) / Fraction(c)
+    try:
+        deficit = math.log1p(float(ratio - 1))
+    except OverflowError:  # a c so far below the top that the ratio leaves the floats
+        deficit = math.log(ratio.numerator) - math.log(ratio.denominator)
+    return deficit + ROUNDING
 
 
 def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:

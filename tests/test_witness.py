@@ -320,6 +320,13 @@ class TestSeparabilityCurve:
         assert curve.points[-1].converged
         assert abs(curve.g_values[-1] - top) <= 1e-15
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-310, 5e-324])
+    def test_subnormal_c_keeps_its_deficit(self, povm23, c):
+        # hi / c leaves the floats below ~1e-308; the log-deficit is still finite
+        res = uk.product_constrained_bound([povm23, povm23], (2, 2), (1, 1), c)
+        assert res.converged
+        assert res.value == pytest.approx(1 / 3, abs=1e-12)
+
     def test_commuting_pair_curve_equals_all_state_bound(self, fast):
         # degenerate case: commuting diagonal operators admit no entangled
         # advantage, the product-state curve equals the all-states bound
