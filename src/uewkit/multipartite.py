@@ -11,15 +11,17 @@ c = 0 separable bound depends only on the largest block size M_k:
     g(x; N, M_k) = (1 - x/2)^N - (1 - x/2)^(N - M_k) ((1 - x)/2)^(M_k).
 
 `numeric_partition_bound` extends this to any attainable c without a
-multistart: L and C factor across blocks, so each block is solved on its own
-2^|B| space, in closed form for a one-qubit block and from eigenproblems for
-a larger one, and the blocks meet in a search over K - 1 scalars for K
-blocks.  Its cost grows with the largest block, not with N.
+multistart: L and C factor across blocks, each block is solved on its own,
+and the blocks meet in a search over K - 1 scalars for K blocks.  Pi_1 and
+Pi_2 are rank one, so a block of the paper's devices is one qubit ellipse,
+built in O(|B|): the cost grows linearly with N.  A block of other devices
+is solved from eigenproblems on its 2^|B| space.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -29,7 +31,7 @@ import numpy as np
 
 from ._optimize import MAXITER, RANGE_TOL, SLSQP_FTOL, BoundResult
 from ._optimize import optimize_product_bound  # noqa: F401  (patched by perfbench/tracing.py)
-from .povm import Povm, ThreeOutcomeParams, chi_vectors, product_operator
+from .povm import Povm, ThreeOutcomeParams, ThreeOutcomePovm, build_three_outcome, chi_vectors, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState, bloch_form, bloch_state
 
 __all__ = [
@@ -45,8 +47,6 @@ __all__ = [
 MAX_AGENTS = 12
 # most matrix entries one stacked eigh of a block receives
 STACK_ENTRIES = 2**16
-# bisection steps per stacked eigh of a d-dim block, by ceil(log2 d); 1 beyond
-BISECT_LEVELS = (4, 4, 3, 2)
 # unit roundoff of a float: the relative rounding of c and of the block tops
 ROUNDING = 2.0**-53
 
@@ -65,13 +65,14 @@ class Partition:
     label: str = ""
 
     def __post_init__(self):
+        if not all(isinstance(i, numbers.Integral) for b in self.blocks for i in b):
+            raise ValueError(f"agent labels must be positive integers, got partition {self.label or self.blocks!r}")
         blocks = tuple(tuple(sorted(int(i) for i in b)) for b in self.blocks)
         blocks = tuple(sorted(blocks, key=lambda b: (len(b), b)))
         if not blocks or any(not b for b in blocks):
             raise ValueError("partition needs nonempty blocks")
-        agents = [i for b in blocks for i in b]
-        n = len(agents)
-        if sorted(agents) != list(range(1, n + 1)):
+        agents = sorted(i for b in blocks for i in b)
+        if agents != list(range(1, len(agents) + 1)):
             raise ValueError(f"blocks must disjointly cover 1..N, got {blocks}")
         label = self.label or self.format_blocks(blocks)
         object.__setattr__(self, "blocks", blocks)
@@ -88,6 +89,8 @@ class Partition:
             items = [s for s in part.split(",") if s.strip()]
             if not items:
                 raise ValueError(f"empty block in partition {text!r}")
+            if not all(s.strip().isdecimal() for s in items):
+                raise ValueError(f"agent labels must be positive integers, got partition {text!r}")
             blocks.append(tuple(int(s) for s in items))
         return cls(tuple(blocks), label=text)
 
@@ -148,33 +151,20 @@ def closed_form_bound(x: float, n_agents: int, largest_block: int) -> MultiBound
 def optimal_separable_multi(x: float, partition: Partition, theta: float = 0.0) -> ProductState:
     """Block-product state achieving the c = 0 bound for the partition.
 
-    Every non-largest block carries a normalized tensor power of |chi+>; the
-    largest block carries the normalized difference of |chi+> tensors and the
-    |V..V> projection, which cancels its constraint expectation exactly
-    (hence <C> = 0) while maximizing the block's test expectation.
+    Every non-largest block carries the top eigenvector of its L_B, the
+    normalized tensor power of |chi+>; the largest block carries the best
+    state on the kernel of its C_B (its `_RankOneBlock` bottom edge), the
+    normalized difference of the |chi+> tensor and its |V..V> projection,
+    which cancels its constraint expectation (hence <C> = 0).
 
     Factors are returned in the partition's normalized block order; agents
     are implicitly relabeled to make blocks contiguous, which leaves all
     expectations unchanged because the operators are products of identical
     per-agent effects.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    chi = chi_vectors(ThreeOutcomeParams(x, theta))[0]
-    v_ket = np.array([0.0, 1.0], dtype=np.complex128)
-    factors = []
-    for j, block in enumerate(partition.blocks):
-        m = len(block)
-        chi_m = reduce(np.kron, [chi] * m)
-        if j == len(partition.blocks) - 1:
-            v_m = reduce(np.kron, [v_ket] * m)
-            coeff = ((1.0 - x) / 2.0) ** (m / 2.0) * np.exp(1j * m * theta)
-            vec = chi_m - coeff * v_m
-        else:
-            vec = chi_m
-        vec = vec / np.linalg.norm(vec)
-        factors.append(PureState((2,) * m, vec))
-    return ProductState(tuple(factors))
+    blocks = [_RankOneBlock([build_three_outcome(ThreeOutcomeParams(x, theta))] * len(b)) for b in partition.blocks]
+    states = [b.free for b in blocks[:-1]] + [blocks[-1].edges[1]]
+    return ProductState(tuple(PureState(b.dims, b.amplitudes(v)) for b, v in zip(blocks, states)))
 
 
 def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool) -> str:
@@ -208,34 +198,35 @@ def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool)
 class _Range:
     """The range interface every block offers `_block_bound`.
 
-    A block holds its operators `l_mat` and `c_mat` on `dims`, and offers:
-    `lo` and `hi`, the ends of <C_B>; `edges`, its best states at hi and at
-    lo; `free`, the top eigenvector of L_B; and its upper frontier
-    m(q) = max{<L_B> : <C_B> = q} at log-deficits s = log(hi / q):
-    `log_frontier_at(s)`, log m on an array of s for `_split`, and
-    `point(s)`, the state on the frontier with its <L_B> and the slope dm/dq
-    there.  The deficit, not q, crosses the interface, so that a q a
-    rounding away from hi keeps its digits.
+    A block holds its operators `l_mat` and `c_mat`, and offers: `lo` and
+    `hi`, the ends of <C_B>; `edges`, its best states at hi and at lo;
+    `free`, the top eigenvector of L_B; and its upper frontier m(q) =
+    max{<L_B> : <C_B> = q} at log-deficits s = log(hi / q), so that a q a
+    rounding away from hi keeps its digits: `log_frontier_at(s)`, log m on
+    an array of s for `_split`, and `point(s)`, the frontier state with its
+    <L_B> and the slope dm/dq.  `amplitudes` expands a state to `dims`.
     """
 
     def values(self, vec: np.ndarray) -> tuple[float, float]:
         """(<C_B>, <L_B>) of a block state."""
         return float((vec.conj() @ self.c_mat @ vec).real), float((vec.conj() @ self.l_mat @ vec).real)
 
+    def amplitudes(self, vec: np.ndarray) -> np.ndarray:
+        """A block state's amplitudes on `dims`."""
+        return vec
+
 
 class _Ellipse(_Range):
     """One qubit party's range in closed form.
 
     A qubit state with Bloch vector n has <C_B> = c0 + c.n and <L_B> =
-    l0 + l.n (`qcore.bloch_form`), so the reachable (<C_B>, <L_B>) set is an
-    affine image of the Bloch ball: a filled ellipse (C.-K. Li, Proc. AMS
-    124, 1985 (1996)).  With u = n.c/|c| and alpha, beta the parts of l
-    along and across c, its upper frontier is m = l0 + alpha u +
-    beta sqrt(1 - u^2), touched by n = u c/|c| + sqrt(1 - u^2) l_perp/beta.
-    `at` evaluates it from the nearer end's deficit t = 1 - |u|, with
-    sqrt(1 - u^2) = sqrt(t (2 - t)), so q close to an end keeps its
-    digits; the slope, the touch state and `log_frontier_at` come from the
-    same formula, with no eigenproblem, table or memo.  beta = 0 is a
+    l0 + l.n (`qcore.bloch_form`), so the reachable (<C_B>, <L_B>) set is a
+    filled ellipse (C.-K. Li, Proc. AMS 124, 1985 (1996)).  With u = n.c/|c|
+    and alpha, beta the parts of l along and across c, its upper frontier is
+    m = l0 + alpha u + beta sqrt(1 - u^2), touched by n = u c/|c| +
+    sqrt(1 - u^2) l_perp/beta.  `at` evaluates it, its slope and its touch
+    state from the nearer end's deficit t = 1 - |u|, as sqrt(1 - u^2) =
+    sqrt(t (2 - t)), so q close to an end keeps its digits.  beta = 0 is a
     straight frontier; |c| = 0 (C_B a multiple of the identity) leaves no
     frontier, and `_block_bound` holds such a block at its edge.
     """
@@ -291,6 +282,36 @@ class _Ellipse(_Range):
             return np.where(t >= 0.0, np.log(np.maximum(values, 0.0)), -np.inf)
 
 
+class _RankOneBlock(_Ellipse):
+    """A block of the paper's devices, any size, as one qubit ellipse, built in O(|B|).
+
+    Pi_1 = x|V><V| and Pi_2 = |chi+><chi+| are rank one by the device's
+    definition, so C_B = |U><U| and L_B = |W><W| with U = (x)sqrt(x_k)|V>
+    and W = (x)|chi+_k>.  In the basis U^ = |V..V>, U^perp = (W - a U^)/b of
+    span{U, W}, C_B = diag(hi, 0) and L_B = w w^dagger with w = (a, b):
+    hi = prod x_k, a = prod <V|chi+_k> and b^2 = prod(1 - x_k/2) -
+    prod((1 - x_k)/2).  A state with weight p off the span reaches (1 - p)
+    times a point of that pair's ellipse, whose frontier is concave and
+    nonnegative at 0, so the block's frontier is the ellipse's.
+    """
+
+    def __init__(self, agents: Sequence[ThreeOutcomePovm]):
+        xs = [p.params.x for p in agents]
+        chis = [chi_vectors(p.params)[0] for p in agents]
+        a, a2 = math.prod(chi[1] for chi in chis), math.prod((1.0 - x) / 2.0 for x in xs)
+        b2 = math.prod(1.0 - x / 2.0 for x in xs) - a2
+        self.chis, self.b = chis, math.sqrt(b2)
+        l_mat = np.array([[a2, a * self.b], [a.conjugate() * self.b, b2]])
+        super().__init__(HermitianOperator((2,), l_mat), HermitianOperator((2,), np.diag([math.prod(xs), 0.0])))
+        self.dims = (2,) * len(agents)
+
+    def amplitudes(self, vec: np.ndarray) -> np.ndarray:
+        """alpha U^ + beta U^perp as 2^|B| amplitudes: beta W / b with alpha for its |V..V> entry."""
+        full = vec[1] / self.b * reduce(np.kron, self.chis)
+        full[-1] = vec[0]
+        return full
+
+
 class _Block(_Range):
     """One block's operators L_B and C_B, any Hermitian pair on its space, and their frontier.
 
@@ -298,9 +319,8 @@ class _Block(_Range):
     so its upper frontier m(q) = max{<L_B> : <C_B> = q} is concave and exact
     from top eigenvectors: that of cos(t) L_B - sin(t) C_B touches the
     frontier where its slope is tan(t), and its <C_B> falls from hi to lo as
-    t runs from -pi/2 to pi/2.  A block keeps its two edge states and the
-    bisection path of its last `frontier` call (`memo`), so that the many
-    nearby q one bound asks of a block share their eigenproblems.
+    t runs from -pi/2 to pi/2.  It serves `constrained_pure_state_sup` and
+    blocks of devices other than the paper's (`_range_of`, `_partition_block`).
     """
 
     def __init__(self, l_op: HermitianOperator, c_op: HermitianOperator):
@@ -309,27 +329,17 @@ class _Block(_Range):
         self.dims, (self.c_mat, self.l_mat) = l_op.dims, self.c_and_l
         self.c_spectrum, self.c_basis = np.linalg.eigh(self.c_mat)
         self.lo, self.hi = float(self.c_spectrum[0]), float(self.c_spectrum[-1])
-        log_d = (self.l_mat.shape[0] - 1).bit_length()
-        self.bisect_levels = BISECT_LEVELS[log_d] if log_d < len(BISECT_LEVELS) else 1
-        # slopes per stacked eigh, and most nodes `memo` keeps: its vectors are
-        # rows of their eigenvector stacks, not copies (a contiguous copy can change
-        # the last bits `values` reads), so it keeps at most one stack's entries alive
-        self.stack = max(1, STACK_ENTRIES // self.l_mat.size)
-        # t -> (top vector, [<C_B>]) for the nodes of the last frontier call's path
-        self.memo: dict[float, tuple[np.ndarray, list[float]]] = {}
 
     def tops(self, ts: Sequence[float], mats: np.ndarray) -> Iterator[tuple[np.ndarray, list[float]]]:
         """Top eigenvector v of cos(t) L_B - sin(t) C_B for each t in ts, with
         the expectations at v of each matrix in the stack `mats`.
 
         The matrices go to `np.linalg.eigh` in stacks of at most STACK_ENTRIES
-        entries (one matrix if a single one is larger), so memory stays at a
-        few such stacks however many t there are; a generator, so a caller
-        holding no vector frees each stack before the next.  Each matrix,
-        vector and expectation is computed as for a single t, so the results
-        are bitwise those of one eigenproblem and `values` per t.
+        entries (one matrix if a single one is larger); a generator, so memory
+        stays at a few stacks however many t there are.  The results are
+        bitwise those of one eigenproblem and `values` per t.
         """
-        step = self.stack
+        step = max(1, STACK_ENTRIES // self.l_mat.size)
         for i in range(0, len(ts), step):
             terms = np.array([(math.sin(t), math.cos(t)) for t in ts[i : i + step]])[:, :, None, None] * self.c_and_l
             vecs = np.linalg.eigh(terms[:, 1] - terms[:, 0])[1][:, :, -1]
@@ -363,46 +373,21 @@ class _Block(_Range):
         """State on the frontier at <C_B> = q and the frontier's slope there.
 
         Bisects t to float resolution, keeping the top eigenvectors on either
-        side of q.  Where the previous call's path passed, the step is read
-        from `memo`; elsewhere the bisection runs `bisect_levels` steps per
-        stacked eigenproblem: the midpoints of every path those steps can
-        take, in heap order, with the same expressions as one step at a time,
-        so the bracket and vectors are bitwise those of plain bisection.  The
-        top vector at t depends on t alone, so a step read from `memo` is the
-        one a fresh solve would take.  At return `memo` holds this call's
-        path, its first `stack` nodes, so the vectors it keeps alive stay
-        within one stack's entries.  Where <C_B> jumps across q (the sides
-        differ by more than RANGE_TOL), the top eigenvalue at t is degenerate
-        and the frontier is straight: the two sides span that eigenspace, and
-        its state with <C_B> = q lies on the frontier.  Otherwise both sides
-        hit q to float resolution and the nearer one is returned.
+        side of q.  Where <C_B> jumps across q (the sides differ by more than
+        RANGE_TOL), the top eigenvalue at t is degenerate and the frontier is
+        straight: the two sides span that eigenspace, and its state with
+        <C_B> = q lies on the frontier.  Otherwise both sides hit q to float
+        resolution and the nearer one is returned.
         """
         a, b = -np.pi / 2, np.pi / 2
         va, vb = self.edges
-        resolution = 4 * np.finfo(float).eps
-        path = {}
-        while b - a > resolution:
+        while b - a > 4 * np.finfo(float).eps:
             t = 0.5 * (a + b)
-            if t in self.memo:
-                ts, nodes = [t], [self.memo[t]]
+            v, (qv,) = next(self.tops([t], self.c_mat[None]))
+            if qv >= q:
+                a, va = t, v
             else:
-                # node n brackets (ends[n]); its children 2n + 1 and 2n + 2 take its lower and upper half
-                ends, ts = [(a, b)], []
-                for n in range(2**self.bisect_levels - 1):
-                    ta, tb = ends[n]
-                    ts.append(0.5 * (ta + tb))
-                    ends += [(ta, ts[-1]), (ts[-1], tb)]
-                nodes = list(self.tops(ts, self.c_mat[None]))
-            n = 0
-            while n < len(nodes) and b - a > resolution:
-                if len(path) < self.stack:
-                    path[ts[n]] = nodes[n]
-                v, (qv,) = nodes[n]
-                if qv >= q:
-                    a, va, n = ts[n], v, 2 * n + 2
-                else:
-                    b, vb, n = ts[n], v, 2 * n + 1
-        self.memo = path
+                b, vb = t, v
         qa, qb = self.values(va)[0], self.values(vb)[0]
         vec = va if qa - q <= q - qb else vb
         if qa - qb > RANGE_TOL:
@@ -414,12 +399,8 @@ class _Block(_Range):
 
     @cached_property
     def log_frontier(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>.
-
-        The 801 slopes go through `tops` in stacks of at most STACK_ENTRIES
-        matrix entries, so memory stays at a few such stacks; built once per
-        block, however many c it serves.
-        """
+        """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>, at
+        801 slopes through `tops`; built once per block, however many c it serves."""
         # slopes sinh(r) for evenly spaced r: points as dense in log <C_B>
         # near the ends of the range as around the peak
         angles = np.arctan(np.sinh(np.linspace(20.0, -20.0, 801)))
@@ -484,17 +465,23 @@ def _polish(blocks: Sequence[_Range], s0: np.ndarray, s_total: float):
 def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: float) -> BoundResult:
     """Separable bound for a partition at any attainable c, block by block.
 
-    L = (x)Pi_2 and C = (x)Pi_1 factor across blocks, and `_block_bound`
-    solves each block on its own 2^|B|-dimensional space.  The maximizer
-    holds one state per block in the partition's normalized order.  `povms`
+    L = (x)Pi_2 and C = (x)Pi_1 factor across blocks (`_partition_block`),
+    and `_block_bound` joins them.  The maximizer holds one state per block,
+    on its 2^|B| amplitudes, in the partition's normalized order.  `povms`
     holds one device per agent, in agent order.
     """
     if partition.n_agents != len(povms):
         raise ValueError(f"partition covers {partition.n_agents} agents, got {len(povms)} devices")
     _check_agents(len(povms))
-    agents = [[povms[i - 1] for i in b] for b in partition.blocks]
-    blocks = [_range_of(product_operator(a, [2] * len(a)), product_operator(a, [1] * len(a))) for a in agents]
-    return _block_bound(blocks, c)
+    return _block_bound([_partition_block([povms[i - 1] for i in b]) for b in partition.blocks], c)
+
+
+def _partition_block(agents: Sequence[Povm]) -> _Range:
+    """A block's range: one ellipse for several of the paper's devices (rank one
+    by their type, not by a numerical test); else `_range_of` its dense operators."""
+    if len(agents) > 1 and all(isinstance(p, ThreeOutcomePovm) for p in agents):
+        return _RankOneBlock(agents)
+    return _range_of(product_operator(agents, [2] * len(agents)), product_operator(agents, [1] * len(agents)))
 
 
 def _range_of(l_op: HermitianOperator, c_op: HermitianOperator) -> _Range:
@@ -525,26 +512,19 @@ def _log_deficit(blocks: Sequence[_Range], c: float) -> float:
 def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
     """Sup of <L> = prod <L_B> over block-product states with <C> = prod <C_B> = c.
 
-    The bound is the maximum of prod m_B(q_B) subject to prod q_B = c.  At
-    the ends of the attainable range it is closed-form: at c = 0 one block
-    sits on ker C_B and every other block on the top eigenvector of its L_B;
-    at the top every block sits on the top eigenspace of its C_B.  In
-    between, a block whose C_B is a multiple of the identity sits on the top
-    eigenvector of its L_B, and the others take the rest of c: a single one
-    is its frontier there; with several, a grid over how log c splits among
-    them picks the split, with no random draws, and SLSQP on the exact
-    frontiers polishes it.  The blocks receive log-deficits
-    (`_log_deficit`), never a rounded <C_B>.  That split is a local
-    optimum, not a proven one, so the value can read low;
-    `converged` is the polish's success.  A c more than
-    RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of C, raises
-    ValueError.  The maximizer holds one state per block, and `value` is the
-    product of the blocks' frontier values, each the <L_B> of its state at
-    the deficit it was given (at an end or at c = 0, the <L_B> the state
-    attains).  The edge states come from each block's `edges`, solved once,
-    and an eigenproblem block's frontier calls share their bisection steps
-    through its `memo`, so callers that pass the same blocks for many c (a
-    curve's rows) reuse both; the value is bitwise that of fresh blocks.
+    That is the maximum of prod m_B(q_B) subject to prod q_B = c.  At c = 0
+    one block sits on ker C_B and every other block on the top eigenvector
+    of its L_B; at the top every block sits on the top eigenspace of its
+    C_B.  In between, a block whose C_B is a multiple of the identity sits
+    on the top eigenvector of its L_B; one other block is its frontier at
+    the rest of c, and several split it by a grid (`_split`) that SLSQP
+    polishes on the exact frontiers, given log-deficits (`_log_deficit`),
+    never a rounded <C_B>.  That split is a local optimum, not a proven
+    one, so the value can read low; `converged` is the polish's success.  A
+    c more than RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of
+    C, raises ValueError.  `value` is the product of the blocks' frontier
+    values (at an end or at c = 0, of the <L_B> their states attain), and
+    the maximizer holds each block's state, expanded by `amplitudes`.
     """
     lo, hi = math.prod(b.lo for b in blocks), math.prod(b.hi for b in blocks)
     if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
@@ -579,7 +559,7 @@ def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
     attained = [b.values(v) for b, v in zip(blocks, vecs)]
     return BoundResult(
         value=math.prod(on_frontier.get(k, l) for k, (_, l) in enumerate(attained)),
-        maximizer=ProductState(tuple(PureState(b.dims, v) for b, v in zip(blocks, vecs))),
+        maximizer=ProductState(tuple(PureState(b.dims, b.amplitudes(v)) for b, v in zip(blocks, vecs))),
         feasibility_residual=abs(math.prod(q for q, _ in attained) - c),
         restarts_used=0,
         converged=converged,

@@ -490,6 +490,15 @@ class TestErrorExits:
         assert run(*argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("partition", ["1|x", "1|2.5"])
+    def test_multiparty_rejects_non_integer_agent_labels(self, tmp_path, capsys, partition):
+        out = tmp_path / "bounds.csv"
+        assert run("multiparty", "--agents", 2, "--partition", partition, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"agent labels must be positive integers, got partition '{partition}'" in err
+        assert "invalid literal" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -1,12 +1,14 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 import uewkit as uk
+from uewkit import multipartite
 from uewkit._optimize import RANGE_TOL
-from uewkit.multipartite import STACK_ENTRIES, _Block, _Ellipse
+from uewkit.multipartite import STACK_ENTRIES, _Block, _Ellipse, _RankOneBlock
 
 from conftest import decimal_frontier, devices
 
@@ -24,6 +26,21 @@ def all_partitions(n):
         yield from rec(i + 1, blocks + [[i]])
 
     return list(rec(2, [[1]]))
+
+
+def mixed_devices(x, n):
+    """n agents at x, agent k at theta = 0.3 k."""
+    return [uk.build_three_outcome(uk.ThreeOutcomeParams(x, 0.3 * k)) for k in range(1, n + 1)]
+
+
+def dense_blocks(povms, part):
+    """Each block of `part` from its dense operators, as before rank-one blocks were ellipses."""
+    blocks = []
+    for b in part.blocks:
+        agents = [povms[i - 1] for i in b]
+        ops = (uk.product_operator(agents, [k] * len(b)) for k in (2, 1))
+        blocks.append(multipartite._range_of(*ops))
+    return blocks
 
 
 class TestPartition:
@@ -50,6 +67,18 @@ class TestPartition:
     def test_format(self):
         p = uk.Partition(((2,), (1, 3)))
         assert uk.Partition.format_blocks(p.blocks) == "2|1,3"
+
+    @pytest.mark.parametrize("text", ["1|x", "1|2.5", "1, y|2", "1|-2", "1|1_0"])
+    def test_parse_rejects_non_integer_labels(self, text):
+        with pytest.raises(ValueError) as info:
+            uk.Partition.parse(text)
+        assert str(info.value) == f"agent labels must be positive integers, got partition {text!r}"
+
+    def test_constructor_rejects_non_integer_labels(self):
+        for blocks in [((1,), (2.5,)), ((1,), ("2",)), ((1.0,), (2,))]:
+            with pytest.raises(ValueError, match="agent labels must be positive integers, got partition"):
+                uk.Partition(blocks)
+        assert uk.Partition(((np.int64(2),), (1,))).blocks == ((1,), (2,))
 
 
 class TestMultiOperators:
@@ -308,6 +337,97 @@ class TestNumericPartitionBound:
             # a coarser partition admits more states
             assert split.value <= whole.value + 1e-12
 
+    def test_rank_one_blocks_solve_no_eigenproblem(self, monkeypatch):
+        # a block of the paper's devices is one ellipse: no eigh or eigvalsh, no
+        # product operator of more than one agent, and no Kronecker product of matrices
+        partitions = [uk.Partition.parse(t) for t in ["1,2", "1|2,3,4,5,6", "1,2,3|4,5,6,7,8", "1|2|3,4"]]
+        povms, calls = mixed_devices(X, 8), []
+        for name in ("eigh", "eigvalsh"):
+            solve = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, solve=solve: calls.append(np.shape(m)) or solve(m))
+        kron, product_operator = np.kron, multipartite.product_operator
+        monkeypatch.setattr(np, "kron", lambda a, b: calls.append("kron") if np.ndim(a) + np.ndim(b) > 2 else kron(a, b))
+        monkeypatch.setattr(
+            multipartite, "product_operator", lambda p, i: calls.append(len(p)) if len(p) > 1 else product_operator(p, i)
+        )
+        for part in partitions:
+            top = X**part.n_agents
+            for c in [0.0, 0.3 * top, top]:
+                res = uk.numeric_partition_bound(povms[: part.n_agents], part, c)
+                assert res.converged, (part.label, c)
+        assert calls == []
+
+    @pytest.mark.parametrize("x", [0.5, X, 0.8])
+    def test_rank_one_blocks_match_dense_blocks(self, x):
+        # against `_Block` on each block's dense operators: a whole block within
+        # 1e-14; a split is polished on either frontier, and lands within 1e-12
+        for text in ["1,2", "1,2,3,4,5", "1|2,3", "1,2|3,4,5", "1|2,3,4,5,6"]:
+            part = uk.Partition.parse(text)
+            povms = mixed_devices(x, part.n_agents)
+            blocks = dense_blocks(povms, part)
+            top = math.prod(b.hi for b in blocks)
+            for c in [0.0, 1e-6 * top, 0.1 * top, 0.5 * top, top]:
+                res, ref = uk.numeric_partition_bound(povms, part, c), multipartite._block_bound(blocks, c)
+                assert res.converged and ref.converged
+                assert res.value == pytest.approx(ref.value, abs=1e-14 if len(blocks) == 1 else 1e-12), (text, c)
+
+    def test_rank_one_split_leaves_the_table_basin(self):
+        # x = 0.8, 1|2,...,6 at c = 0.9 x^6: `_Block`'s 801-slope table starts the
+        # polish in a basin 3e-4 low; the ellipse's exact frontier reaches the
+        # best split of a 2,001-point scan of the two shares
+        povms = mixed_devices(0.8, 6)
+        part = uk.Partition.parse("1|2,3,4,5,6")
+        c = 0.9 * 0.8**6
+        res = uk.numeric_partition_bound(povms, part, c)
+        assert res.converged
+        blocks = [multipartite._partition_block([povms[i - 1] for i in b]) for b in part.blocks]
+        s = multipartite._log_deficit(blocks, c)
+        scan = max(blocks[0].point(s * r)[1] * blocks[1].point(s * (1.0 - r))[1] for r in np.linspace(0.0, 1.0, 2001))
+        assert res.value >= scan - 1e-15
+        assert multipartite._block_bound(dense_blocks(povms, part), c).value < scan - 2e-4
+        l_op, c_op = uk.multi_operators([povms[i - 1] for b in part.blocks for i in b])
+        assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-12)
+        assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-9)
+
+    @pytest.mark.parametrize("text", ["1,2,3,4,5,6,7,8", "1|2,3,4,5,6,7,8", "1,2,3|4,5,6,7,8", "1,2|3,4|5,6,7,8"])
+    def test_rank_one_maximizers_attain_on_dense_operators(self, text):
+        part = uk.Partition.parse(text)
+        for x in [0.5, X, 0.8]:
+            povms = mixed_devices(x, part.n_agents)
+            l_op, c_op = uk.multi_operators([povms[i - 1] for b in part.blocks for i in b])
+            top = x**part.n_agents
+            for c in [0.0, 0.01 * top, 0.3 * top, 0.9 * top, top]:
+                res = uk.numeric_partition_bound(povms, part, c)
+                assert res.converged
+                assert [f.dims for f in res.maximizer.factors] == [(2,) * len(b) for b in part.blocks]
+                assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-12), (x, c)
+                assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-9), (x, c)
+
+    @pytest.mark.parametrize("x", [0.5, X, 0.8])
+    def test_c0_matches_closed_form_up_to_twelve_agents(self, x):
+        for n in range(2, 13):
+            agents = list(range(1, n + 1))
+            for m in range(1, n + 1):
+                # blocks of m agents in a row, the last one shorter
+                part = uk.Partition(tuple(tuple(agents[i : i + m]) for i in range(0, n, m)))
+                res = uk.numeric_partition_bound(mixed_devices(x, n), part, 0.0)
+                assert res.converged
+                assert res.value == pytest.approx(uk.closed_form_bound(x, n, m).g, abs=1e-12), part.label
+
+    def test_twelve_agents_at_interior_c(self):
+        # a block of eleven beside a singleton; L = |W><W| and C = |U><U| on the
+        # whole system, so the maximizer's <L> and <C> are one overlap each
+        povms = mixed_devices(X, 12)
+        part = uk.Partition.parse("1|2,3,4,5,6,7,8,9,10,11,12")
+        c = 0.3 * X**12
+        res = uk.numeric_partition_bound(povms, part, c)
+        assert res.converged
+        psi = res.maximizer.amplitudes
+        w = reduce(np.kron, [uk.chi_vectors(p.params)[0] for p in povms])
+        assert abs(w.conj() @ psi) ** 2 == pytest.approx(res.value, abs=1e-12)
+        assert X**12 * abs(psi[-1]) ** 2 == pytest.approx(c, abs=1e-9)
+        assert res.value <= uk.closed_form_bound(X, 12, 12).g
+
     def test_capacity_limit(self):
         with pytest.raises(uk.CapacityError):
             uk.numeric_partition_bound(devices(X, 13), uk.Partition(tuple((i,) for i in range(1, 14))), 0.0)
@@ -327,8 +447,8 @@ class TestNumericPartitionBound:
 
 
 class TestStackedFrontier:
-    """`_Block` stacks its eigenproblems; every result must be bitwise that of
-    plain bisection with one eigenproblem per slope, the reference below."""
+    """`_Block` stacks the eigenproblems of its table; every result must be
+    bitwise that of one eigenproblem per slope, the reference below."""
 
     @staticmethod
     def top(block, t):
@@ -409,23 +529,12 @@ class TestStackedFrontier:
         block.frontier(0.3 * block.hi)
         assert max(sizes) == STACK_ENTRIES
 
-    @staticmethod
-    def counting_eigh(monkeypatch):
-        """Patch np.linalg.eigh to record the shape of every argument."""
-        shapes, eigh = [], np.linalg.eigh
-
-        def counted(m):
-            shapes.append(np.shape(m))
-            return eigh(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return shapes
-
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, None])
     def test_memo_is_invisible(self, d):
-        # one block answers a shuffled run of q with repeats, SLSQP-like
-        # neighbours and near-end values; each answer is bitwise the serial
-        # reference's and a fresh block's (d None: the straight-segment pair)
+        # one block, its edge states solved once and kept, answers a shuffled run
+        # of q with repeats, SLSQP-like neighbours and near-end values; each answer
+        # is bitwise the serial reference's and a fresh block's (d None: the
+        # straight-segment pair)
         make = self.straight_pair if d is None else lambda: self.random_pair(d, 7)
         block = make()
         lo, span = block.lo, block.hi - block.lo
@@ -438,39 +547,31 @@ class TestStackedFrontier:
             assert np.array_equal(vec, ref) and np.array_equal(vec, fresh), q
             assert slope == ref_slope == fresh_slope, q
 
-    @pytest.mark.parametrize("d", [2, 4, 16])
-    def test_memo_reuse_is_real_and_bounded(self, monkeypatch, d):
-        shapes = self.counting_eigh(monkeypatch)
-        block, fresh = self.random_pair(d, 5), self.random_pair(d, 5)
-        fresh.edges  # compare bisection work only
-        span = block.hi - block.lo
-        q = block.lo + 0.4 * span
-        block.frontier(q)
-        shapes.clear()
-        block.frontier(q)
-        assert shapes == []
-        # a cold call's solved nodes: the matrices of its stacks
-        fresh.frontier(q + 1e-9 * span)
-        solved = sum(shape[0] for shape in shapes if len(shape) == 3)
-        cold, shapes[:] = len(shapes), []
-        block.frontier(q + 1e-9 * span)
-        assert len(shapes) < cold
-        for q in np.random.default_rng(d).uniform(block.lo, block.hi, 100):
-            block.frontier(q)
-        assert 0 < len(block.memo) <= min(solved, block.stack)
 
-    def test_memo_keeps_at_most_one_stack(self, monkeypatch):
-        # a block of six is 64-dimensional: the memo keeps the first
-        # STACK_ENTRIES / 64^2 = 16 nodes of a path, and a repeat solves the rest
-        shapes = self.counting_eigh(monkeypatch)
-        block = _Block(*uk.multi_operators(devices(X, 6)))
-        block.edges
-        shapes.clear()
-        block.frontier(0.3 * block.hi)
-        cold, shapes[:] = len(shapes), []
-        assert len(block.memo) == block.stack == STACK_ENTRIES // 64**2
-        block.frontier(0.3 * block.hi)
-        assert len(shapes) == cold - block.stack
+class TestRankOneBlock:
+    """A block of the paper's devices as one ellipse, against `_Block` on its
+    dense operators; `_Block` itself against the closed form on one qubit."""
+
+    def test_block_matches_qubit_ellipse(self):
+        # away from the ends, where bisecting the slope resolves <C_B> less finely
+        for l_op, c_op in TestQubitEllipse.device_pairs():
+            block, ellipse = _Block(l_op, c_op), _Ellipse(l_op, c_op)
+            for f in [1e-3, 0.3, 0.5, 0.7, 0.9]:
+                assert abs(block.point(-math.log(f))[1] - ellipse.point(-math.log(f))[1]) <= 1e-15, f
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_dense_block(self, n):
+        for x in [0.5, X, 0.8]:
+            agents = mixed_devices(x, n)
+            ellipse, block = _RankOneBlock(agents), _Block(*uk.multi_operators(agents))
+            assert ellipse.lo == 0.0 and ellipse.hi == block.hi == math.prod(p.params.x for p in agents)
+            for s in np.linspace(0.01, 5.0, 8):
+                vec, value, _ = ellipse.point(s)
+                assert abs(value - block.point(s)[1]) <= 1e-14, (x, s)
+                # the touch state, expanded to 2^n amplitudes, attains the point
+                assert block.values(ellipse.amplitudes(vec)) == pytest.approx((block.hi * math.exp(-s), value), abs=1e-14)
+            for vec, ref in zip([*ellipse.edges, ellipse.free], [*block.edges, block.free]):
+                assert block.values(ellipse.amplitudes(vec)) == pytest.approx(block.values(ref), abs=1e-15)
 
 
 class TestQubitEllipse:
