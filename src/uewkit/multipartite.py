@@ -12,7 +12,7 @@ c = 0 separable bound depends only on the largest block size M_k:
 
 `numeric_partition_bound` extends this to any attainable c without a
 multistart: L and C factor across blocks, each block is solved on its own,
-and the blocks meet in a search over K - 1 scalars for K blocks.  Pi_1 and
+and the blocks meet in one split of c, at equal marginal rates.  Pi_1 and
 Pi_2 are rank one, so a block of the paper's devices is one qubit ellipse,
 built in O(|B|): the cost grows linearly with N.  A block of other devices
 is solved from eigenproblems on its 2^|B| space.
@@ -24,12 +24,13 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
+from itertools import permutations
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._optimize import MAXITER, RANGE_TOL, SLSQP_FTOL, BoundResult
+from ._optimize import RANGE_TOL, BoundResult
 from ._optimize import optimize_product_bound  # noqa: F401  (patched by perfbench/tracing.py)
 from .povm import Povm, ThreeOutcomeParams, ThreeOutcomePovm, build_three_outcome, chi_vectors, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState, bloch_form, bloch_state
@@ -372,30 +373,30 @@ class _Block(_Range):
     def frontier(self, q: float) -> tuple[np.ndarray, float]:
         """State on the frontier at <C_B> = q and the frontier's slope there.
 
-        Bisects t to float resolution, keeping the top eigenvectors on either
-        side of q.  Where <C_B> jumps across q (the sides differ by more than
-        RANGE_TOL), the top eigenvalue at t is degenerate and the frontier is
-        straight: the two sides span that eigenspace, and its state with
-        <C_B> = q lies on the frontier.  Otherwise both sides hit q to float
-        resolution and the nearer one is returned.
+        Bisects t of cos(t) L_B - sin(t) C_B / hi (slope tan(t) / hi: no t a
+        rounding from pi/2 for a small C_B).  Where <C_B> jumps across q (the
+        sides differ by more than RANGE_TOL hi), the top eigenvalue at t is
+        degenerate and the frontier is straight: the two sides span that
+        eigenspace, and its state with <C_B> = q lies on the frontier.
+        Otherwise both sides hit q to float resolution; the nearer is returned.
         """
         a, b = -np.pi / 2, np.pi / 2
         va, vb = self.edges
         while b - a > 4 * np.finfo(float).eps:
             t = 0.5 * (a + b)
-            v, (qv,) = next(self.tops([t], self.c_mat[None]))
-            if qv >= q:
+            v = np.linalg.eigh(math.cos(t) * self.l_mat - math.sin(t) / self.hi * self.c_mat)[1][:, -1]
+            if self.values(v)[0] >= q:
                 a, va = t, v
             else:
                 b, vb = t, v
         qa, qb = self.values(va)[0], self.values(vb)[0]
         vec = va if qa - q <= q - qb else vb
-        if qa - qb > RANGE_TOL:
+        if qa - qb > RANGE_TOL * self.hi:
             basis = np.linalg.qr(np.column_stack([va, vb]))[0]
             w, u = np.linalg.eigh(basis.conj().T @ self.c_mat @ basis)
             s = min(max((w[1] - q) / (w[1] - w[0]), 0.0), 1.0)
             vec = basis @ (math.sqrt(1.0 - s) * u[:, 1] + math.sqrt(s) * u[:, 0])
-        return vec, math.tan(0.5 * (a + b))
+        return vec, math.tan(0.5 * (a + b)) / self.hi
 
     @cached_property
     def log_frontier(self) -> tuple[np.ndarray, np.ndarray]:
@@ -434,32 +435,44 @@ def _split(blocks: Sequence[_Range], s_total: float) -> np.ndarray:
     return s[shares[::-1]]
 
 
-def _polish(blocks: Sequence[_Range], s0: np.ndarray, s_total: float):
-    """Maximize sum log m_B(hi_B exp(-s_B)) subject to sum s_B = s_total
-    from s0, on the exact frontiers with their slopes for the gradient.  The
-    variables are the fractions s_B / s_total, so that a c near the top of
-    its range, where s_total is tiny, is as well scaled as any other."""
-    from scipy.optimize import minimize  # deferred: importing the CLI stays free of scipy
+def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]:
+    """Shares s_B of s_total that maximize sum log m_B(hi_B exp(-s_B)), and whether they settled.
 
-    def negated(r):
-        value, grad = 0.0, np.empty(len(blocks))
-        for k, (b, rk) in enumerate(zip(blocks, r)):
-            s = s_total * rk
-            _, l, slope = b.point(s)
-            value += math.log(l)
-            grad[k] = -s_total * (b.hi * math.exp(-s)) * slope / l
-        return -value, -grad
+    From `_split`'s grid (two blocks can have two local maxima), each round
+    moves deficit between the pair whose marginal rates d log m_B / ds_B lie
+    furthest apart until the rates meet: doubling steps from the grid spacing
+    bracket the sign change, and `brentq` closes it to float resolution.  The
+    rounds end when no pair gains or the pair just settled is picked again.
+    """
+    from scipy.optimize import brentq  # deferred: importing the CLI stays free of scipy
 
-    constraint = {"type": "eq", "fun": lambda r: r.sum() - 1.0, "jac": lambda r: np.ones_like(r)}
-    return minimize(
-        negated,
-        s0 / s_total,
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, min(1.0, math.log(b.hi / b.lo) / s_total) if b.lo > 0 else 1.0) for b in blocks],
-        constraints=[constraint],
-        options={"maxiter": MAXITER, "ftol": SLSQP_FTOL},
-    )
+    @cache  # `brentq` and the next round read again the rates the last step read
+    def rate(k: int, s: float) -> float:
+        _, value, slope = blocks[k].point(s)
+        return -blocks[k].hi * math.exp(-s) * slope / value
+
+    ends = [min(s_total, math.log(b.hi / b.lo)) if b.lo > 0 else s_total for b in blocks]
+    shares, settled = _split(blocks, s_total), None
+    for _ in range(100 * len(blocks)):
+        gain, i, j = max(
+            ((rate(i, shares[i]) - rate(j, shares[j]), i, j) for i, j in permutations(range(len(blocks)), 2)
+             if shares[i] < ends[i] and shares[j] > 0),
+            default=(0.0, 0, 0),
+        )
+        if gain <= 0.0 or {i, j} == settled:
+            return shares, True
+
+        def gap(d: float) -> float:  # the pair's rate gap with d more deficit on block i
+            return rate(i, shares[i] + d) - rate(j, shares[j] - d)
+
+        a, b, step, top = 0.0, 0.0, s_total / 1000, min(shares[j], ends[i] - shares[i])
+        while b < top:
+            a, b, step = b, min(b + step, top), 2.0 * step
+            if gap(b) <= 0.0:
+                b = brentq(gap, a, b, xtol=np.finfo(float).eps * s_total)
+                break
+        shares[i], shares[j], settled = shares[i] + b, shares[j] - b, {i, j}
+    return shares, False
 
 
 def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: float) -> BoundResult:
@@ -517,10 +530,10 @@ def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
     of its L_B; at the top every block sits on the top eigenspace of its
     C_B.  In between, a block whose C_B is a multiple of the identity sits
     on the top eigenvector of its L_B; one other block is its frontier at
-    the rest of c, and several split it by a grid (`_split`) that SLSQP
-    polishes on the exact frontiers, given log-deficits (`_log_deficit`),
+    the rest of c, and several split it where their marginal rates meet on
+    the exact frontiers (`_settle`), given log-deficits (`_log_deficit`),
     never a rounded <C_B>.  That split is a local optimum, not a proven
-    one, so the value can read low; `converged` is the polish's success.  A
+    one, so the value can read low; `converged` says it settled.  A
     c more than RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of
     C, raises ValueError.  `value` is the product of the blocks' frontier
     values (at an end or at c = 0, of the <L_B> their states attain), and
@@ -542,11 +555,9 @@ def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
         if len(parts) == 1:
             vecs[live[0]], on_frontier[live[0]], _ = parts[0].point(s_total)
         elif parts:
-            res = _polish(parts, _split(parts, s_total), s_total)
-            s = s_total * (res.x + (1.0 - res.x.sum()) / len(parts))
+            s, converged = _settle(parts, s_total)
             for k, b, sk in zip(live, parts, s):
                 vecs[k], on_frontier[k], _ = b.point(sk)
-            converged = bool(res.success)
     elif c <= lo and all(b.lo > RANGE_TOL for b in blocks):
         vecs = [b.edges[1] for b in blocks]
     elif c <= lo:

@@ -324,7 +324,7 @@ def separability_curve(
 
     Each party is one block, a qubit party's frontier in closed form, built
     once for the whole grid; every row is the block bound at its c, with `restarts` 0 and
-    `converged` the polish's success.  Each grid value is first snapped to
+    `converged` whether its split settled.  Each grid value is first snapped to
     the digits `curve_to_csv` writes, so every stored row bounds g at the c
     it states.  A c outside the product-state range, or fewer than 2
     parties, raises ValueError; the curve's `reliable` is read from its

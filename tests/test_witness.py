@@ -286,9 +286,9 @@ class TestSeparabilityCurve:
     )
     def test_qubit_curve_matches_eigenproblem_parties(self, x, theta, rows, monkeypatch):
         # the closed form against `_Block`, the eigenproblem frontier, as every
-        # party's block, on rows 0-199 (the top row is float-limited there): never
-        # lower, and higher only where the table-started polish of the eigenproblem
-        # blocks stops short, as 50-digit values of the same rows show
+        # party's block, on rows 0-199 (the top row is float-limited there): each
+        # split settles on equal marginal rates on either frontier, so the rows
+        # agree to rounding; 50-digit values pin the listed rows
         device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, theta))
         grid = np.linspace(*uk.attainable_constraint_range([device, device], (1, 1)), 201)
         closed = uk.separability_curve([device, device], (2, 2), (1, 1), grid)
@@ -296,8 +296,7 @@ class TestSeparabilityCurve:
         eig = uk.separability_curve([device, device], (2, 2), (1, 1), grid)
         assert np.array_equal(closed.c_values, eig.c_values)
         gain = closed.g_values[:200] - eig.g_values[:200]
-        assert gain.min() >= -1e-14
-        assert gain.max() <= 1e-12
+        assert np.abs(gain).max() <= 1e-14
         for row in rows:
             # each row bounds g one rounding below its c (`multipartite._log_deficit`)
             c = closed.c_values[row] * math.exp(-(2.0**-53))
