@@ -336,7 +336,7 @@ def _add_pair_flags(p):
 def _add_opt_flags(p):
     p.add_argument(
         "--restarts", type=int, default=OptimizerSettings.restarts,
-        help="restarts per multistart bound: --L/--C files, and tighten unless its decomposition is one beta > 0 term",
+        help="restarts per multistart bound: --L/--C files, and a tighten sum or beta <= 0 term with a party that is not a qubit",
     )
     p.add_argument("--seed", type=int, default=None, help="seed for the multistart restarts")
 

@@ -15,7 +15,10 @@ multistart: L and C factor across blocks, each block is solved on its own,
 and the blocks meet in one split of c, at equal marginal rates.  Pi_1 and
 Pi_2 are rank one, so a block of the paper's devices is one qubit ellipse,
 built in O(|B|): the cost grows linearly with N.  A block of other devices
-is solved from eigenproblems on its 2^|B| space.
+is solved from eigenproblems on its 2^|B| space.  `_QubitPair` serves
+`witness.tighten` on a sum of product terms over two qubit parties, where L
+does not factor: party 2's reply to each Bloch vector of party 1 is an
+ellipse frontier in closed form, and party 1's sphere is searched.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +53,11 @@ MAX_AGENTS = 12
 STACK_ENTRIES = 2**16
 # unit roundoff of a float: the relative rounding of c and of the block tops
 ROUNDING = 2.0**-53
+# `_QubitPair._search`: grid points per coordinate, grid maxima refined, pattern-search rounds
+GRID = 24
+STARTS = 4
+PATTERN_ROUNDS = 200
+STENCIL = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -313,6 +321,188 @@ class _RankOneBlock(_Ellipse):
         return full
 
 
+class _QubitPair:
+    """Two qubit parties, L = sum_i beta_i A_i (x) B_i and C = C_1 (x) C_2, on party 1's Bloch sphere.
+
+    With N = (1, n) and M = (1, m) for the parties' Bloch vectors, each
+    effect is a 4-vector (`qcore.bloch_form`), <L> = M^T T N for the real
+    T = sum_i beta_i b_i a_i^T, and <C> = q_1(n) q_2(m).  For a fixed n,
+    party 2 sees one qubit operator, the Bloch form T N, with <C_2> held at
+    c / q_1(n): its best <L> is `_Ellipse`'s frontier l0 + alpha u + beta
+    sqrt(1 - u^2), or l0 + |l| with no constraint.  `_search` maximizes that
+    over n, along c_1 (u = n.c_1/|c_1|, or with a constraint party 1's
+    log-deficit) and around it (the angle phi).  A party whose
+    C_k is a multiple of the identity (to RANGE_TOL) has one <C_k> and is
+    free; it is made party 2 when the other is not.
+    """
+
+    def __init__(self, terms: Sequence[tuple[float, np.ndarray, np.ndarray]], c_mats: Sequence[np.ndarray]):
+        betas = np.array([b for b, _, _ in terms])
+        a0, a = bloch_form(np.array([m for _, m, _ in terms]))
+        b0, b = bloch_form(np.array([m for _, _, m in terms]))
+        self.t = np.column_stack([b0, b]).T @ (betas[:, None] * np.column_stack([a0, a]))
+        c0, c = bloch_form(np.array(c_mats))
+        widths = np.hypot.reduce(c, axis=1)
+        self.swapped = 2.0 * widths[0] <= RANGE_TOL and widths[1] > widths[0]
+        if self.swapped:
+            self.t, c0, c, widths = self.t.T, c0[::-1], c[::-1], widths[::-1]
+        self.c0, self.widths = c0.tolist(), widths.tolist()
+        self.live = [2.0 * w > RANGE_TOL for w in self.widths]
+        # an effect's C_k is PSD: a bottom that rounding puts below 0 is read as 0
+        self.lo = [max(q - w, 0.0) for q, w in zip(self.c0, self.widths)]
+        self.hi = [q + w for q, w in zip(self.c0, self.widths)]
+        # each party's frame (along c_k, then two axes across it) as a map of 4-vectors (1, Bloch vector)
+        self.frames = []
+        for ck, w in zip(c, widths):
+            along = ck / w if w > 0.0 else np.array([0.0, 0.0, 1.0])
+            across = np.cross(along, np.eye(3)[np.argmin(np.abs(along))])
+            across /= math.hypot(*across)
+            frame = np.eye(4)
+            frame[1:, 1:] = np.column_stack([along, across, np.cross(along, across)])
+            self.frames.append(frame)
+        # (1, u, r cos phi, r sin phi) of party 1 -> (l0, alpha, gamma_1, gamma_2) of party 2 in its frame
+        self.s = self.frames[1].T @ self.t @ self.frames[0]
+
+    def bound(self, c: Optional[float] = None) -> BoundResult:
+        """Sup of <L> over product states, with <C> = c if c is given.
+
+        Inside the range of C `_search` solves it.  At the top every party
+        whose C_k is not a multiple of the identity sits on its top state,
+        and at a positive bottom on its bottom state; at c = 0 one party
+        with a singular C_k sits on its kernel, the larger of those
+        branches.  A party held nowhere is free: its best state given the
+        other's is closed-form.  A c more than RANGE_TOL outside the range
+        raises ValueError.
+        """
+        if c is None:
+            return self._search(None)
+        lo, hi = self.lo[0] * self.lo[1], self.hi[0] * self.hi[1]
+        if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
+            raise ValueError(
+                f"constraint value {c} outside the spectrum [{lo:.12g}, {hi:.12g}] of C: no state attains it"
+            )
+        if lo < c < hi:
+            return self._search(c)
+        if c >= hi or all(q > RANGE_TOL for q in self.lo):
+            side = 1.0 if c >= hi else -1.0
+            options = [[side if live else None for live in self.live]]
+        else:
+            options = [
+                [-1.0 if j == k and self.live[k] else None for j in range(2)] for k in range(2) if self.lo[k] <= RANGE_TOL
+            ]
+        return max((self._held(sides, c) for sides in options), key=lambda res: res.value)
+
+    def _held(self, sides: Sequence[Optional[float]], c: float) -> BoundResult:
+        """Each party with a side (1 top, -1 bottom) held at that end of its C_k; any other free."""
+        n, m = (None if side is None else np.eye(4)[0] + side * frame[:, 1] for side, frame in zip(sides, self.frames))
+        if n is None and m is None:
+            return self._search(None)
+        if n is None:
+            n, value = self._free(0, self.t.T @ m)
+        elif m is None:
+            m, value = self._free(1, self.t @ n)
+        else:
+            value = float(m @ self.t @ n)
+        return self._result(value, n, m, c, True)
+
+    def _free(self, k: int, form: np.ndarray) -> tuple[np.ndarray, float]:
+        """Party k's best (1, Bloch vector) and <L> with no constraint, where
+        the other party's state leaves it the Bloch form `form`."""
+        norm = math.hypot(*form[1:])
+        return np.concatenate([[1.0], form[1:] / norm if norm > 0.0 else self.frames[k][1:, 1]]), form[0] + norm
+
+    def _deficits(self, k: int, s):
+        """Party k's 1 - u and 1 + u at <C_k> = hi_k exp(-s), each from its own
+        end, so that a <C_k> a rounding from hi_k keeps its digits."""
+        top = -self.hi[k] * np.expm1(-s) / self.widths[k]
+        bottom = (self.hi[k] * np.exp(-s) - self.lo[k]) / self.widths[k]
+        return np.maximum(top, 0.0), np.maximum(bottom, 0.0)
+
+    def _coords(self, s_total: Optional[float], x, phi):
+        """Party 1's (1, u, r cos phi, r sin phi) in its frame, r = sqrt(1 - u^2).
+
+        x is u itself with no constraint, and with one the log-deficit
+        log(hi_1 / <C_1>), which resolves <C_1> near c / hi_2 and near hi_1
+        however small c is."""
+        top, bottom = (1.0 - x, 1.0 + x) if s_total is None else self._deficits(0, x)
+        r = np.sqrt(top * bottom)
+        return np.array([np.ones_like(r), (bottom - top) / 2.0, r * np.cos(phi), r * np.sin(phi)])
+
+    def _values(self, s_total: Optional[float], x, phi):
+        """Party 2's best <L> with party 1 at (x, phi): on its frontier at the
+        log-deficit s_total - x, or free with no constraint or no range."""
+        l0, alpha, g1, g2 = self.s @ self._coords(s_total, x, phi)
+        if s_total is None or not self.live[1]:
+            return l0 + np.sqrt(alpha**2 + g1**2 + g2**2)
+        top, bottom = self._deficits(1, s_total - x)
+        return l0 + alpha * (bottom - top) / 2.0 + np.hypot(g1, g2) * np.sqrt(top * bottom)
+
+    def _search(self, c: Optional[float]) -> BoundResult:
+        """Max of `_values` over party 1: a GRID x GRID grid of x on its band
+        and of phi, then a pattern search from the grid's STARTS best local
+        maxima, each step halved when no neighbour gains, down to float
+        resolution; `converged` says every start got there within
+        PATTERN_ROUNDS.  With a constraint the band holds the x at which both
+        <C_k> lie in their ranges, from the exact total log-deficit
+        (`_log_deficit`)."""
+        if c is None:
+            s_total, a, b = None, -1.0, 1.0
+        else:
+            s_total = _log_deficit(self.hi, c)
+            (lo1, lo2), (hi1, hi2) = self.lo, self.hi
+            a = max(s_total - math.log(hi2 / lo2), 0.0) if lo2 > 0.0 else 0.0
+            b = min(math.log(hi1 / lo1), s_total) if lo1 > 0.0 else s_total
+        xs = a + (b - a) * (np.arange(GRID) + 0.5) / GRID
+        phis = 2.0 * np.pi * np.arange(GRID) / GRID
+        grid = self._values(s_total, np.repeat(xs, GRID), np.tile(phis, GRID)).reshape(GRID, GRID)
+        ends = np.full((1, GRID), -np.inf)
+        padded = np.vstack([ends, grid, ends])
+        peaks = (grid >= padded[:-2]) & (grid >= padded[2:]) & (grid >= np.roll(grid, 1, 1)) & (grid >= np.roll(grid, -1, 1))
+        starts = np.flatnonzero(peaks)
+        starts = starts[np.argsort(grid.ravel()[starts])[::-1][:STARTS]]
+        x, phi, f = xs[starts // GRID], phis[starts % GRID], grid.ravel()[starts]
+        hx, hp = np.full(x.size, (b - a) / GRID), np.full(x.size, 2.0 * np.pi / GRID)
+        rows, eps = np.arange(x.size), np.finfo(float).eps
+
+        def settled() -> bool:
+            return bool(hx.max() <= eps * b and hp.max() <= 2.0 * np.pi * eps)
+
+        for _ in range(PATTERN_ROUNDS):
+            if settled():
+                break
+            cx = np.clip(x[:, None] + STENCIL[:, 0] * hx[:, None], a, b)
+            cp = phi[:, None] + STENCIL[:, 1] * hp[:, None]
+            cf = self._values(s_total, cx.ravel(), cp.ravel()).reshape(cx.shape)
+            k = cf.argmax(axis=1)
+            gain = cf[rows, k] > f
+            x, phi, f = np.where(gain, cx[rows, k], x), np.where(gain, cp[rows, k], phi), np.where(gain, cf[rows, k], f)
+            hx, hp = np.where(gain, hx, hx / 2.0), np.where(gain, hp, hp / 2.0)
+        j = int(np.argmax(f))
+        coords = self._coords(s_total, x[j], phi[j])
+        n = self.frames[0] @ coords
+        if s_total is None or not self.live[1]:
+            m, _ = self._free(1, self.t @ n)
+        else:
+            _, _, g1, g2 = self.s @ coords
+            top, bottom = self._deficits(1, s_total - x[j])
+            beta = math.hypot(g1, g2)
+            across = np.array([g1, g2]) / beta if beta > 0.0 else np.array([1.0, 0.0])
+            m = self.frames[1] @ np.array([1.0, (bottom - top) / 2.0, *(math.sqrt(top * bottom) * across)])
+        return self._result(float(f[j]), n, m, c, settled())
+
+    def _result(self, value: float, n: np.ndarray, m: np.ndarray, c: Optional[float], converged: bool) -> BoundResult:
+        """`value` with the product state of Bloch 4-vectors n (party 1) and m (party 2)."""
+        q = [q0 + w * frame[1:, 1] @ v[1:] for q0, w, frame, v in zip(self.c0, self.widths, self.frames, (n, m))]
+        states = [PureState((2,), bloch_state(v[1:] / np.linalg.norm(v[1:]))) for v in (n, m)]
+        return BoundResult(
+            value=float(value),
+            maximizer=ProductState(tuple(states[::-1] if self.swapped else states)),
+            feasibility_residual=0.0 if c is None else abs(q[0] * q[1] - c),
+            restarts_used=0,
+            converged=converged,
+        )
+
+
 class _Block(_Range):
     """One block's operators L_B and C_B, any Hermitian pair on its space, and their frontier.
 
@@ -366,9 +556,13 @@ class _Block(_Range):
         return vec, self.values(vec)[1], slope
 
     def log_frontier_at(self, s: np.ndarray) -> np.ndarray:
-        """`log_frontier` read at log-deficits s; -inf where q = hi exp(-s) < lo."""
-        f = np.interp(np.log(self.hi) - s, *self.log_frontier)
-        return np.where(self.hi * np.exp(-s) >= self.lo, f, -np.inf)
+        """log m at log-deficits s, m read between `frontier_points` on their
+        chords (below a concave m, on a straight one); -inf where q = hi
+        exp(-s) < lo, and where m = 0, which it can be only at an end."""
+        q = self.hi * np.exp(-s)
+        with np.errstate(divide="ignore"):
+            f = np.log(np.maximum(np.interp(q, *self.frontier_points), 0.0))
+        return np.where(q >= self.lo, f, -np.inf)
 
     def frontier(self, q: float) -> tuple[np.ndarray, float]:
         """State on the frontier at <C_B> = q and the frontier's slope there.
@@ -399,17 +593,17 @@ class _Block(_Range):
         return vec, math.tan(0.5 * (a + b)) / self.hi
 
     @cached_property
-    def log_frontier(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frontier points as (log <C_B>, log <L_B>), ascending in <C_B>, at
-        801 slopes through `tops`; built once per block, however many c it serves."""
+    def frontier_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frontier points (<C_B>, <L_B>) from the bottom edge to the top one,
+        ascending in <C_B>, at 801 slopes through `tops`; built once per
+        block, however many c it serves."""
         # slopes sinh(r) for evenly spaced r: points as dense in log <C_B>
         # near the ends of the range as around the peak
         angles = np.arctan(np.sinh(np.linspace(20.0, -20.0, 801)))
         points = [ql for _, ql in self.tops(angles, self.c_and_l)]
         top, bottom = self.edges
         q, l = np.array([self.values(bottom), *points, self.values(top)]).T
-        keep = (q > 0.0) & (l > 0.0)
-        return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
+        return np.maximum.accumulate(q), l
 
 
 def _split(blocks: Sequence[_Range], s_total: float) -> np.ndarray:
@@ -449,6 +643,8 @@ def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]
     @cache  # `brentq` and the next round read again the rates the last step read
     def rate(k: int, s: float) -> float:
         _, value, slope = blocks[k].point(s)
+        if value <= 0.0:  # m = 0 at an end of the block's range: log m falls without bound away from it
+            return math.copysign(math.inf, -slope)
         return -blocks[k].hi * math.exp(-s) * slope / value
 
     ends = [min(s_total, math.log(b.hi / b.lo)) if b.lo > 0 else s_total for b in blocks]
@@ -498,12 +694,18 @@ def _partition_block(agents: Sequence[Povm]) -> _Range:
 
 
 def _range_of(l_op: HermitianOperator, c_op: HermitianOperator) -> _Range:
-    """A block's range: the closed-form ellipse on one qubit, eigenproblems on any other space."""
-    return _Ellipse(l_op, c_op) if l_op.dims == (2,) else _Block(l_op, c_op)
+    """A block's range: the closed-form ellipse on one qubit, eigenproblems on any other space.
+
+    C_B is an effect, so PSD: a bottom lo that rounding puts below 0 is read
+    as 0, as `product_sew_bound` reads it, and c = 0 stays an end of the range.
+    """
+    block = _Ellipse(l_op, c_op) if l_op.dims == (2,) else _Block(l_op, c_op)
+    block.lo = max(block.lo, 0.0)
+    return block
 
 
-def _log_deficit(blocks: Sequence[_Range], c: float) -> float:
-    """log(prod hi_B / c) + ROUNDING, the total log-deficit an interior c hands the blocks.
+def _log_deficit(tops: Sequence[float], c: float) -> float:
+    """log(prod hi_B / c) + ROUNDING, the total log-deficit an interior c hands the blocks, of tops hi_B.
 
     The ratio of the floats is taken exactly (`Fraction`), so a c a few
     roundings below the top keeps every digit of its deficit.  The added
@@ -514,7 +716,7 @@ def _log_deficit(blocks: Sequence[_Range], c: float) -> float:
     rounding moves g by ~1e-11.  Away from the top the shift moves g by a
     few 1e-16 either way.
     """
-    ratio = math.prod(Fraction(b.hi) for b in blocks) / Fraction(c)
+    ratio = math.prod(Fraction(hi) for hi in tops) / Fraction(c)
     try:
         deficit = math.log1p(float(ratio - 1))
     except OverflowError:  # a c so far below the top that the ratio leaves the floats
@@ -546,7 +748,7 @@ def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
         )
     converged, on_frontier = True, {}
     vecs = [b.edges[0] for b in blocks]
-    s_total = _log_deficit(blocks, c) if lo < c < hi else 0.0
+    s_total = _log_deficit([b.hi for b in blocks], c) if lo < c < hi else 0.0
     if s_total > 0.0:
         # a block whose C_B is a multiple of the identity (to RANGE_TOL) has
         # one <C_B>: it stays at its edge state and the others share c

@@ -15,9 +15,12 @@ indices, are solved party by party from eigenproblems, with no random starts:
 `product_constrained_bound` and `separability_curve` from the per-party
 frontiers of `multipartite._block_bound`.  `constrained_pure_state_sup` is
 that frontier on one block, the whole space.  `tighten` uses the same two
-product bounds for a one-term decomposition with a positive weight.
-Operators given as matrices, and `tighten` on any other decomposition, go
-through the seeded multistart of `sew_bound` and `constrained_bound`.
+product bounds for a one-term decomposition with a positive weight, and
+solves any other decomposition on two qubit parties on party 1's Bloch
+sphere (`multipartite._QubitPair`), also with no random starts.  Operators
+given as matrices, and `tighten` on other decompositions with a party that
+is not a qubit, go through the seeded multistart of `sew_bound` and
+`constrained_bound`.
 
 Between grid nodes a curve is read through its secant envelope.  `detect`
 compares a measurement with the envelope's supremum over its c error box,
@@ -44,7 +47,7 @@ from ._optimize import (
     fingerprint_operators,
     optimize_product_bound,
 )
-from .multipartite import _Block, _block_bound, _range_of
+from .multipartite import _Block, _block_bound, _QubitPair, _range_of
 from .povm import Povm, product_operator, selected_effects
 from .qcore import HermitianOperator, ProductState, PureState
 
@@ -418,7 +421,10 @@ def tighten(
     One term with beta > 0 is beta times a product of effects, so both bounds
     come from `product_sew_bound` and `product_constrained_bound`, the values
     `bound` writes, with no dense operator and `settings` unused.  Any other
-    decomposition is assembled into a dense L and bounded by the seeded
+    decomposition on two qubit parties is solved on party 1's Bloch sphere
+    (`multipartite._QubitPair`), party 2's best reply in closed form, again
+    with no dense operator and `settings` unused.  With a party that is not
+    a qubit it is assembled into a dense L and bounded by the seeded
     multistart of `sew_bound` and `constrained_bound`.
 
     Finite-shot frequencies can fall slightly outside the range of <C> over
@@ -435,6 +441,11 @@ def tighten(
         scale = betas[0]
         old = product_sew_bound(povms, pairs[0])
         new = product_constrained_bound(povms, pairs[0], constraint_pair, c_used)
+    elif len(povms) == 2 and all(p.dims == (2,) for p in povms):
+        scale = 1.0
+        terms = [(b, *(e.op.mat for e in selected_effects(povms, pair))) for b, pair in zip(betas, pairs)]
+        qubits = _QubitPair(terms, [e.op.mat for e in selected_effects(povms, constraint_pair)])
+        old, new = qubits.bound(), qubits.bound(c_used)
     else:
         scale = 1.0
         l_mat = sum(b * product_operator(povms, pair).mat for b, pair in zip(betas, pairs))

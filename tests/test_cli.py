@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -15,7 +16,7 @@ import uewkit as uk
 from uewkit import cli
 from uewkit.cli import main
 
-from conftest import random_hermitian
+from conftest import qutrit_device_qutrit, random_hermitian
 
 
 def run(*argv):
@@ -69,6 +70,22 @@ def test_curve_povm_file_sets_the_ceiling(tmp_path, file_x, flag_x, ceiling):
     argv = ("curve", "--povm", povm_file, "--x", flag_x, "--grid", 5, "--out", out)
     assert run(*argv) == 0
     assert ("entangled_max" in json.loads(out.with_suffix(".json").read_text())) is ceiling
+
+
+def test_curve_povm_reads_a_rounded_negative_bottom_as_zero(tmp_path, capsys):
+    # Pi_2 of the x = 2/3 device has a smallest eigenvalue of -5.5e-17 in
+    # floats; read as 0, c = 0 is the bottom row of the range, not an interior
+    # c whose log-deficit divides by it
+    povms, povm_file, out = qutrit_device_qutrit(), tmp_path / "povm.json", tmp_path / "curve.csv"
+    uk.qcore.save_json(povm_file, uk.povm_to_dict(povms))
+    argv = ("curve", "--povm", povm_file, "--l-indices", "2,1,1", "--c-indices", "1,2,2", "--grid", 5, "--out", out)
+    # the curve is not concave, so it exits 3, with every row written
+    assert run(*argv) == 3
+    assert "unreliable" in capsys.readouterr().err
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 5 and float(rows[0]["c"]) == 0.0
+    at_zero = uk.product_constrained_bound(povms, (2, 1, 1), (1, 2, 2), 0.0)
+    assert float(rows[0]["g"]) == uk.witness.round_up(at_zero.value)
 
 
 def test_curve_minimal_grid(tmp_path):
@@ -327,14 +344,20 @@ def test_one_term_tighten_runs_no_multistart(tmp_path, monkeypatch):
                 assert f"{payload['c']:.12g}" == f"{float(Fraction(c)):.12g}" and payload["converged"]
                 assert f"{payload['old_bound']:.12g}" == written("--x", x, "--l-indices", pair), (x, pair)
                 assert f"{payload['g_of_c']:.12g}" == written("--x", x, "--l-indices", pair, "--c", c), (x, c, pair)
-    # any other decomposition reaches the multistart with --restarts and --seed
-    reached = []
-    monkeypatch.setattr(uk.witness, "sew_bound", lambda l_op, settings: reached.append(settings) or no_multistart())
+    # a sum or a beta <= 0 term on two qubits is solved on party 1's Bloch sphere, no multistart either
     for decomposition in ("-1:2,2", "0.6:2,2;0.4:3,3"):
         argv = ("tighten", "--counts", counts, f"--decomposition={decomposition}", "--restarts", 2, "--seed", 3)
-        with pytest.raises(AssertionError, match="must not run the multistart"):
-            run(*argv, "--out", out)
-    assert reached == [uk.OptimizerSettings(restarts=2, seed=3)] * 2
+        assert run(*argv, "--out", out) == 0, decomposition
+        assert json.loads(out.read_text())["converged"]
+    # with a party that is not a qubit a sum still reaches the multistart, with --restarts and --seed
+    reached, povm_file = [], tmp_path / "povm.json"
+    qutrit = uk.Povm(tuple(uk.Effect(uk.HermitianOperator((3,), np.diag(d))) for d in ([0, 0.3, 0.9], [0.6, 0.5, 0], [0.4, 0.2, 0.1])))
+    uk.qcore.save_json(povm_file, uk.povm_to_dict([qutrit, uk.build_three_outcome(uk.ThreeOutcomeParams(0.5, 0.0))]))
+    monkeypatch.setattr(uk.witness, "sew_bound", lambda l_op, settings: reached.append(settings) or no_multistart())
+    argv = ("tighten", "--counts", counts, "--povm", povm_file, "--decomposition=0.6:2,2;0.4:3,3", "--restarts", 2, "--seed", 3)
+    with pytest.raises(AssertionError, match="must not run the multistart"):
+        run(*argv, "--out", out)
+    assert reached == [uk.OptimizerSettings(restarts=2, seed=3)]
 
 
 @pytest.mark.parametrize("x", ["1/2", "2/3", "0.8"])
@@ -642,17 +665,18 @@ def test_tighten_unconverged_exits_3(tmp_path, monkeypatch):
         "simulate", "--preset", "optimal-entangled", "--c", 0, "--shots", 1000, "--seed", 5, "--out", counts
     ) == 0
     out = tmp_path / "tighten.json"
-    # the default one-term decomposition takes the block engine, a sum the multistart
-    for decomposition, engine in (("1:2,2", "product_constrained_bound"), ("0.6:2,2;0.4:3,3", "constrained_bound")):
+    # the default one-term decomposition takes the block engine, a sum the Bloch-sphere search
+    engines = (("1:2,2", uk.witness, "product_constrained_bound"), ("0.6:2,2;0.4:3,3", uk.multipartite._QubitPair, "bound"))
+    for decomposition, owner, engine in engines:
         argv = ("tighten", "--counts", counts, "--decomposition", decomposition, "--restarts", 4, "--out", out)
         assert run(*argv) == 0
         assert json.loads(out.read_text())["converged"] is True
 
-        def unconverged(*args, bound=getattr(uk.witness, engine), **kwargs):
+        def unconverged(*args, bound=getattr(owner, engine), **kwargs):
             return dataclasses.replace(bound(*args, **kwargs), converged=False)
 
         with monkeypatch.context() as patched:
-            patched.setattr(uk.witness, engine, unconverged)
+            patched.setattr(owner, engine, unconverged)
             assert run(*argv) == 3, decomposition
         assert json.loads(out.read_text())["converged"] is False
 

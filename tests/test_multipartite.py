@@ -382,7 +382,7 @@ class TestNumericPartitionBound:
         res = uk.numeric_partition_bound(povms, part, c)
         assert res.converged
         blocks = [multipartite._partition_block([povms[i - 1] for i in b]) for b in part.blocks]
-        s = multipartite._log_deficit(blocks, c)
+        s = multipartite._log_deficit([b.hi for b in blocks], c)
         scan = max(blocks[0].point(s * r)[1] * blocks[1].point(s * (1.0 - r))[1] for r in np.linspace(0.0, 1.0, 2001))
         assert res.value >= scan - 1e-15
         assert multipartite._block_bound(dense_blocks(povms, part), c).value >= scan - 1e-15 * scan
@@ -482,8 +482,27 @@ class TestRateExchange:
         c = f * blocks[0].hi * blocks[1].hi
         res = uk.product_constrained_bound(povms, (2, 2), (1, 1), c)
         assert res.converged
-        scan = self.scan_two(blocks, multipartite._log_deficit(blocks, c))
+        scan = self.scan_two(blocks, multipartite._log_deficit([b.hi for b in blocks], c))
         assert res.value >= scan - 1e-15 * scan
+
+    @pytest.mark.parametrize("f", [0.01, 0.1, 0.5, 0.999])
+    def test_frontier_falling_to_zero_at_the_top(self, f):
+        # diagonal, so commuting, effects: each party's frontier is the hull of
+        # (<C>, <L>) = (0, 0.6), (0.3, 0.5), (0.9, 0), which reaches m = 0 at the top
+        # of its range; no block may start or settle there
+        qutrit = uk.Povm(tuple(uk.Effect(uk.HermitianOperator((3,), np.diag(d))) for d in ([0, 0.3, 0.9], [0.6, 0.5, 0], [0.4, 0.2, 0.1])))
+        c = f * 0.81
+        res = uk.product_constrained_bound([qutrit, qutrit], (2, 2), (1, 1), c)
+        assert res.converged and res.feasibility_residual <= 1e-15
+        # a dense scan of the split q_1 q_2 = c on the exact hull, refined once around its best point
+        m = lambda q: np.interp(q, [0.0, 0.3, 0.9], [0.6, 0.5, 0.0])  # noqa: E731
+        lo, hi = c / 0.9, 0.9
+        for _ in range(2):
+            q = np.linspace(lo, hi, 200001)
+            g = m(q) * m(c / q)
+            k = int(np.argmax(g))
+            lo, hi = q[max(k - 1, 0)], q[min(k + 1, q.size - 1)]
+        assert abs(res.value - g[k]) <= 1e-12 * g[k]
 
     def test_three_blocks_reach_the_best_split(self):
         povms = mixed_devices(0.8, 4)
@@ -492,7 +511,7 @@ class TestRateExchange:
         c = 0.3 * math.prod(b.hi for b in blocks)
         res = uk.numeric_partition_bound(povms, part, c)
         assert res.converged
-        scan = self.scan_three(blocks, multipartite._log_deficit(blocks, c))
+        scan = self.scan_three(blocks, multipartite._log_deficit([b.hi for b in blocks], c))
         assert res.value >= scan - 1e-15 * scan
 
 
@@ -524,16 +543,14 @@ class TestStackedFrontier:
             vec = basis @ (math.sqrt(1.0 - s) * u[:, 1] + math.sqrt(s) * u[:, 0])
         return vec, math.tan(0.5 * (a + b)) / block.hi
 
-    def serial_log_frontier(self, block):
+    def serial_frontier_points(self, block):
         angles = np.arctan(np.sinh(np.linspace(20.0, -20.0, 801)))
         points = [block.values(self.top(block, t)) for t in angles]
         q, l = np.array([block.values(block.edge(block.lo)), *points, block.values(block.edge(block.hi))]).T
-        keep = (q > 0.0) & (l > 0.0)
-        return np.log(np.maximum.accumulate(q[keep])), np.log(l[keep])
+        return np.maximum.accumulate(q), l
 
     @staticmethod
     def random_pair(d, seed):
-        # positive pairs, so log_frontier keeps every point
         rng = np.random.default_rng(seed)
         mats = []
         for _ in range(2):
@@ -548,7 +565,7 @@ class TestStackedFrontier:
             (vec, slope), (ref, ref_slope) = block.frontier(q), self.serial_frontier(block, q)
             assert np.array_equal(vec, ref), q
             assert slope == ref_slope, q
-        for got, ref in zip(block.log_frontier, self.serial_log_frontier(block)):
+        for got, ref in zip(block.frontier_points, self.serial_frontier_points(block)):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
@@ -576,7 +593,7 @@ class TestStackedFrontier:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         block = _Block(*uk.multi_operators(devices(X, 6)))
-        block.log_frontier
+        block.frontier_points
         block.frontier(0.3 * block.hi)
         assert max(sizes) == STACK_ENTRIES
 
@@ -713,3 +730,81 @@ class TestQubitEllipse:
         top = np.linalg.eigvalsh(l_op.mat)[-1]
         for vec in ellipse.edges:
             assert ellipse.values(vec) == pytest.approx((0.5, top), abs=1e-15)
+
+
+class TestQubitPair:
+    """Two-qubit sums L = sum_i beta_i A_i (x) B_i under C = C_1 (x) C_2, solved on party 1's Bloch sphere."""
+
+    @staticmethod
+    def random_sum(rng, i):
+        def psd(rank):
+            vecs = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+            m = vecs @ vecs.conj().T
+            return m / np.linalg.eigvalsh(m)[-1] * rng.uniform(0.2, 1.0)
+
+        terms = [(rng.uniform(-1.0, 1.0), psd(2), psd(2)) for _ in range(1 + i % 3)]
+        # singular constraint effects on party 1, party 2, both or neither, so c = 0 takes every branch set
+        c_mats = [psd(1 + (i >> 2) % 2), psd(1 + (i >> 3) % 2)]
+        return terms, c_mats
+
+    @staticmethod
+    def dense(terms, c_mats):
+        l_mat = sum(b * np.kron(a1, a2) for b, a1, a2 in terms)
+        return uk.HermitianOperator((2, 2), l_mat), uk.HermitianOperator((2, 2), np.kron(*c_mats))
+
+    @staticmethod
+    def expect(mat, vec):
+        return float((vec.conj() @ mat @ vec).real)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_sums_match_the_multistart(self, chunk):
+        # 200 sums in all; per sum the unconstrained bound, both ends of the range and one c inside it
+        rng, settings = np.random.default_rng(2800 + chunk), uk.OptimizerSettings(restarts=4)
+        for i in range(50):
+            terms, c_mats = self.random_sum(rng, i)
+            pair, (l_op, c_op) = multipartite._QubitPair(terms, c_mats), self.dense(terms, c_mats)
+            old = pair.bound()
+            assert old.converged and abs(old.value - uk.sew_bound(l_op, settings=settings).value) <= 1e-14, i
+            (w1, v1), (w2, v2) = (np.linalg.eigh(m) for m in c_mats)
+            # a singular C_k's bottom eigenvalue is 0 up to rounding
+            lo, hi = math.prod(w[0] if w[0] > RANGE_TOL else 0.0 for w in (w1, w2)), w1[-1] * w2[-1]
+            # an end, read within RANGE_TOL beyond it, as eigenvalues and Bloch forms place it a rounding apart
+            # the top: one state, both parties on the top eigenvectors of their C_k
+            top = pair.bound(hi + RANGE_TOL / 2).value
+            assert top == pytest.approx(self.expect(l_op.mat, np.kron(v1[:, -1], v2[:, -1])), abs=1e-15), i
+            # the bottom: both on bottom eigenvectors, or at c = 0 one party on the kernel of its C_k, the other free
+            if lo > 0.0:
+                ends = [self.expect(l_op.mat, np.kron(v1[:, 0], v2[:, 0]))]
+            else:
+                l4 = l_op.mat.reshape(2, 2, 2, 2)
+                ends = [np.linalg.eigvalsh(np.einsum("i,ijkl,k->jl", v.conj(), l4, v) if k == 0 else
+                                           np.einsum("j,ijkl,l->ik", v.conj(), l4, v))[-1]
+                        for k, (w, v) in enumerate(((w1, v1[:, 0]), (w2, v2[:, 0]))) if w[0] <= RANGE_TOL]
+            assert pair.bound(lo - RANGE_TOL / 2).value == pytest.approx(max(ends), abs=1e-15), i
+            # inside, away from the ends, where one rounding of <C> moves g by < 1e-14: at the
+            # multistart's own <C> the search reads no lower than the <L> it reached
+            ref = uk.constrained_bound(l_op, c_op, lo + (hi - lo) * rng.uniform(0.01, 0.99), settings=settings)
+            vec = ref.maximizer.amplitudes
+            res = pair.bound(self.expect(c_op.mat, vec))
+            assert res.converged and res.value >= self.expect(l_op.mat, vec) - 1e-14, i
+            # and its own maximizer attains its value at its c
+            vec = res.maximizer.amplitudes
+            assert abs(self.expect(l_op.mat, vec) - res.value) <= 1e-15 and res.feasibility_residual <= 1e-15, i
+
+    @pytest.mark.parametrize("flat", [0, 1])
+    def test_a_flat_constraint_party_is_free(self, flat):
+        # C_k = I/2 on one party: its <C_k> is fixed, so c fixes the other party's <C> and it is free
+        e1 = np.diag([0.9, 0.2]).astype(complex)
+        terms = [(0.6, e1, np.eye(2) / 2), (0.4, np.eye(2) - e1, np.diag([0.3, 0.7]))]
+        c_mats = [e1, np.eye(2) / 2]
+        if flat == 0:  # the same pair with the parties exchanged
+            terms, c_mats = [(b, a2, a1) for b, a1, a2 in terms], c_mats[::-1]
+        pair, (l_op, c_op) = multipartite._QubitPair(terms, c_mats), self.dense(terms, c_mats)
+        settings = uk.OptimizerSettings(restarts=4)
+        assert abs(pair.bound().value - uk.sew_bound(l_op, settings=settings).value) <= 1e-14
+        for c in (0.1, 0.2, 0.3, 0.45):
+            vec = uk.constrained_bound(l_op, c_op, c, settings=settings).maximizer.amplitudes
+            res = pair.bound(self.expect(c_op.mat, vec))
+            assert res.converged and res.value >= self.expect(l_op.mat, vec) - 1e-15, c
+            vec = res.maximizer.amplitudes
+            assert abs(self.expect(l_op.mat, vec) - res.value) <= 1e-15 and res.feasibility_residual <= 1e-15, c

@@ -522,6 +522,26 @@ class TestTighten:
         )
         assert out.improvement >= -1e-9
 
+    def test_qubit_sums_build_no_dense_operator(self, povm23, monkeypatch):
+        # sums and beta <= 0 terms on two qubits are solved on party 1's Bloch
+        # sphere: no multistart and no dense L; a qutrit party still takes both
+        calls = {"optimize_product_bound": 0, "product_operator": 0}
+        for name in calls:
+            def counted(*args, original=getattr(witness_module, name), name=name, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(witness_module, name, counted)
+        devices = [povm23, uk.build_three_outcome(uk.ThreeOutcomeParams(0.5, 0.3))]
+        for decomposition in ([(0.6, (2, 2)), (0.4, (3, 3))], [(-1.0, (2, 2))], [(1.0, (2, 3)), (-0.5, (1, 2))]):
+            for c in (0.0, 0.05, 0.3):
+                out = uk.tighten(devices, decomposition, c, (1, 1))
+                assert out.converged and out.improvement >= -1e-15
+        assert calls == {"optimize_product_bound": 0, "product_operator": 0}
+        qutrit = uk.Povm(tuple(uk.Effect(uk.HermitianOperator((3,), np.diag(d))) for d in ([0, 0.3, 0.9], [0.6, 0.5, 0], [0.4, 0.2, 0.1])))
+        uk.tighten([qutrit, povm23], [(0.6, (2, 2)), (0.4, (3, 3))], 0.1, (1, 1), settings=uk.OptimizerSettings(restarts=1))
+        assert calls == {"optimize_product_bound": 2, "product_operator": 3}
+
 
 class TestEntangledMax:
     def test_closed_form_anchors(self):
