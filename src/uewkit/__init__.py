@@ -65,7 +65,6 @@ from .witness import (
     TightenResult,
     Verdict,
     attainable_constraint_range,
-    branch_bounds,
     constrained_bound,
     constrained_pure_state_sup,
     curve_from_csv,

@@ -35,6 +35,7 @@ __all__ = [
     "ProductManifold",
     "PairObjective",
     "BoundResult",
+    "check_range",
     "fingerprint_operators",
     "derive_key",
     "optimize_product_bound",
@@ -255,6 +256,12 @@ def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_val
     return best
 
 
+def check_range(c: float, lo: float, hi: float) -> None:
+    """Raise ValueError for a c more than RANGE_TOL outside [lo, hi], the spectrum of C."""
+    if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
+        raise ValueError(f"constraint value {c} outside the spectrum [{lo:.12g}, {hi:.12g}] of C: no state attains it")
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """Product-state bound with its maximizer; the residual is |<C> - c| there (0 without C)."""
@@ -353,12 +360,7 @@ def optimize_product_bound(
         raise ValueError("c_mat and c_value must be given together")
     if c_mat is not None:
         spectrum = np.linalg.eigvalsh(c_mat)
-        lo, hi = float(spectrum[0]), float(spectrum[-1])
-        if not lo - RANGE_TOL <= c_value <= hi + RANGE_TOL:
-            raise ValueError(
-                f"constraint value {c_value} outside the spectrum [{lo:.12g}, {hi:.12g}] "
-                "of C: no state attains it"
-            )
+        check_range(c_value, float(spectrum[0]), float(spectrum[-1]))
     settings = settings or OptimizerSettings()
     manifold = ProductManifold(dims)
     objective = PairObjective(manifold, l_mat, c_mat)

@@ -130,8 +130,8 @@ def cmd_curve(args) -> int:
     lo, hi = witness.attainable_constraint_range(povms, args.c_indices)
     grid = np.linspace(lo, hi, args.grid)
     curve = witness.separability_curve(povms, args.l_indices, args.c_indices, grid)
-    # exact for a product of effects, like the c range, and written rounded up like every bound
-    g_s = _safe(witness.attainable_constraint_range(povms, args.l_indices)[1])
+    # exact for a product of effects, the value `bound` writes, rounded up like every bound
+    g_s = _safe(witness.product_sew_bound(povms, args.l_indices).value)
 
     out_csv = Path(args.out)
     witness.curve_to_csv(curve, out_csv)

@@ -17,8 +17,11 @@ Pi_2 are rank one, so a block of the paper's devices is one qubit ellipse,
 built in O(|B|): the cost grows linearly with N.  A block of other devices
 is solved from eigenproblems on its 2^|B| space.  `_QubitPair` serves
 `witness.tighten` on a sum of product terms over two qubit parties, where L
-does not factor: party 2's reply to each Bloch vector of party 1 is an
-ellipse frontier in closed form, and party 1's sphere is searched.
+does not factor: each party's <C_k> is the ellipse of its C_k, party 2's
+reply to each Bloch vector of party 1 is that ellipse's frontier in closed
+form, and party 1's sphere is searched.  Both engines, and
+`witness.attainable_constraint_range`, read the range of C from the blocks
+in one place (`_product_range`).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._optimize import RANGE_TOL, BoundResult
+from ._optimize import RANGE_TOL, BoundResult, check_range
 from ._optimize import optimize_product_bound  # noqa: F401  (patched by perfbench/tracing.py)
 from .povm import Povm, ThreeOutcomeParams, ThreeOutcomePovm, build_three_outcome, chi_vectors, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState, bloch_form, bloch_state
@@ -208,13 +211,18 @@ class _Range:
     """The range interface every block offers `_block_bound`.
 
     A block holds its operators `l_mat` and `c_mat`, and offers: `lo` and
-    `hi`, the ends of <C_B>; `edges`, its best states at hi and at lo;
-    `free`, the top eigenvector of L_B; and its upper frontier m(q) =
+    `hi`, the ends of <C_B>, and `depth`; `edges`, its best states at hi and
+    at lo; `free`, the top eigenvector of L_B; and its upper frontier m(q) =
     max{<L_B> : <C_B> = q} at log-deficits s = log(hi / q), so that a q a
     rounding away from hi keeps its digits: `log_frontier_at(s)`, log m on
     an array of s for `_split`, and `point(s)`, the frontier state with its
     <L_B> and the slope dm/dq.  `amplitudes` expands a state to `dims`.
     """
+
+    @property
+    def depth(self) -> float:
+        """log(hi / lo), the largest log-deficit the range holds; inf for lo = 0."""
+        return math.log(self.hi / self.lo) if self.lo > 0.0 else math.inf
 
     def values(self, vec: np.ndarray) -> tuple[float, float]:
         """(<C_B>, <L_B>) of a block state."""
@@ -233,11 +241,12 @@ class _Ellipse(_Range):
     filled ellipse (C.-K. Li, Proc. AMS 124, 1985 (1996)).  With u = n.c/|c|
     and alpha, beta the parts of l along and across c, its upper frontier is
     m = l0 + alpha u + beta sqrt(1 - u^2), touched by n = u c/|c| +
-    sqrt(1 - u^2) l_perp/beta.  `at` evaluates it, its slope and its touch
-    state from the nearer end's deficit t = 1 - |u|, as sqrt(1 - u^2) =
-    sqrt(t (2 - t)), so q close to an end keeps its digits.  beta = 0 is a
-    straight frontier; |c| = 0 (C_B a multiple of the identity) leaves no
-    frontier, and `_block_bound` holds such a block at its edge.
+    sqrt(1 - u^2) l_perp/beta.  `arc` evaluates it, on one float or on
+    arrays, from the nearer end's deficit t = 1 - |u|, as sqrt(1 - u^2) =
+    sqrt(t (2 - t)), so q close to an end keeps its digits; `at` adds its
+    slope and its touch state.  beta = 0 is a straight frontier; |c| = 0
+    (C_B a multiple of the identity) leaves no frontier, and `_block_bound`
+    holds such a block at its edge.
     """
 
     def __init__(self, l_op: HermitianOperator, c_op: HermitianOperator):
@@ -266,28 +275,45 @@ class _Ellipse(_Range):
             return self.free, self.free
         return bloch_state(self.along), bloch_state(-self.along)
 
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The map of (1, u, w cos phi, w sin phi), along c and around it, to (1, Bloch vector)."""
+        frame = np.eye(4)
+        frame[1:, 1:] = np.column_stack([self.along, self.across, np.cross(self.along, self.across)])
+        return frame
+
+    @staticmethod
+    def arc(t, side, l0, alpha, beta, sqrt=np.sqrt):
+        """u, w = sqrt(1 - u^2) and the frontier l0 + alpha u + beta w of a Bloch form at deficit t = 1 - |u|
+        from the top (side 1) or the bottom (side -1) end: floats with `math.sqrt`, or arrays."""
+        u, w = side * (1.0 - t), sqrt(t * (2.0 - t))
+        return u, w, l0 + alpha * u + beta * w
+
+    def deficits(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`arc`'s t, from the nearer end, and side at <C_B> = hi exp(-s) on an array of s; t < 0 below lo."""
+        top = -self.hi * np.expm1(-s)  # hi - q, with no q formed near hi
+        near_top = top <= self.width
+        return np.where(near_top, top, self.hi * np.exp(-s) - self.lo) / self.width, np.where(near_top, 1.0, -1.0)
+
     def at(self, t: float, side: float) -> tuple[np.ndarray, float, float]:
         """Frontier state, <L_B> and slope at deficit t = 1 - |u| from the top
         (side 1) or the bottom (side -1) end."""
-        u, w = side * (1.0 - t), math.sqrt(t * (2.0 - t))
-        value = self.l0 + self.alpha * u + self.beta * w
+        u, w, value = self.arc(t, side, self.l0, self.alpha, self.beta, math.sqrt)
         # at an end itself (w = 0) the slope is that of the nearest deficit a float resolves
         slope = (self.alpha - self.beta * u / max(w, np.finfo(float).eps)) / self.width
         return bloch_state(u * self.along + w * self.across), value, slope
 
     def point(self, s: float) -> tuple[np.ndarray, float, float]:
-        top = -self.hi * math.expm1(-s)  # hi - q, with no q formed near hi
+        top = -self.hi * math.expm1(-s)  # `deficits` on one float
         if top <= self.width:
             return self.at(max(top, 0.0) / self.width, 1.0)
         # at s = log(hi / lo) a rounding can put hi exp(-s) just below lo
         return self.at(max(self.hi * math.exp(-s) - self.lo, 0.0) / self.width, -1.0)
 
     def log_frontier_at(self, s: np.ndarray) -> np.ndarray:
-        top = -self.hi * np.expm1(-s)
-        side = np.where(top <= self.width, 1.0, -1.0)
-        t = np.where(side > 0, top, self.hi * np.exp(-s) - self.lo) / self.width
+        t, side = self.deficits(s)
         with np.errstate(invalid="ignore", divide="ignore"):  # below lo (t < 0): no state, -inf
-            values = self.l0 + self.alpha * side * (1.0 - t) + self.beta * np.sqrt(t * (2.0 - t))
+            values = self.arc(t, side, self.l0, self.alpha, self.beta)[2]
             return np.where(t >= 0.0, np.log(np.maximum(values, 0.0)), -np.inf)
 
 
@@ -324,14 +350,13 @@ class _RankOneBlock(_Ellipse):
 class _QubitPair:
     """Two qubit parties, L = sum_i beta_i A_i (x) B_i and C = C_1 (x) C_2, on party 1's Bloch sphere.
 
-    With N = (1, n) and M = (1, m) for the parties' Bloch vectors, each
-    effect is a 4-vector (`qcore.bloch_form`), <L> = M^T T N for the real
-    T = sum_i beta_i b_i a_i^T, and <C> = q_1(n) q_2(m).  For a fixed n,
-    party 2 sees one qubit operator, the Bloch form T N, with <C_2> held at
-    c / q_1(n): its best <L> is `_Ellipse`'s frontier l0 + alpha u + beta
-    sqrt(1 - u^2), or l0 + |l| with no constraint.  `_search` maximizes that
-    over n, along c_1 (u = n.c_1/|c_1|, or with a constraint party 1's
-    log-deficit) and around it (the angle phi).  A party whose
+    Each party's <C_k> is the `_Ellipse` of C_k alone (`_constraint_range`):
+    its ends, and the `frame` of its state N = (1, u, w cos phi, w sin phi),
+    where <C_k> = c0 + |c| u.  Each effect is a 4-vector (`qcore.bloch_form`),
+    so <L> = M^T S N with S = sum_i beta_i b_i a_i^T in the two frames.  For
+    a fixed N, party 2 sees the Bloch form S N with <C_2> held at c / <C_1>:
+    its best <L> is the ellipse frontier (`_Ellipse.arc`), or l0 + |l| with
+    no constraint, and `_search` maximizes that over party 1.  A party whose
     C_k is a multiple of the identity (to RANGE_TOL) has one <C_k> and is
     free; it is made party 2 when the other is not.
     """
@@ -340,28 +365,13 @@ class _QubitPair:
         betas = np.array([b for b, _, _ in terms])
         a0, a = bloch_form(np.array([m for _, m, _ in terms]))
         b0, b = bloch_form(np.array([m for _, _, m in terms]))
-        self.t = np.column_stack([b0, b]).T @ (betas[:, None] * np.column_stack([a0, a]))
-        c0, c = bloch_form(np.array(c_mats))
-        widths = np.hypot.reduce(c, axis=1)
-        self.swapped = 2.0 * widths[0] <= RANGE_TOL and widths[1] > widths[0]
+        t = np.column_stack([b0, b]).T @ (betas[:, None] * np.column_stack([a0, a]))
+        self.parties = [_constraint_range(HermitianOperator((2,), m)) for m in c_mats]
+        self.live = [p.hi - p.lo > RANGE_TOL for p in self.parties]
+        self.swapped = self.live == [False, True]
         if self.swapped:
-            self.t, c0, c, widths = self.t.T, c0[::-1], c[::-1], widths[::-1]
-        self.c0, self.widths = c0.tolist(), widths.tolist()
-        self.live = [2.0 * w > RANGE_TOL for w in self.widths]
-        # an effect's C_k is PSD: a bottom that rounding puts below 0 is read as 0
-        self.lo = [max(q - w, 0.0) for q, w in zip(self.c0, self.widths)]
-        self.hi = [q + w for q, w in zip(self.c0, self.widths)]
-        # each party's frame (along c_k, then two axes across it) as a map of 4-vectors (1, Bloch vector)
-        self.frames = []
-        for ck, w in zip(c, widths):
-            along = ck / w if w > 0.0 else np.array([0.0, 0.0, 1.0])
-            across = np.cross(along, np.eye(3)[np.argmin(np.abs(along))])
-            across /= math.hypot(*across)
-            frame = np.eye(4)
-            frame[1:, 1:] = np.column_stack([along, across, np.cross(along, across)])
-            self.frames.append(frame)
-        # (1, u, r cos phi, r sin phi) of party 1 -> (l0, alpha, gamma_1, gamma_2) of party 2 in its frame
-        self.s = self.frames[1].T @ self.t @ self.frames[0]
+            t, self.parties, self.live = t.T, self.parties[::-1], self.live[::-1]
+        self.s = self.parties[1].frame.T @ t @ self.parties[0].frame
 
     def bound(self, c: Optional[float] = None) -> BoundResult:
         """Sup of <L> over product states, with <C> = c if c is given.
@@ -371,71 +381,64 @@ class _QubitPair:
         and at a positive bottom on its bottom state; at c = 0 one party
         with a singular C_k sits on its kernel, the larger of those
         branches.  A party held nowhere is free: its best state given the
-        other's is closed-form.  A c more than RANGE_TOL outside the range
-        raises ValueError.
+        other's is closed-form.  A c outside the range raises ValueError
+        (`_product_range`).
         """
         if c is None:
             return self._search(None)
-        lo, hi = self.lo[0] * self.lo[1], self.hi[0] * self.hi[1]
-        if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
-            raise ValueError(
-                f"constraint value {c} outside the spectrum [{lo:.12g}, {hi:.12g}] of C: no state attains it"
-            )
+        lo, hi = _product_range(self.parties, c)
         if lo < c < hi:
             return self._search(c)
-        if c >= hi or all(q > RANGE_TOL for q in self.lo):
+        if c >= hi or all(p.lo > RANGE_TOL for p in self.parties):
             side = 1.0 if c >= hi else -1.0
             options = [[side if live else None for live in self.live]]
         else:
             options = [
-                [-1.0 if j == k and self.live[k] else None for j in range(2)] for k in range(2) if self.lo[k] <= RANGE_TOL
+                [-1.0 if j == k and live else None for j in range(2)]
+                for k, live in enumerate(self.live) if self.parties[k].lo <= RANGE_TOL
             ]
         return max((self._held(sides, c) for sides in options), key=lambda res: res.value)
 
     def _held(self, sides: Sequence[Optional[float]], c: float) -> BoundResult:
-        """Each party with a side (1 top, -1 bottom) held at that end of its C_k; any other free."""
-        n, m = (None if side is None else np.eye(4)[0] + side * frame[:, 1] for side, frame in zip(sides, self.frames))
+        """Each party with a side (1 top, -1 bottom) held at that end of its C_k (u = side); any other free."""
+        n, m = (None if side is None else np.array([1.0, side, 0.0, 0.0]) for side in sides)
         if n is None and m is None:
             return self._search(None)
         if n is None:
-            n, value = self._free(0, self.t.T @ m)
+            n, value = self._free(self.s.T @ m)
         elif m is None:
-            m, value = self._free(1, self.t @ n)
+            m, value = self._free(self.s @ n)
         else:
-            value = float(m @ self.t @ n)
+            value = float(m @ self.s @ n)
         return self._result(value, n, m, c, True)
 
-    def _free(self, k: int, form: np.ndarray) -> tuple[np.ndarray, float]:
-        """Party k's best (1, Bloch vector) and <L> with no constraint, where
-        the other party's state leaves it the Bloch form `form`."""
+    @staticmethod
+    def _free(form: np.ndarray) -> tuple[np.ndarray, float]:
+        """A party's best coordinates and <L> with no constraint, where the
+        other party's state leaves it the Bloch form `form` in its frame."""
         norm = math.hypot(*form[1:])
-        return np.concatenate([[1.0], form[1:] / norm if norm > 0.0 else self.frames[k][1:, 1]]), form[0] + norm
-
-    def _deficits(self, k: int, s):
-        """Party k's 1 - u and 1 + u at <C_k> = hi_k exp(-s), each from its own
-        end, so that a <C_k> a rounding from hi_k keeps its digits."""
-        top = -self.hi[k] * np.expm1(-s) / self.widths[k]
-        bottom = (self.hi[k] * np.exp(-s) - self.lo[k]) / self.widths[k]
-        return np.maximum(top, 0.0), np.maximum(bottom, 0.0)
+        return np.concatenate([[1.0], form[1:] / norm if norm > 0.0 else [1.0, 0.0, 0.0]]), form[0] + norm
 
     def _coords(self, s_total: Optional[float], x, phi):
-        """Party 1's (1, u, r cos phi, r sin phi) in its frame, r = sqrt(1 - u^2).
+        """Party 1's N at (x, phi), x being u with no constraint and else the log-deficit
+        log(hi_1 / <C_1>), which resolves <C_1> near c / hi_2 and near hi_1 however small c is."""
+        t, side = (1.0 - np.abs(x), np.sign(x)) if s_total is None else self.parties[0].deficits(x)
+        u, w, _ = _Ellipse.arc(np.maximum(t, 0.0), side, 0.0, 0.0, 0.0)  # u and w only: party 1 has no form of its own
+        return np.array([np.ones_like(u), u, w * np.cos(phi), w * np.sin(phi)])
 
-        x is u itself with no constraint, and with one the log-deficit
-        log(hi_1 / <C_1>), which resolves <C_1> near c / hi_2 and near hi_1
-        however small c is."""
-        top, bottom = (1.0 - x, 1.0 + x) if s_total is None else self._deficits(0, x)
-        r = np.sqrt(top * bottom)
-        return np.array([np.ones_like(r), (bottom - top) / 2.0, r * np.cos(phi), r * np.sin(phi)])
+    def _reply(self, s_total: Optional[float], x, form):
+        """Party 2's u, w and best <L> under its Bloch form `form`, (l0, alpha,
+        gamma_1, gamma_2) in its frame: on its frontier at the log-deficit
+        s_total - x, or free (u and w None) with no constraint or no range."""
+        l0, alpha, g1, g2 = form
+        if s_total is None or not self.live[1]:
+            return None, None, l0 + np.sqrt(alpha**2 + g1**2 + g2**2)
+        t, side = self.parties[1].deficits(s_total - x)
+        return _Ellipse.arc(np.maximum(t, 0.0), side, l0, alpha, np.hypot(g1, g2))
 
     def _values(self, s_total: Optional[float], x, phi):
-        """Party 2's best <L> with party 1 at (x, phi): on its frontier at the
-        log-deficit s_total - x, or free with no constraint or no range."""
-        l0, alpha, g1, g2 = self.s @ self._coords(s_total, x, phi)
-        if s_total is None or not self.live[1]:
-            return l0 + np.sqrt(alpha**2 + g1**2 + g2**2)
-        top, bottom = self._deficits(1, s_total - x)
-        return l0 + alpha * (bottom - top) / 2.0 + np.hypot(g1, g2) * np.sqrt(top * bottom)
+        """Party 2's best <L> with party 1 at (x, phi)."""
+        return self._reply(s_total, x, self.s @ self._coords(s_total, x, phi))[2]
 
     def _search(self, c: Optional[float]) -> BoundResult:
         """Max of `_values` over party 1: a GRID x GRID grid of x on its band
@@ -448,10 +451,8 @@ class _QubitPair:
         if c is None:
             s_total, a, b = None, -1.0, 1.0
         else:
-            s_total = _log_deficit(self.hi, c)
-            (lo1, lo2), (hi1, hi2) = self.lo, self.hi
-            a = max(s_total - math.log(hi2 / lo2), 0.0) if lo2 > 0.0 else 0.0
-            b = min(math.log(hi1 / lo1), s_total) if lo1 > 0.0 else s_total
+            s_total = _log_deficit([p.hi for p in self.parties], c)
+            a, b = max(s_total - self.parties[1].depth, 0.0), min(self.parties[0].depth, s_total)
         xs = a + (b - a) * (np.arange(GRID) + 0.5) / GRID
         phis = 2.0 * np.pi * np.arange(GRID) / GRID
         grid = self._values(s_total, np.repeat(xs, GRID), np.tile(phis, GRID)).reshape(GRID, GRID)
@@ -478,22 +479,21 @@ class _QubitPair:
             x, phi, f = np.where(gain, cx[rows, k], x), np.where(gain, cp[rows, k], phi), np.where(gain, cf[rows, k], f)
             hx, hp = np.where(gain, hx, hx / 2.0), np.where(gain, hp, hp / 2.0)
         j = int(np.argmax(f))
-        coords = self._coords(s_total, x[j], phi[j])
-        n = self.frames[0] @ coords
-        if s_total is None or not self.live[1]:
-            m, _ = self._free(1, self.t @ n)
+        n = self._coords(s_total, x[j], phi[j])
+        form = self.s @ n
+        u, w, _ = self._reply(s_total, x[j], form)
+        if u is None:
+            m, _ = self._free(form)
         else:
-            _, _, g1, g2 = self.s @ coords
-            top, bottom = self._deficits(1, s_total - x[j])
-            beta = math.hypot(g1, g2)
-            across = np.array([g1, g2]) / beta if beta > 0.0 else np.array([1.0, 0.0])
-            m = self.frames[1] @ np.array([1.0, (bottom - top) / 2.0, *(math.sqrt(top * bottom) * across)])
+            psi = math.atan2(form[3], form[2])  # party 2 faces the part of its form across its axis
+            m = np.array([1.0, u, w * math.cos(psi), w * math.sin(psi)])
         return self._result(float(f[j]), n, m, c, settled())
 
     def _result(self, value: float, n: np.ndarray, m: np.ndarray, c: Optional[float], converged: bool) -> BoundResult:
-        """`value` with the product state of Bloch 4-vectors n (party 1) and m (party 2)."""
-        q = [q0 + w * frame[1:, 1] @ v[1:] for q0, w, frame, v in zip(self.c0, self.widths, self.frames, (n, m))]
-        states = [PureState((2,), bloch_state(v[1:] / np.linalg.norm(v[1:]))) for v in (n, m)]
+        """`value` with the product state of N = n (party 1) and M = m (party 2)."""
+        q = [p.c0 + p.width * v[1] for p, v in zip(self.parties, (n, m))]
+        bloch = [p.frame[1:, 1:] @ v[1:] for p, v in zip(self.parties, (n, m))]
+        states = [PureState((2,), bloch_state(r / np.linalg.norm(r))) for r in bloch]
         return BoundResult(
             value=float(value),
             maximizer=ProductState(tuple(states[::-1] if self.swapped else states)),
@@ -647,7 +647,7 @@ def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]
             return math.copysign(math.inf, -slope)
         return -blocks[k].hi * math.exp(-s) * slope / value
 
-    ends = [min(s_total, math.log(b.hi / b.lo)) if b.lo > 0 else s_total for b in blocks]
+    ends = [min(s_total, b.depth) for b in blocks]
     shares, settled = _split(blocks, s_total), None
     for _ in range(100 * len(blocks)):
         gain, i, j = max(
@@ -704,6 +704,19 @@ def _range_of(l_op: HermitianOperator, c_op: HermitianOperator) -> _Range:
     return block
 
 
+def _constraint_range(c_op: HermitianOperator) -> _Range:
+    """The range of <C_B> alone, as `_range_of` reads it: the block with a zero test operator."""
+    return _range_of(HermitianOperator(c_op.dims, np.zeros_like(c_op.mat)), c_op)
+
+
+def _product_range(blocks: Sequence[_Range], c: Optional[float] = None) -> tuple[float, float]:
+    """(prod lo_B, prod hi_B), the spectrum of C, against which a c given is checked (`check_range`)."""
+    lo, hi = math.prod(b.lo for b in blocks), math.prod(b.hi for b in blocks)
+    if c is not None:
+        check_range(c, lo, hi)
+    return lo, hi
+
+
 def _log_deficit(tops: Sequence[float], c: float) -> float:
     """log(prod hi_B / c) + ROUNDING, the total log-deficit an interior c hands the blocks, of tops hi_B.
 
@@ -735,17 +748,13 @@ def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
     the rest of c, and several split it where their marginal rates meet on
     the exact frontiers (`_settle`), given log-deficits (`_log_deficit`),
     never a rounded <C_B>.  That split is a local optimum, not a proven
-    one, so the value can read low; `converged` says it settled.  A
-    c more than RANGE_TOL outside [prod lo_B, prod hi_B], the spectrum of
-    C, raises ValueError.  `value` is the product of the blocks' frontier
-    values (at an end or at c = 0, of the <L_B> their states attain), and
-    the maximizer holds each block's state, expanded by `amplitudes`.
+    one, so the value can read low; `converged` says it settled.  A c
+    outside the range raises ValueError (`_product_range`).  `value` is the
+    product of the blocks' frontier values (at an end or at c = 0, of the
+    <L_B> their states attain), and the maximizer holds each block's state,
+    expanded by `amplitudes`.
     """
-    lo, hi = math.prod(b.lo for b in blocks), math.prod(b.hi for b in blocks)
-    if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
-        raise ValueError(
-            f"constraint value {c} outside the spectrum [{lo:.12g}, {hi:.12g}] of C: no state attains it"
-        )
+    lo, hi = _product_range(blocks, c)
     converged, on_frontier = True, {}
     vecs = [b.edges[0] for b in blocks]
     s_total = _log_deficit([b.hi for b in blocks], c) if lo < c < hi else 0.0

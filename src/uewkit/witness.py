@@ -13,7 +13,9 @@ Product operators L = (x)L_k, C = (x)C_k, given as devices and outcome
 indices, are solved party by party from eigenproblems, with no random starts:
 `product_sew_bound` from each party's extreme eigenvalue, and
 `product_constrained_bound` and `separability_curve` from the per-party
-frontiers of `multipartite._block_bound`.  `constrained_pure_state_sup` is
+frontiers of `multipartite._block_bound`; `attainable_constraint_range`
+reads the ends of the range of C from those same per-party blocks, so a c
+clipped to it is an end the engines test.  `constrained_pure_state_sup` is
 that frontier on one block, the whole space.  `tighten` uses the same two
 product bounds for a one-term decomposition with a positive weight, and
 solves any other decomposition on two qubit parties on party 1's Bloch
@@ -47,7 +49,7 @@ from ._optimize import (
     fingerprint_operators,
     optimize_product_bound,
 )
-from .multipartite import _Block, _block_bound, _QubitPair, _range_of
+from .multipartite import _Block, _block_bound, _constraint_range, _product_range, _QubitPair, _range_of
 from .povm import Povm, product_operator, selected_effects
 from .qcore import HermitianOperator, ProductState, PureState
 
@@ -65,7 +67,6 @@ __all__ = [
     "product_sew_bound",
     "product_constrained_bound",
     "separability_curve",
-    "branch_bounds",
     "detect",
     "tighten",
     "entangled_max",
@@ -220,18 +221,16 @@ def sew_bound(
     return optimize_product_bound(l_op.mat, l_op.dims, direction=direction, settings=settings)
 
 
-def attainable_constraint_range(
-    povms: Sequence[Povm], outcome_indices: Sequence[int]
-) -> tuple[float, float]:
+def attainable_constraint_range(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> tuple[float, float]:
     """Exact range of <P> over product states, P = product_operator(povms, outcome_indices).
 
-    Holds for any product of effects, constraint or test operator alike: each
-    party's <a|E|a> ranges over the spectrum of its PSD effect E, so the range
-    is [prod lambda_min(E), prod lambda_max(E)], reached by products of bottom
-    and top eigenvectors: `product_sew_bound` in each direction.  For a
-    product test operator the upper end is the separable bound g_s.
+    Each party's <a|E|a> ranges over the spectrum of its PSD effect E, so the
+    range is [prod lambda_min(E), prod lambda_max(E)].  Its ends are read from
+    the blocks the bound engines solve on (`multipartite._range_of`): a c
+    clipped to it is exactly an end they test.
     """
-    return tuple(product_sew_bound(povms, outcome_indices, d).value for d in ("inf", "sup"))
+    _require_parties(len(povms))
+    return _product_range([_constraint_range(e.op) for e in selected_effects(povms, outcome_indices)])
 
 
 def product_sew_bound(povms: Sequence[Povm], l_indices: Sequence[int], direction: str = "sup") -> BoundResult:
@@ -348,18 +347,6 @@ def separability_curve(
     return SeparabilityCurve(tuple(points), fingerprint_operators(l_op.mat, c_op.mat))
 
 
-def branch_bounds(curve: SeparabilityCurve, c: float) -> tuple[float, float]:
-    """Branch suprema (g_c, g_c~) for the <=c and >=c constrained sets.
-
-    g_c is the running maximum of the curve on [c_min, c] and g_c~ on
-    [c, c_max]: each inequality-set supremum sits on the constraint boundary
-    or at the unconstrained optimum, and the side containing the optimum
-    returns g_s while the other side equals the curve value at c.  A c more
-    than RANGE_TOL outside the curve range raises ValueError.
-    """
-    return curve.max_upper_on(-math.inf, c), curve.max_upper_on(c, math.inf)
-
-
 def detect(
     curve: SeparabilityCurve,
     c_hat: float,
@@ -429,7 +416,8 @@ def tighten(
 
     Finite-shot frequencies can fall slightly outside the range of <C> over
     product states (where the constrained set would be empty); the measured
-    value is clipped to the exact range from `attainable_constraint_range`.
+    value is clipped to `attainable_constraint_range`, whose ends are the
+    ones both engines test, so a clipped c reads the end state's <L>.
     """
     betas = [float(b) for b, _ in decomposition]
     pairs = [tuple(int(i) for i in p) for _, p in decomposition]

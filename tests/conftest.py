@@ -46,6 +46,20 @@ def random_hermitian(n, rng):
     return (a + a.conj().T) / 2.0
 
 
+def random_povm(rng, dim):
+    """Three-outcome POVM on one party of `dim`: random complex PSD parts
+    normalized by their sum."""
+    parts = []
+    for _ in range(3):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        parts.append(g @ g.conj().T)
+    w, v = np.linalg.eigh(sum(parts))
+    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
+    return uk.Povm(
+        tuple(uk.Effect(uk.HermitianOperator((dim,), inv_sqrt @ a @ inv_sqrt)) for a in parts)
+    )
+
+
 def qutrit_device_qutrit():
     """Three parties (qutrit, x = 2/3 device, qutrit), the qutrits sharing a
     two-outcome POVM with a random eigenbasis."""

@@ -5,6 +5,7 @@ uniform grid over the product-state range [0, x^2], for x in {1/2, 2/3}
 where g is concave, so every reading of the envelope must majorize g.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -117,4 +118,4 @@ def test_five_point_curve_does_not_certify_the_product_state(source, cli_curve_5
     verdict = uk.detect(curve, 1 / 36, 4 / 9, sigma_c=1 / 30, sigma_l=0.0, k=1)
     assert not verdict.entangled
     # the <= 0.1 branch contains the unconstrained optimum at c = 1/36
-    assert uk.branch_bounds(curve, 0.1)[0] >= 4 / 9
+    assert curve.max_upper_on(-math.inf, 0.1) >= 4 / 9

@@ -659,11 +659,15 @@ class TestQubitEllipse:
     DEFICITS = [1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 0.05, 0.3, 0.7, 1.0]
 
     @staticmethod
-    def device_pairs():
+    def devices():
         for x in [0.1, 0.5, 2.0 / 3.0, 0.8, 0.95]:
             for theta in [0.0, 0.3, 1.7]:
-                device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, theta))
-                yield device.effect(2).op, device.effect(1).op
+                yield uk.build_three_outcome(uk.ThreeOutcomeParams(x, theta))
+
+    @staticmethod
+    def device_pairs():
+        for device in TestQubitEllipse.devices():
+            yield device.effect(2).op, device.effect(1).op
 
     @staticmethod
     def random_pairs():
@@ -790,6 +794,22 @@ class TestQubitPair:
             # and its own maximizer attains its value at its c
             vec = res.maximizer.amplitudes
             assert abs(self.expect(l_op.mat, vec) - res.value) <= 1e-15 and res.feasibility_residual <= 1e-15, i
+
+    @pytest.mark.parametrize("l_indices,c_indices", [((2, 2), (1, 1)), ((2, 3), (1, 1)), ((3, 2), (1, 2))])
+    def test_one_term_matches_the_block_engine(self, l_indices, c_indices):
+        # one term with beta > 0 is a product of effects: the sphere search meets the
+        # exact product bounds, at both ends of the range and inside it
+        fractions = [1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6]
+        for device in TestQubitEllipse.devices():
+            povms = [device, device]
+            terms = [(1.0, *(e.op.mat for e in uk.povm.selected_effects(povms, l_indices)))]
+            pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, c_indices)])
+            old = pair.bound().value
+            assert abs(old - uk.product_sew_bound(povms, l_indices).value) <= 1e-15
+            lo, hi = uk.attainable_constraint_range(povms, c_indices)
+            for c in [lo, hi, *(lo + f * (hi - lo) for f in fractions)]:
+                ref = uk.product_constrained_bound(povms, l_indices, c_indices, c).value
+                assert pair.bound(c).value == pytest.approx(ref, rel=2e-14, abs=0.0), c
 
     @pytest.mark.parametrize("flat", [0, 1])
     def test_a_flat_constraint_party_is_free(self, flat):

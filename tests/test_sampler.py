@@ -7,7 +7,7 @@ import pytest
 import uewkit as uk
 from uewkit import sampler
 
-from conftest import qutrit_device_qutrit
+from conftest import qutrit_device_qutrit, random_povm
 
 X = 2.0 / 3.0
 
@@ -85,20 +85,6 @@ class TestScatter:
         np.testing.assert_array_equal(
             uk.scatter(povms, (2, 2), (1, 1), 100, seed=5), uk.scatter(povms, (2, 2), (1, 1), 100, seed=5)
         )
-
-
-def random_povm(rng, dim):
-    """Three-outcome POVM on one party of `dim`: random complex PSD parts
-    normalized by their sum."""
-    parts = []
-    for _ in range(3):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        parts.append(g @ g.conj().T)
-    w, v = np.linalg.eigh(sum(parts))
-    inv_sqrt = v @ np.diag(w**-0.5) @ v.conj().T
-    return uk.Povm(
-        tuple(uk.Effect(uk.HermitianOperator((dim,), inv_sqrt @ a @ inv_sqrt)) for a in parts)
-    )
 
 
 class TestScatterAgainstDense:

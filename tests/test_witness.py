@@ -9,7 +9,7 @@ from uewkit import witness as witness_module
 from uewkit.multipartite import _Block
 
 from conftest import bell_state, decimal_pair_bound, devices, gradient_rel_errors, qutrit_device_qutrit
-from conftest import random_hermitian
+from conftest import random_hermitian, random_povm
 
 X = 2.0 / 3.0
 C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
@@ -398,10 +398,10 @@ class TestBranchBounds:
         g_s = 4.0 / 9.0
         # the branch containing the unconstrained optimum contains g_s; on a
         # coarse grid the envelope may sit above it, never below
-        g_le, g_ge = uk.branch_bounds(small_curve, 0.2)
+        g_le, g_ge = small_curve.max_upper_on(-math.inf, 0.2), small_curve.max_upper_on(0.2, math.inf)
         assert g_s - 2e-3 <= g_le <= g_s + 2e-2
         assert g_ge == pytest.approx(small_curve.max_upper_on(0.2, 0.2), abs=1e-9)
-        g_le2, g_ge2 = uk.branch_bounds(small_curve, 0.005)
+        g_le2, g_ge2 = small_curve.max_upper_on(-math.inf, 0.005), small_curve.max_upper_on(0.005, math.inf)
         assert g_s - 2e-3 <= g_ge2 <= g_s + 2e-2
         # 0.005 lies in the first interval, whose right secant slopes down
         # across the peak: the envelope's supremum there is its limit at c_0
@@ -409,19 +409,20 @@ class TestBranchBounds:
 
     def test_min_branch_equals_curve(self, small_curve):
         for c in [0.01, 0.1, 0.3, 0.42]:
-            g_le, g_ge = uk.branch_bounds(small_curve, c)
+            g_le, g_ge = small_curve.max_upper_on(-math.inf, c), small_curve.max_upper_on(c, math.inf)
             expected = _sup_from_first_node(small_curve, c) if c == 0.01 else small_curve.max_upper_on(c, c)
             assert min(g_le, g_ge) == pytest.approx(expected, abs=1e-9)
 
     def test_at_peak_both_branches_cover_gs(self, small_curve):
         peak = small_curve.peak
-        g_le, g_ge = uk.branch_bounds(small_curve, peak.c)
+        g_le, g_ge = small_curve.max_upper_on(-math.inf, peak.c), small_curve.max_upper_on(peak.c, math.inf)
         assert g_le >= peak.g - 1e-9
         assert g_ge >= peak.g - 1e-9
 
     def test_out_of_range(self, small_curve):
+        # (-inf, 0.6] meets the curve range, [0.6, inf) misses it
         with pytest.raises(ValueError):
-            uk.branch_bounds(small_curve, 0.6)
+            small_curve.max_upper_on(0.6, math.inf)
 
 
 class TestDetect:
@@ -514,6 +515,22 @@ class TestTighten:
         )
         assert out.c <= 4 / 9 + 1e-9
         assert out.improvement >= -1e-9
+
+    @pytest.mark.parametrize("decomposition", [[(1.0, (2, 2))], [(0.6, (2, 2)), (0.4, (3, 3))]])
+    def test_clipped_c_reads_the_end_state(self, decomposition):
+        # a measured c beyond an end of the range is clipped to the very end the
+        # bound engines test, so g is the end state's <L>, not a frontier value a
+        # rounding inside the range, where g moves as the square root of the deficit
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            povms = [random_povm(rng, 2), random_povm(rng, 2)]
+            l_mat = sum(b * uk.product_operator(povms, pair).mat for b, pair in decomposition)
+            bases = [np.linalg.eigh(p.effect(1).op.mat)[1] for p in povms]
+            # above the top, and below the bottom, positive for these full-rank effects
+            for column, c_measured in ((-1, 1.0), (0, 0.0)):
+                psi = np.kron(*(v[:, column] for v in bases))
+                out = uk.tighten(povms, decomposition, c_measured, (1, 1))
+                assert abs(out.g_of_c - float((psi.conj() @ l_mat @ psi).real)) <= 1e-15, (i, column)
 
     def test_multi_term_decomposition(self, povm23, fast):
         decomposition = [(0.7, (2, 2)), (0.3, (3, 3))]
