@@ -21,7 +21,8 @@ does not factor: each party's <C_k> is the ellipse of its C_k, party 2's
 reply to each Bloch vector of party 1 is that ellipse's frontier in closed
 form, and party 1's sphere is searched.  Both engines, and
 `witness.attainable_constraint_range`, read the range of C from the blocks
-in one place (`_product_range`).
+in one place (`_product_range`); both engines hold the blocks at its ends
+by one rule (`_end_sides`).
 """
 
 from __future__ import annotations
@@ -163,11 +164,10 @@ def closed_form_bound(x: float, n_agents: int, largest_block: int) -> MultiBound
 def optimal_separable_multi(x: float, partition: Partition, theta: float = 0.0) -> ProductState:
     """Block-product state achieving the c = 0 bound for the partition.
 
-    Every non-largest block carries the top eigenvector of its L_B, the
-    normalized tensor power of |chi+>; the largest block carries the best
-    state on the kernel of its C_B (its `_RankOneBlock` bottom edge), the
-    normalized difference of the |chi+> tensor and its |V..V> projection,
-    which cancels its constraint expectation (hence <C> = 0).
+    The maximizer of `_block_bound` at c = 0 (`_end_sides`): a largest
+    block sits on the kernel of its C_B, the |chi+> tensor less its |V..V>
+    projection, normalized (hence <C> = 0), and every other block on the
+    top eigenvector of its L_B, the normalized tensor power of |chi+>.
 
     Factors are returned in the partition's normalized block order; agents
     are implicitly relabeled to make blocks contiguous, which leaves all
@@ -175,8 +175,7 @@ def optimal_separable_multi(x: float, partition: Partition, theta: float = 0.0) 
     per-agent effects.
     """
     blocks = [_RankOneBlock([build_three_outcome(ThreeOutcomeParams(x, theta))] * len(b)) for b in partition.blocks]
-    states = [b.free for b in blocks[:-1]] + [blocks[-1].edges[1]]
-    return ProductState(tuple(PureState(b.dims, b.amplitudes(v)) for b, v in zip(blocks, states)))
+    return _block_bound(blocks, 0.0).maximizer
 
 
 def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool) -> str:
@@ -211,13 +210,20 @@ class _Range:
     """The range interface every block offers `_block_bound`.
 
     A block holds its operators `l_mat` and `c_mat`, and offers: `lo` and
-    `hi`, the ends of <C_B>, and `depth`; `edges`, its best states at hi and
-    at lo; `free`, the top eigenvector of L_B; and its upper frontier m(q) =
-    max{<L_B> : <C_B> = q} at log-deficits s = log(hi / q), so that a q a
-    rounding away from hi keeps its digits: `log_frontier_at(s)`, log m on
-    an array of s for `_split`, and `point(s)`, the frontier state with its
-    <L_B> and the slope dm/dq.  `amplitudes` expands a state to `dims`.
+    `hi`, the ends of <C_B>, `live` and `depth`; `edges`, its best states at
+    hi and at lo, and `free`, the top eigenvector of L_B (`_end_sides`); and
+    its upper frontier m(q) = max{<L_B> : <C_B> = q} at log-deficits s =
+    log(hi / q), so that a q a rounding from hi keeps its digits:
+    `log_frontier_at(s)`, log m on an array of s for `_split`, and
+    `point(s)`, the frontier state, its <L_B> and dm/dq.  `amplitudes`
+    expands a state to `dims`.
     """
+
+    @property
+    def live(self) -> bool:
+        """Whether <C_B> spans a range, hi - lo > RANGE_TOL hi; else C_B is a
+        multiple of the identity, and the block is free (`_end_sides`)."""
+        return self.hi - self.lo > RANGE_TOL * self.hi
 
     @property
     def depth(self) -> float:
@@ -245,8 +251,8 @@ class _Ellipse(_Range):
     arrays, from the nearer end's deficit t = 1 - |u|, as sqrt(1 - u^2) =
     sqrt(t (2 - t)), so q close to an end keeps its digits; `at` adds its
     slope and its touch state.  beta = 0 is a straight frontier; |c| = 0
-    (C_B a multiple of the identity) leaves no frontier, and `_block_bound`
-    holds such a block at its edge.
+    (C_B a multiple of the identity) leaves no frontier, and such a block is
+    not `live`.
     """
 
     def __init__(self, l_op: HermitianOperator, c_op: HermitianOperator):
@@ -271,7 +277,7 @@ class _Ellipse(_Range):
 
     @cached_property
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.hi - self.lo <= RANGE_TOL:  # both ends lie in one eigenspace, the whole space
+        if not self.live:  # both ends lie in one eigenspace, the whole space
             return self.free, self.free
         return bloch_state(self.along), bloch_state(-self.along)
 
@@ -356,9 +362,9 @@ class _QubitPair:
     so <L> = M^T S N with S = sum_i beta_i b_i a_i^T in the two frames.  For
     a fixed N, party 2 sees the Bloch form S N with <C_2> held at c / <C_1>:
     its best <L> is the ellipse frontier (`_Ellipse.arc`), or l0 + |l| with
-    no constraint, and `_search` maximizes that over party 1.  A party whose
-    C_k is a multiple of the identity (to RANGE_TOL) has one <C_k> and is
-    free; it is made party 2 when the other is not.
+    no constraint, and `_search` maximizes that over party 1.  A party that
+    is not `live` has one <C_k> and is free; it is made party 2 when the
+    other is live.
     """
 
     def __init__(self, terms: Sequence[tuple[float, np.ndarray, np.ndarray]], c_mats: Sequence[np.ndarray]):
@@ -367,37 +373,24 @@ class _QubitPair:
         b0, b = bloch_form(np.array([m for _, _, m in terms]))
         t = np.column_stack([b0, b]).T @ (betas[:, None] * np.column_stack([a0, a]))
         self.parties = [_constraint_range(HermitianOperator((2,), m)) for m in c_mats]
-        self.live = [p.hi - p.lo > RANGE_TOL for p in self.parties]
-        self.swapped = self.live == [False, True]
+        self.swapped = [p.live for p in self.parties] == [False, True]
         if self.swapped:
-            t, self.parties, self.live = t.T, self.parties[::-1], self.live[::-1]
+            t, self.parties = t.T, self.parties[::-1]
         self.s = self.parties[1].frame.T @ t @ self.parties[0].frame
 
     def bound(self, c: Optional[float] = None) -> BoundResult:
         """Sup of <L> over product states, with <C> = c if c is given.
 
-        Inside the range of C `_search` solves it.  At the top every party
-        whose C_k is not a multiple of the identity sits on its top state,
-        and at a positive bottom on its bottom state; at c = 0 one party
-        with a singular C_k sits on its kernel, the larger of those
-        branches.  A party held nowhere is free: its best state given the
-        other's is closed-form.  A c outside the range raises ValueError
-        (`_product_range`).
+        Inside the range of C `_search` solves it; at an end each party sits
+        where `_end_sides` places it (`_held`), and the largest candidate is
+        kept.  A c outside the range raises ValueError (`_product_range`).
         """
         if c is None:
             return self._search(None)
         lo, hi = _product_range(self.parties, c)
         if lo < c < hi:
             return self._search(c)
-        if c >= hi or all(p.lo > RANGE_TOL for p in self.parties):
-            side = 1.0 if c >= hi else -1.0
-            options = [[side if live else None for live in self.live]]
-        else:
-            options = [
-                [-1.0 if j == k and live else None for j in range(2)]
-                for k, live in enumerate(self.live) if self.parties[k].lo <= RANGE_TOL
-            ]
-        return max((self._held(sides, c) for sides in options), key=lambda res: res.value)
+        return max((self._held(sides, c) for sides in _end_sides(self.parties, c, lo)), key=lambda res: res.value)
 
     def _held(self, sides: Sequence[Optional[float]], c: float) -> BoundResult:
         """Each party with a side (1 top, -1 bottom) held at that end of its C_k (u = side); any other free."""
@@ -431,7 +424,7 @@ class _QubitPair:
         gamma_1, gamma_2) in its frame: on its frontier at the log-deficit
         s_total - x, or free (u and w None) with no constraint or no range."""
         l0, alpha, g1, g2 = form
-        if s_total is None or not self.live[1]:
+        if s_total is None or not self.parties[1].live:
             return None, None, l0 + np.sqrt(alpha**2 + g1**2 + g2**2)
         t, side = self.parties[1].deficits(s_total - x)
         return _Ellipse.arc(np.maximum(t, 0.0), side, l0, alpha, np.hypot(g1, g2))
@@ -538,8 +531,8 @@ class _Block(_Range):
             yield from zip(vecs, values.real.reshape(len(vecs), -1).tolist())
 
     def edge(self, q: float) -> np.ndarray:
-        """Best state on the eigenspace of C_B at its end eigenvalue q (lo or hi)."""
-        basis = self.c_basis[:, np.abs(self.c_spectrum - q) <= RANGE_TOL]
+        """Best state on the eigenspace of C_B at its end eigenvalue q (lo or hi), to RANGE_TOL hi."""
+        basis = self.c_basis[:, np.abs(self.c_spectrum - q) <= RANGE_TOL * self.hi]
         return basis @ np.linalg.eigh(basis.conj().T @ self.l_mat @ basis)[1][:, -1]
 
     @cached_property
@@ -737,45 +730,52 @@ def _log_deficit(tops: Sequence[float], c: float) -> float:
     return deficit + ROUNDING
 
 
+def _end_sides(blocks: Sequence[_Range], c: float, lo: float) -> list[list[Optional[float]]]:
+    """Where the blocks sit for a c at an end of the range, lo its bottom:
+    candidates, each one side per block, 1 on its top edge, -1 on its bottom
+    edge, None free; the engines keep the candidate with the largest <L>.
+
+    At the top (c above lo) every block sits on its top, and at a positive
+    bottom on its bottom; at c = 0 one block with lo_B <= RANGE_TOL sits on
+    its kernel and the others are free, one candidate per such block.  A
+    block that is not `live` is always free.
+    """
+    n, kernels = len(blocks), [k for k, b in enumerate(blocks) if b.lo <= RANGE_TOL]
+    if c > lo or not kernels:
+        options = [[1.0 if c > lo else -1.0] * n]
+    else:
+        options = [[-1.0 if j == k else None for j in range(n)] for k in kernels]
+    return [[side if b.live else None for b, side in zip(blocks, sides)] for sides in options]
+
+
 def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
     """Sup of <L> = prod <L_B> over block-product states with <C> = prod <C_B> = c.
 
-    That is the maximum of prod m_B(q_B) subject to prod q_B = c.  At c = 0
-    one block sits on ker C_B and every other block on the top eigenvector
-    of its L_B; at the top every block sits on the top eigenspace of its
-    C_B.  In between, a block whose C_B is a multiple of the identity sits
-    on the top eigenvector of its L_B; one other block is its frontier at
-    the rest of c, and several split it where their marginal rates meet on
-    the exact frontiers (`_settle`), given log-deficits (`_log_deficit`),
-    never a rounded <C_B>.  That split is a local optimum, not a proven
-    one, so the value can read low; `converged` says it settled.  A c
-    outside the range raises ValueError (`_product_range`).  `value` is the
-    product of the blocks' frontier values (at an end or at c = 0, of the
+    That is the maximum of prod m_B(q_B) subject to prod q_B = c.  At an end
+    of the range each block sits on an edge or free (`_end_sides`).  In
+    between, a block that is not `live` is free; one live block is its
+    frontier at the rest of c, and several split it where their marginal
+    rates meet on the exact frontiers (`_settle`), given log-deficits
+    (`_log_deficit`), never a rounded <C_B>.  That split is a local optimum,
+    not a proven one, so the value can read low; `converged` says it
+    settled.  A c outside the range raises ValueError (`_product_range`).
+    `value` is the product of the blocks' frontier values (at an end, of the
     <L_B> their states attain), and the maximizer holds each block's state,
     expanded by `amplitudes`.
     """
     lo, hi = _product_range(blocks, c)
     converged, on_frontier = True, {}
-    vecs = [b.edges[0] for b in blocks]
-    s_total = _log_deficit([b.hi for b in blocks], c) if lo < c < hi else 0.0
-    if s_total > 0.0:
-        # a block whose C_B is a multiple of the identity (to RANGE_TOL) has
-        # one <C_B>: it stays at its edge state and the others share c
-        live = [k for k, b in enumerate(blocks) if b.hi - b.lo > RANGE_TOL]
-        parts = [blocks[k] for k in live]
-        if len(parts) == 1:
-            vecs[live[0]], on_frontier[live[0]], _ = parts[0].point(s_total)
-        elif parts:
-            s, converged = _settle(parts, s_total)
-            for k, b, sk in zip(live, parts, s):
-                vecs[k], on_frontier[k], _ = b.point(sk)
-    elif c <= lo and all(b.lo > RANGE_TOL for b in blocks):
-        vecs = [b.edges[1] for b in blocks]
-    elif c <= lo:
-        # c = 0 puts one block with a singular C_B on its kernel; the others are free
-        free = [b.free for b in blocks]
+    if lo < c < hi:
+        vecs = [None if b.live else b.free for b in blocks]  # a live block's state is its frontier point
+        live = [k for k, v in enumerate(vecs) if v is None]
+        s_total = _log_deficit([b.hi for b in blocks], c)
+        shares, converged = _settle([blocks[k] for k in live], s_total) if len(live) > 1 else ([s_total] * len(live), True)
+        for k, s in zip(live, shares):
+            vecs[k], on_frontier[k], _ = blocks[k].point(s)
+    else:
         options = [
-            free[:k] + [b.edges[1]] + free[k + 1 :] for k, b in enumerate(blocks) if b.lo <= RANGE_TOL
+            [b.free if side is None else b.edges[side < 0] for b, side in zip(blocks, sides)]
+            for sides in _end_sides(blocks, c, lo)
         ]
         vecs = max(options, key=lambda vs: math.prod(b.values(v)[1] for b, v in zip(blocks, vs)))
     attained = [b.values(v) for b, v in zip(blocks, vecs)]

@@ -377,6 +377,19 @@ def test_bound_c_matches_curve_row(tmp_path, x):
     assert json.loads(curve.with_suffix(".json").read_text())["g_s"] == json.loads(out.read_text())["value"]
 
 
+def test_tiny_device_keeps_its_constraint_range(tmp_path):
+    # x = 1e-10 puts the top of each <Pi_1> at 1e-10 and of C at 1e-20: both
+    # stay ranges, so c = 0 and the top read their own states, not the free one
+    curve, out = tmp_path / "curve.csv", tmp_path / "bound.json"
+    assert run("curve", "--x", "1e-10", "--grid", 5, "--out", curve) == 0
+    c, g, *_ = curve.read_text().splitlines()[1].split(",")
+    assert run("bound", "--x", "1e-10", "--c", c, "--out", out) == 0
+    assert f"{json.loads(out.read_text())['value']:.12g}" == g and float(g) <= 0.5
+    assert run("bound", "--x", "1e-10", "--c", "1e-20", "--out", out) == 0
+    top = json.loads(out.read_text())
+    assert top["value"] == 0.250000010876 and top["feasibility_residual"] <= 1e-30
+
+
 @pytest.mark.parametrize("x", ["1/2", "2/3", "0.8"])
 def test_bound_inf_of_singular_effects_is_zero(tmp_path, x):
     # Pi_2 is singular, and a rounding-negative bottom eigenvalue is read as 0

@@ -404,7 +404,7 @@ class TestNumericPartitionBound:
                 assert uk.expectation(l_op, res.maximizer) == pytest.approx(res.value, abs=1e-12), (x, c)
                 assert uk.expectation(c_op, res.maximizer) == pytest.approx(c, abs=1e-9), (x, c)
 
-    @pytest.mark.parametrize("x", [0.5, X, 0.8])
+    @pytest.mark.parametrize("x", [0.1, 0.5, X, 0.8])
     def test_c0_matches_closed_form_up_to_twelve_agents(self, x):
         for n in range(2, 13):
             agents = list(range(1, n + 1))
@@ -414,6 +414,22 @@ class TestNumericPartitionBound:
                 res = uk.numeric_partition_bound(mixed_devices(x, n), part, 0.0)
                 assert res.converged
                 assert res.value == pytest.approx(uk.closed_form_bound(x, n, m).g, abs=1e-12), part.label
+
+    @pytest.mark.parametrize("text", ["1,2,3,4,5,6,7", "1|2,3,4,5,6,7,8"])
+    def test_blocks_with_a_tiny_top_keep_their_range(self, text):
+        # x = 0.05: the block of seven tops out at 7.8e-10, below RANGE_TOL, yet
+        # <C_B> spans [0, hi], so c = 0 and the top hold the block on its edges
+        part = uk.Partition.parse(text)
+        povms = mixed_devices(0.05, part.n_agents)
+        blocks = dense_blocks(povms, part)
+        top = math.prod(b.hi for b in blocks)
+        for res in (uk.numeric_partition_bound(povms, part, 0.0), multipartite._block_bound(blocks, 0.0)):
+            assert res.value == pytest.approx(uk.closed_form_bound(0.05, part.n_agents, 7).g, abs=1e-12)
+        # at the top every agent sits on |V>, where <Pi_2> = (1 - x) / 2
+        for res in (uk.numeric_partition_bound(povms, part, top), multipartite._block_bound(blocks, top)):
+            assert res.value == pytest.approx(0.475**part.n_agents, abs=1e-15)
+        res, ref = uk.numeric_partition_bound(povms, part, 0.3 * top), multipartite._block_bound(blocks, 0.3 * top)
+        assert res.converged and ref.converged and res.value == pytest.approx(ref.value, abs=1e-14)
 
     def test_twelve_agents_at_interior_c(self):
         # a block of eleven beside a singleton; L = |W><W| and C = |U><U| on the
@@ -810,6 +826,18 @@ class TestQubitPair:
             for c in [lo, hi, *(lo + f * (hi - lo) for f in fractions)]:
                 ref = uk.product_constrained_bound(povms, l_indices, c_indices, c).value
                 assert pair.bound(c).value == pytest.approx(ref, rel=2e-14, abs=0.0), c
+
+    def test_a_tiny_constraint_keeps_its_range(self):
+        # x = 1e-10: each <Pi_1> spans [0, 1e-10], a range however small, so the
+        # ends hold both parties as the block engine does
+        povms = [uk.build_three_outcome(uk.ThreeOutcomeParams(1e-10, 0.3))] * 2
+        terms = [(1.0, *(e.op.mat for e in uk.povm.selected_effects(povms, (2, 2))))]
+        pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, (1, 1))])
+        lo, hi = uk.attainable_constraint_range(povms, (1, 1))
+        for c in (lo, 0.3 * hi, hi):
+            ref = uk.product_constrained_bound(povms, (2, 2), (1, 1), c).value
+            assert pair.bound(c).value == pytest.approx(ref, rel=1e-14, abs=0.0), c
+        assert pair.bound(lo).value == pytest.approx(uk.closed_form_bound(1e-10, 2, 1).g, abs=1e-15)
 
     @pytest.mark.parametrize("flat", [0, 1])
     def test_a_flat_constraint_party_is_free(self, flat):
