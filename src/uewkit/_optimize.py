@@ -101,7 +101,7 @@ class ProductManifold:
         offsets = np.concatenate([[0], np.cumsum(self.param_counts)])
         self.offsets = tuple(int(o) for o in offsets)
         self.n_params = self.offsets[-1]
-        self.total_dim = int(np.prod(self.block_dims))
+        self.total_dim = math.prod(self.block_dims)
 
     def random_params(self, rng: np.random.Generator) -> np.ndarray:
         parts = []

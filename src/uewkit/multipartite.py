@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import permutations
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -622,18 +622,68 @@ def _split(blocks: Sequence[_Range], s_total: float) -> np.ndarray:
     return s[shares[::-1]]
 
 
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """A root of f between a and b, where f changes sign: Brent's method, step
+    for step scipy's C `brentq` at its rtol = 4 eps and 100 iterations, so
+    the root is bitwise scipy's.  Where C divides by zero, the inf or nan
+    step fails the step test and it bisects; here ZeroDivisionError does.
+    """
+    def at(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f is nan at {x}")
+        return fx
+
+    xtol, rtol = float(xtol), 4 * math.ulp(1.0)  # Python floats, so a division by zero raises
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = at(xpre), at(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the better end, xblk the other side of the root
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic through the last three points
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = at(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations")
+
+
 def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]:
     """Shares s_B of s_total that maximize sum log m_B(hi_B exp(-s_B)), and whether they settled.
 
     From `_split`'s grid (two blocks can have two local maxima), each round
     moves deficit between the pair whose marginal rates d log m_B / ds_B lie
     furthest apart until the rates meet: doubling steps from the grid spacing
-    bracket the sign change, and `brentq` closes it to float resolution.  The
+    bracket the sign change, and `_brentq` closes it to float resolution.  The
     rounds end when no pair gains or the pair just settled is picked again.
     """
-    from scipy.optimize import brentq  # deferred: importing the CLI stays free of scipy
-
-    @cache  # `brentq` and the next round read again the rates the last step read
+    @cache  # `_brentq` and the next round read again the rates the last step read
     def rate(k: int, s: float) -> float:
         _, value, slope = blocks[k].point(s)
         if value <= 0.0:  # m = 0 at an end of the block's range: log m falls without bound away from it
@@ -658,7 +708,7 @@ def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]
         while b < top:
             a, b, step = b, min(b + step, top), 2.0 * step
             if gap(b) <= 0.0:
-                b = brentq(gap, a, b, xtol=np.finfo(float).eps * s_total)
+                b = _brentq(gap, a, b, xtol=np.finfo(float).eps * s_total)
                 break
         shares[i], shares[j], settled = shares[i] + b, shares[j] - b, {i, j}
     return shares, False

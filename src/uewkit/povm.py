@@ -200,9 +200,14 @@ def uew_admissibility_check(c_op: HermitianOperator, l_op: HermitianOperator) ->
     the constrained supremum over all quantum states, so the pair cannot
     detect entanglement: commutes=True means "this pair cannot beat the
     unconstrained bound".  Non-commutation is necessary, not sufficient.
+    The commutator's norm is read against COMMUTE_TOL ||C|| ||L||, each in
+    the max-entry norm `commutator_norm` takes, so the verdict does not
+    change with the scale of either operator (a device at x = 1e-10 has
+    ||C|| ~ 1e-20).
     """
     nrm = commutator_norm(c_op, l_op)
-    return AdmissibilityReport(commutes=nrm <= COMMUTE_TOL, commutator_norm=nrm)
+    scale = float(np.max(np.abs(c_op.mat)) * np.max(np.abs(l_op.mat)))
+    return AdmissibilityReport(commutes=nrm <= COMMUTE_TOL * scale, commutator_norm=nrm)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("dims must be nonempty")
     if any(d < 2 for d in dims):
         raise ValueError(f"every subsystem dimension must be >= 2, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
         raise CapacityError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
     return dims
@@ -93,7 +93,7 @@ class HermitianOperator:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         mat = np.asarray(self.mat, dtype=np.complex128)
-        n = int(np.prod(dims))
+        n = math.prod(dims)
         if mat.shape != (n, n):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {dims}")
         if not np.all(np.isfinite(mat)):
@@ -138,7 +138,7 @@ class PureState:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         vec = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if vec.shape[0] != int(np.prod(dims)):
+        if vec.shape[0] != math.prod(dims):
             raise ValueError(f"amplitude length {vec.shape[0]} does not match dims {dims}")
         if not np.all(np.isfinite(vec)):
             raise ValueError("amplitudes must be finite")
@@ -183,7 +183,7 @@ class ProductState:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def to_pure_state(self) -> PureState:
         return PureState(self.dims, self.amplitudes)
@@ -194,13 +194,13 @@ State = Union[DensityMatrix, PureState, ProductState]
 
 def identity(dims: Sequence[int]) -> HermitianOperator:
     dims = _check_dims(dims)
-    return HermitianOperator(dims, np.eye(int(np.prod(dims))))
+    return HermitianOperator(dims, np.eye(math.prod(dims)))
 
 
 def maximally_mixed(dims: Sequence[int]) -> DensityMatrix:
     """I / d on `dims`, with the dims cap checked before the d x d matrix is built."""
     dims = _check_dims(dims)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     return DensityMatrix(dims, np.eye(n) / n)
 
 
@@ -209,7 +209,7 @@ def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     if not ops:
         raise ValueError("tensor requires at least one operator")
     dims = tuple(d for op in ops for d in op.dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total > MAX_TOTAL_DIM:
         raise CapacityError(f"total dimension {total} exceeds cap {MAX_TOTAL_DIM}")
     return HermitianOperator(dims, reduce(np.kron, (op.mat for op in ops)))
@@ -313,7 +313,7 @@ def _dims_and_entries(d: dict) -> tuple[tuple[int, ...], np.ndarray]:
         if field not in d:
             raise ValueError(f"operator or state file missing field {field!r}")
     dims = _check_dims(d["dims"])
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     try:
         arr = np.asarray(d["entries"], dtype=np.float64)
     except (TypeError, ValueError):

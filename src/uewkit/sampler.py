@@ -171,7 +171,7 @@ def scatter(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence
 def random_density_matrix(dims: Sequence[int], rng: np.random.Generator) -> DensityMatrix:
     """Ginibre-induced random mixed state of full rank."""
     dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
+    n = math.prod(dims)
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     m = g @ g.conj().T
     m = m / m.trace().real

@@ -105,6 +105,15 @@ def test_curve_commuting_pair_warns(tmp_path):
     assert "warning" in summary
 
 
+def test_curve_tiny_device_does_not_commute(tmp_path):
+    # the commutator's norm, 2.5e-21, is read against ||C|| ||L|| ~ 1e-20, not an absolute tolerance
+    out = tmp_path / "tiny.csv"
+    assert run("curve", "--x", "1e-10", "--grid", 5, "--out", out) == 0
+    summary = json.loads(out.with_suffix(".json").read_text())
+    assert summary["admissibility"]["commutes"] is False
+    assert "warning" not in summary
+
+
 def test_certify_round_trip(tmp_path, curve_files):
     counts = tmp_path / "counts.json"
     assert run(
@@ -157,20 +166,40 @@ def test_certify_reads_a_rewritten_curve(tmp_path, curve_files, capsys):
     assert "curve CSV line 3: converged must be true or false, got 'yes'" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
-    # scipy's optimizers load on the first bound or curve, not with the CLI
+def test_import_loads_no_scipy(tmp_path):
+    # scipy's optimizers load only for a multistart (`bound --L/--C`, a `tighten`
+    # beyond two qubit parties), not with the CLI nor on a device's commands
+    commands = [
+        ["simulate", "--preset", "optimal-entangled", "--x", "2/3", "--shots", "10000", "--seed", "7", "--out", "counts.json"],
+        ["curve", "--x", "2/3", "--grid", "5", "--out", "curve.csv"],
+        ["certify", "--counts", "counts.json", "--curve", "curve.csv", "--out", "verdict.json"],
+        ["bound", "--x", "2/3", "--c", "0.1", "--out", "bound_c.json"],
+        ["bound", "--x", "2/3", "--out", "bound.json"],
+        ["tighten", "--counts", "counts.json", "--x", "2/3", "--decomposition", "1:2,2", "--out", "tighten.json"],
+        ["tighten", "--counts", "counts.json", "--x", "2/3", "--decomposition", "0.6:2,2;0.4:3,3", "--out", "tighten_sum.json"],
+        # three blocks, so `_settle` exchanges deficit and solves for the split
+        ["multiparty", "--x", "0.8", "--agents", "4", "--partition", "1|2|3,4", "--c", "0.1", "--out", "bounds.csv"],
+        ["sample", "--x", "2/3", "--n", "100", "--seed", "1", "--out", "scatter.csv"],
+    ]
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import uewkit\n"
         "after_package = loaded()\n"
         "import uewkit.cli\n"
-        "print(after_package, loaded())\n"
+        "after_cli = loaded()\n"
+        f"codes = [uewkit.cli.main(argv) for argv in {commands!r}]\n"
+        "print(json.dumps([after_package, after_cli, codes, loaded()]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(uk.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[] []"
+    after_package, after_cli, codes, after_commands = json.loads(done.stdout.splitlines()[-1])
+    assert after_package == after_cli == []
+    assert codes == [0] * len(commands)
+    assert after_commands == []
 
 
 def test_simulate_state_file(tmp_path, curve_files):

@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 import uewkit as uk
 from uewkit import multipartite
@@ -529,6 +529,72 @@ class TestRateExchange:
         assert res.converged
         scan = self.scan_three(blocks, multipartite._log_deficit([b.hi for b in blocks], c))
         assert res.value >= scan - 1e-15 * scan
+
+
+class TestBrentq:
+    """`_brentq`, which closes each exchange of `_settle`, against scipy's
+    `brentq` at the same xtol and default rtol: the roots agree bitwise."""
+
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        """Solve every bracket `_settle` builds with both, recording (ours, scipy's)."""
+        roots, ours = [], multipartite._brentq
+
+        def both(f, a, b, xtol):
+            roots.append((ours(f, a, b, xtol), brentq(f, a, b, xtol=xtol)))
+            return roots[-1][0]
+
+        monkeypatch.setattr(multipartite, "_brentq", both)
+        return roots
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3])
+    @pytest.mark.parametrize("x", [0.1, 0.5, X, 0.8, 0.95])
+    def test_curve_brackets(self, brackets, x, theta):
+        # the device beside itself, whose symmetric splits mostly land on the
+        # grid, and beside another device, whose splits need the root
+        device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, theta))
+        for povms in ([device, device], [device, uk.build_three_outcome(uk.ThreeOutcomeParams(0.5, theta + 0.3))]):
+            lo, hi = uk.attainable_constraint_range(povms, (1, 1))
+            uk.separability_curve(povms, (2, 2), (1, 1), np.linspace(lo, hi, 201))
+        assert brackets and all(mine == ref for mine, ref in brackets)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_partition_brackets(self, brackets, n):
+        povms = mixed_devices(0.8, n)
+        for part in (uk.Partition(blocks) for blocks in all_partitions(n) if len(blocks) > 1):
+            hi = math.prod(multipartite._partition_block([povms[i - 1] for i in b]).hi for b in part.blocks)
+            for f in (0.01, 0.3, 0.9):
+                uk.numeric_partition_bound(povms, part, f * hi)
+        assert brackets and all(mine == ref for mine, ref in brackets)
+
+    @staticmethod
+    def same(f, a, b, xtol=1e-12):
+        root = multipartite._brentq(f, a, b, xtol)
+        assert root == brentq(f, a, b, xtol=xtol)
+        return root
+
+    def test_zero_at_an_end(self):
+        assert self.same(lambda t: t, 0.0, 1.0) == 0.0
+        assert self.same(lambda t: t - 1.0, 0.0, 1.0) == 1.0
+
+    def test_infinite_end_value(self):
+        # a rate at an end of a block's range, where m = 0, is infinite
+        assert self.same(lambda t: math.inf if t == 0.0 else 0.3 - t, 0.0, 1.0) == 0.3
+        assert self.same(lambda t: -math.inf if t == 1.0 else 0.3 - t, 0.0, 1.0) == 0.3
+
+    @pytest.mark.parametrize("g", [lambda t: t**3 - 0.3, lambda t: math.exp(t) - 2.0, lambda t: 0.5 - t - t**5])
+    def test_zero_extrapolation_denominator(self, g):
+        # at values ~1e-110 the inverse-quadratic denominator dblk dpre (fblk - fpre)
+        # underflows to 0: C's inf step fails the step test, ours raises
+        # ZeroDivisionError, and both bisect, so the root moves off g's
+        root = self.same(lambda t: 1e-110 * g(t), 0.0, 1.0)
+        assert root != self.same(g, 0.0, 1.0) and abs(g(root)) <= 1e-10
+
+    def test_rejects_a_bracket_without_a_sign_change_or_a_nan_value(self):
+        with pytest.raises(ValueError):
+            multipartite._brentq(lambda t: t + 1.0, 0.0, 1.0, 1e-12)
+        with pytest.raises(ValueError):
+            multipartite._brentq(lambda t: 0.3 - t if t in (0.0, 1.0) else math.nan, 0.0, 1.0, 1e-12)
 
 
 class TestStackedFrontier:

@@ -108,6 +108,21 @@ def test_admissibility(pair23):
     assert uk.uew_admissibility_check(d1, d2).commutes
 
 
+@pytest.mark.parametrize("x", [1e-12, 1e-10, 1e-6, 2 / 3])
+def test_admissibility_is_relative(x):
+    # at x = 1e-10 the commutator's entries are ~2.5e-21, far below an absolute
+    # 1e-10, yet ~x^2 / 4 against a C of ~x^2: the pair does not commute at any x
+    device = uk.build_three_outcome(uk.ThreeOutcomeParams(x, 0.0))
+    c_op, l_op = (uk.product_operator([device, device], [k, k]) for k in (1, 2))
+    assert not uk.uew_admissibility_check(c_op, l_op).commutes
+    # commuting diagonal operators, and a zero C, commute at every scale
+    d1 = uk.HermitianOperator((2, 2), x * np.diag([1.0, 2.0, 3.0, 4.0]))
+    d2 = uk.HermitianOperator((2, 2), np.diag([4.0, 1.0, 2.0, 2.0]))
+    assert uk.uew_admissibility_check(d1, d2).commutes
+    zero = uk.HermitianOperator((2, 2), np.zeros((4, 4)))
+    assert uk.uew_admissibility_check(zero, l_op).commutes
+
+
 def test_dichotomic_device_always_commutes():
     # a two-outcome projective measurement shared by C and L factors can
     # never pass the admissibility check, whatever outcome pairs are chosen

@@ -56,6 +56,15 @@ def test_tensor_errors():
         uk.tensor([big, big])
 
 
+@pytest.mark.parametrize("dims", [(2**62, 4), (2**32, 2**32), (4096,) * 6])
+def test_dims_product_is_exact(dims):
+    # each product is a multiple of 2^64, which int64 arithmetic wraps to 0: the cap must see the true product
+    with pytest.raises(uk.CapacityError):
+        uk.HermitianOperator(dims, np.zeros((0, 0)))
+    with pytest.raises(uk.CapacityError):
+        qcore.maximally_mixed(dims)
+
+
 def test_expectation_normalization(pair23):
     rho = uk.DensityMatrix((2, 2), np.eye(4) / 4)
     assert uk.expectation(uk.identity((2, 2)), rho) == pytest.approx(1.0)
