@@ -4,15 +4,15 @@ Certifies quantum entanglement from a single fixed few-outcome measurement
 device per party: the measured constraint expectation restricts the candidate
 separable states, the test-operator bound is re-optimized over that slice
 (the separability curve), and any measured point strictly above the curve
-certifies entanglement.  Independent brute-force and partial-transpose
-oracles cross-validate every bound.
+certifies entanglement.  The partial-transpose test (`is_ppt`) and the
+independent oracles of the test suite (`tests/oracles.py`: a brute-force grid
+search and decimal closed forms) cross-validate every bound.
 """
 
 from ._optimize import BoundResult, OptimizerSettings
 from .multipartite import (
     MultiBound,
     Partition,
-    classify,
     closed_form_bound,
     multi_operators,
     numeric_partition_bound,
@@ -49,7 +49,6 @@ from .qcore import (
 from .sampler import (
     CountsTable,
     EstimateResult,
-    brute_force_constrained_sup,
     estimate,
     load_counts,
     sample_product_state,
@@ -57,7 +56,6 @@ from .sampler import (
     scatter,
     simulate_counts,
     stream,
-    weighted_estimate,
 )
 from .witness import (
     CurvePoint,

@@ -50,7 +50,8 @@ PROJECTION_TOL = 1e-12
 PROJECTION_MAX_ITER = 120
 FLAT_GRADIENT_TOL = 1e-18
 RESIDUAL_OK = 1e-6
-# slack on the spectrum of C before a constraint value counts as unattainable
+# slack on the spectrum of C before a constraint value counts as unattainable,
+# relative to the spectrum's scale (`check_range`)
 RANGE_TOL = 1e-9
 
 _MASK64 = (1 << 64) - 1
@@ -257,8 +258,10 @@ def _project_onto_constraint(objective: PairObjective, params: np.ndarray, c_val
 
 
 def check_range(c: float, lo: float, hi: float) -> None:
-    """Raise ValueError for a c more than RANGE_TOL outside [lo, hi], the spectrum of C."""
-    if not lo - RANGE_TOL <= c <= hi + RANGE_TOL:
+    """Raise ValueError for a c outside [lo, hi], the spectrum of C, by more
+    than RANGE_TOL relative to its scale, max(|lo|, |hi|): hi for C >= 0."""
+    slack = RANGE_TOL * max(abs(lo), abs(hi))
+    if not lo - slack <= c <= hi + slack:
         raise ValueError(f"constraint value {c} outside the spectrum [{lo:.12g}, {hi:.12g}] of C: no state attains it")
 
 
@@ -349,10 +352,11 @@ def optimize_product_bound(
     `dims` gives each party's dimension, one factor of the maximizer each.
     With `c_mat`/`c_value` given, maximizes subject to <C> = c with one
     SLSQP solve per start.  Raises ValueError before any start when c lies
-    more than RANGE_TOL outside the spectrum of C (no state attains it), and
-    after the starts when none reaches |<C> - c| <= RESIDUAL_OK (no product
-    state attains it).  The bound is converged when a feasible start whose
-    local solver succeeded comes within STALL_GAIN_TOL of the best one.
+    outside the spectrum of C by more than `check_range`'s slack (no state
+    attains it), and after the starts when none reaches |<C> - c| <=
+    RESIDUAL_OK (no product state attains it).  The bound is converged when
+    a feasible start whose local solver succeeded comes within
+    STALL_GAIN_TOL of the best one.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")

@@ -1,4 +1,4 @@
-"""Partitions, multipartite bounds, optimal block-product states, classification.
+"""Partitions, multipartite bounds and optimal block-product states.
 
 Each of N agents carries one three-outcome device, given as a per-agent POVM
 list; the joint test and constraint operators are products of per-agent
@@ -48,7 +48,6 @@ __all__ = [
     "multi_operators",
     "closed_form_bound",
     "optimal_separable_multi",
-    "classify",
     "numeric_partition_bound",
 ]
 
@@ -176,34 +175,6 @@ def optimal_separable_multi(x: float, partition: Partition, theta: float = 0.0) 
     """
     blocks = [_RankOneBlock([build_three_outcome(ThreeOutcomeParams(x, theta))] * len(b)) for b in partition.blocks]
     return _block_bound(blocks, 0.0).maximizer
-
-
-def classify(x: float, n_agents: int, l_measured: float, c_confirmed_zero: bool) -> str:
-    """Entanglement class implied by a measured test value at c = 0.
-
-    Thresholds are the c = 0 bounds, so the caller must explicitly confirm
-    c = 0; inferring it from a "small" measured value would smuggle an
-    arbitrary cutoff into a correctness-critical branch.
-
-    Returns one of "none", "partial", "genuine", "super-bound-anomaly"; the
-    last signals a data or model error, since the M_k = N bound holds for all
-    quantum states.
-    """
-    if not c_confirmed_zero:
-        raise ValueError(
-            "classification thresholds assume c = 0; pass c_confirmed_zero=True "
-            "only when the constraint expectation is exactly zero"
-        )
-    g_partial = closed_form_bound(x, n_agents, 1).g
-    g_genuine = closed_form_bound(x, n_agents, max(n_agents - 1, 1)).g
-    g_all = closed_form_bound(x, n_agents, n_agents).g
-    if l_measured <= g_partial:
-        return "none"
-    if l_measured <= g_genuine:
-        return "partial"
-    if l_measured <= g_all:
-        return "genuine"
-    return "super-bound-anomaly"
 
 
 class _Range:

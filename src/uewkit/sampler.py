@@ -1,4 +1,4 @@
-"""Random states, measurement simulation, estimation, and independent oracles.
+"""Random states, measurement simulation, estimation, and the counts format.
 
 RNG contract: all randomness flows through Philox, a counter-based generator,
 keyed as (seed, task).  Distinct task indices give independent streams; the
@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .povm import Povm, selected_effects
-from .qcore import DensityMatrix, HermitianOperator, ProductState, PureState, bloch_form, bloch_state
+from .qcore import DensityMatrix, ProductState, PureState, bloch_form
 from .qcore import load_json, save_json
 from .qcore import tensor  # noqa: F401  # perfbench/tracing.py patches uewkit.sampler.tensor
 
@@ -30,8 +30,6 @@ __all__ = [
     "random_density_matrix",
     "simulate_counts",
     "estimate",
-    "weighted_estimate",
-    "brute_force_constrained_sup",
     "counts_to_dict",
     "counts_from_dict",
     "save_counts",
@@ -215,8 +213,7 @@ def estimate(
     """Single-cell estimates of <C> and <L> with binomial standard errors.
 
     Valid when the constraint and test operators are single products of
-    effects, so each expectation is one joint-outcome probability; use
-    weighted_estimate for decomposed operators.
+    effects, so each expectation is one joint-outcome probability.
     """
     c_hat = counts.frequency(c_indices)
     l_hat = counts.frequency(l_indices)
@@ -228,137 +225,6 @@ def estimate(
         sigma_l=math.sqrt(l_hat * (1.0 - l_hat) / n),
         shots=n,
     )
-
-
-def weighted_estimate(
-    counts: CountsTable, terms: Sequence[tuple[float, Sequence[int]]]
-) -> tuple[float, float]:
-    """Estimate of sum_i beta_i p_i with full multinomial covariance.
-
-    Var = [sum_i b_i^2 p_i (1 - p_i) - sum_{i != j} b_i b_j p_i p_j] / shots.
-    """
-    n = counts.total_shots
-    betas = np.array([float(b) for b, _ in terms])
-    freqs = np.array([counts.frequency(key) for _, key in terms])
-    value = float(betas @ freqs)
-    var = float(betas**2 @ (freqs * (1.0 - freqs)))
-    cross = np.outer(betas * freqs, betas * freqs)
-    var -= float(cross.sum() - np.trace(cross))
-    return value, math.sqrt(max(var, 0.0) / n)
-
-
-def brute_force_constrained_sup(
-    l_op: HermitianOperator,
-    c_op: HermitianOperator,
-    c: float,
-    resolution: int = 200,
-) -> float:
-    """Independent oracle for the two-qubit constrained separable bound.
-
-    Grid over party B's two Bloch angles at the given resolution; for every
-    grid state the band {|<C> - c| < eps} (eps = 2/resolution, tied to the
-    grid so the error model stays honest) is resolved exactly over the whole
-    of party A's Bloch sphere: both partial expectations are linear in A's
-    Bloch vector, so the band-constrained maximum is a closed-form spherical
-    problem.  The best candidate is refined by one SLSQP polish with
-    finite-difference gradients, sharing no code with the production
-    optimizer.  Accuracy O(1/resolution), dominated by the B grid.
-    """
-    from scipy.optimize import NonlinearConstraint, minimize  # deferred: importing the CLI stays free of scipy
-
-    if l_op.dims != (2, 2) or c_op.dims != (2, 2):
-        raise ValueError("the brute-force oracle handles two qubit parties only")
-    if not 2 <= resolution <= 400:
-        raise ValueError("resolution must lie in [2, 400]")
-    eps = 2.0 / resolution
-
-    thetas = np.linspace(0.0, np.pi, resolution)
-    phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    half = tt.reshape(-1) / 2.0
-    single = np.stack([np.cos(half), np.sin(half) * np.exp(1j * pp.reshape(-1))], axis=1)
-
-    l4 = l_op.mat.reshape(2, 2, 2, 2)
-    c4 = c_op.mat.reshape(2, 2, 2, 2)
-    # partial expectation over party B for every grid state: 2x2 forms on A
-    mb_l = np.einsum("bj,ijkl,bl->bik", single.conj(), l4, single)
-    mb_c = np.einsum("bj,ijkl,bl->bik", single.conj(), c4, single)
-    l0, lv = bloch_form(mb_l)
-    c0, cv = bloch_form(mb_c)
-
-    c_norm = np.linalg.norm(cv, axis=1)
-    degenerate = c_norm < 1e-14
-    safe_norm = np.where(degenerate, 1.0, c_norm)
-    c_hat = cv / safe_norm[:, None]
-    alpha = np.einsum("bi,bi->b", lv, c_hat)
-    l_perp = lv - alpha[:, None] * c_hat
-    beta = np.linalg.norm(l_perp, axis=1)
-
-    # allowed range of u = r.c_hat from the band, intersected with the sphere
-    u_lo = np.clip((c - eps - c0) / safe_norm, -1.0, 1.0)
-    u_hi = np.clip((c + eps - c0) / safe_norm, -1.0, 1.0)
-    feasible = (c - eps - c0) / safe_norm <= 1.0
-    feasible &= (c + eps - c0) / safe_norm >= -1.0
-    feasible &= ~degenerate
-    # objective alpha*u + beta*sqrt(1-u^2) is concave on [-1, 1]
-    u_star = np.where(
-        np.hypot(alpha, beta) > 1e-300, alpha / np.maximum(np.hypot(alpha, beta), 1e-300), 0.0
-    )
-    u_best = np.clip(u_star, u_lo, u_hi)
-    vals = l0 + alpha * u_best + beta * np.sqrt(np.clip(1.0 - u_best**2, 0.0, None))
-    # degenerate constraint direction: <C> is flat over A's sphere
-    deg_ok = degenerate & (np.abs(c0 - c) < eps)
-    vals_deg = l0 + np.linalg.norm(lv, axis=1)
-    vals = np.where(deg_ok, vals_deg, np.where(feasible, vals, -np.inf))
-    if not np.any(np.isfinite(vals)):
-        raise ValueError(f"no grid point satisfies |<C> - c| < {eps}; c may be unattainable")
-
-    b_idx = int(np.argmax(vals))
-    if deg_ok[b_idx]:
-        ln = np.linalg.norm(lv[b_idx])
-        r_best = lv[b_idx] / ln if ln > 1e-14 else np.array([0.0, 0.0, 1.0])
-    else:
-        u = u_best[b_idx]
-        perp = l_perp[b_idx]
-        pn = np.linalg.norm(perp)
-        r_best = u * c_hat[b_idx]
-        if pn > 1e-14:
-            r_best = r_best + math.sqrt(max(1.0 - u * u, 0.0)) * perp / pn
-    a_amp = bloch_state(r_best)
-    best_val = float(vals[b_idx])
-
-    theta_a = 2.0 * math.atan2(abs(a_amp[1]), abs(a_amp[0]))
-    phi_a = math.atan2(a_amp[1].imag, a_amp[1].real)
-    x0 = np.array(
-        [theta_a, phi_a % (2.0 * np.pi), thetas[b_idx // resolution], phis[b_idx % resolution]]
-    )
-
-    def state_of(angles):
-        a = np.array([np.cos(angles[0] / 2.0), np.sin(angles[0] / 2.0) * np.exp(1j * angles[1])])
-        b = np.array([np.cos(angles[2] / 2.0), np.sin(angles[2] / 2.0) * np.exp(1j * angles[3])])
-        return np.kron(a, b)
-
-    def l_fun(angles):
-        s = state_of(angles)
-        return -float((s.conj() @ (l_op.mat @ s)).real)
-
-    def c_fun(angles):
-        s = state_of(angles)
-        return float((s.conj() @ (c_op.mat @ s)).real)
-
-    res = minimize(
-        l_fun,
-        x0,
-        method="SLSQP",
-        constraints=[NonlinearConstraint(c_fun, c, c)],
-        options={"maxiter": 200, "ftol": 1e-12},
-    )
-    # the polished value is the oracle output: the in-band grid maximum sits
-    # up to eps away from the constraint, which inflates the value wherever
-    # the curve is steep
-    if res.success and abs(c_fun(res.x) - c) <= 1e-8:
-        return -float(res.fun)
-    return best_val
 
 
 # ---------------------------------------------------------------------------

@@ -96,56 +96,3 @@ def gradient_rel_errors(block_dims, l_mat, c_mat, rng, n_points, h=1e-6):
         worst_l = max(worst_l, float(np.max(np.abs(g_l - fd_l)) / max(np.max(np.abs(fd_l)), 1e-12)))
         worst_c = max(worst_c, float(np.max(np.abs(g_c - fd_c)) / max(np.max(np.abs(fd_c)), 1e-12)))
     return worst_l, worst_c
-
-
-def _decimal_bloch(m):
-    """`qcore.bloch_form` of one 2x2 matrix, from the exact `Decimal` values
-    of its float entries."""
-    from decimal import Decimal
-
-    diag = (Decimal(m[0, 0].real), Decimal(m[1, 1].real))
-    return (diag[0] + diag[1]) / 2, [Decimal(m[1, 0].real), Decimal(m[1, 0].imag), (diag[0] - diag[1]) / 2]
-
-
-def decimal_frontier(c_mat, l_mat, t, side, digits=50):
-    """(<L>, slope) of a qubit pair's upper frontier at deficit t = 1 - |u|
-    from the top (side 1) or bottom (side -1) end, evaluated with `decimal`
-    at `digits` digits from the exact values of the float entries."""
-    from decimal import Decimal, localcontext
-
-    with localcontext() as ctx:
-        ctx.prec = digits
-        (_, c), (l0, l) = _decimal_bloch(c_mat), _decimal_bloch(l_mat)
-        width = sum(v * v for v in c).sqrt()
-        alpha = sum(a * b for a, b in zip(l, c)) / width
-        beta = (sum(v * v for v in l) - alpha * alpha).sqrt()
-        t = Decimal(t)
-        u, w = side * (1 - t), (t * (2 - t)).sqrt()
-        return l0 + alpha * u + beta * w, (alpha - beta * u / w) / width
-
-
-def decimal_pair_bound(device, c, digits=50):
-    """g(c) for two parties measuring `device`'s effects 2 (L) and 1 (C),
-    with `decimal` at `digits` digits: the frontier m of `decimal_frontier`
-    at <C> = q1 and c / q1, maximized over q1 by ternary search (the product
-    is unimodal in q1 for the devices this is used on)."""
-    from decimal import Decimal, localcontext
-
-    c_mat, l_mat = device.effect(1).op.mat, device.effect(2).op.mat
-    with localcontext() as ctx:
-        ctx.prec = digits
-        c0, cv = _decimal_bloch(c_mat)
-        width = sum(v * v for v in cv).sqrt()
-        hi, c = c0 + width, Decimal(c)
-
-        def m(q):
-            return decimal_frontier(c_mat, l_mat, (hi - q) / width, 1, digits)[0]
-
-        a, b = c / hi, hi
-        for _ in range(200):
-            third = (b - a) / 3
-            if m(a + third) * m(c / (a + third)) < m(b - third) * m(c / (b - third)):
-                a += third
-            else:
-                b -= third
-        return m(a) * m(c / a)

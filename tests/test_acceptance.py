@@ -14,6 +14,7 @@ import pytest
 
 import uewkit as uk
 from conftest import devices, gradient_rel_errors, random_hermitian
+from oracles import brute_force_constrained_sup
 from uewkit.cli import main as cli_main
 
 X = 2.0 / 3.0
@@ -81,14 +82,14 @@ def test_criterion_02_curve_anchors_and_oracles(ops, full_curve):
         assert res.value == pytest.approx(expected, abs=1e-6), f"anchor c={c}"
         assert res.value >= expected - 1e-9, f"anchor c={c} below g(c)"
         # independent oracles: brute-force grid and the per-qubit reduction
-        bf = uk.brute_force_constrained_sup(l_op, c_op, c, resolution=200)
+        bf = brute_force_constrained_sup(l_op, c_op, c, resolution=200)
         assert bf == pytest.approx(expected, abs=2e-3)
         assert uk.semianalytic_pair_bound(X, c) == pytest.approx(expected, abs=1e-9)
 
     # oracle equivalence along a 5-point grid
     for c in ACCEPT_C_GRID:
         res = uk.constrained_bound(l_op, c_op, c)
-        bf = uk.brute_force_constrained_sup(l_op, c_op, c, resolution=200)
+        bf = brute_force_constrained_sup(l_op, c_op, c, resolution=200)
         assert res.value == pytest.approx(bf, abs=2e-3)
     semi = np.array([uk.semianalytic_pair_bound(X, c) for c in curve.c_values])
     max_err = float(np.max(np.abs(curve.g_values - semi)))

@@ -8,6 +8,7 @@ import uewkit as uk
 from uewkit import sampler
 
 from conftest import qutrit_device_qutrit, random_povm
+from oracles import brute_force_constrained_sup
 
 X = 2.0 / 3.0
 
@@ -240,45 +241,28 @@ class TestEstimate:
             uk.estimate(counts, (4, 1), (2, 2))
 
 
-class TestWeightedEstimate:
-    def test_single_term_matches_estimate(self):
-        counts = uk.CountsTable((3, 3), {(2, 2): 300, (1, 1): 700})
-        val, sig = uk.weighted_estimate(counts, [(1.0, (2, 2))])
-        est = uk.estimate(counts, (1, 1), (2, 2))
-        assert val == pytest.approx(est.l_hat)
-        assert sig == pytest.approx(est.sigma_l, abs=1e-12)
-
-    def test_full_sum_has_zero_variance(self):
-        # beta_i = 1 over all cells sums to exactly 1 with no fluctuation
-        counts = uk.CountsTable((2, 2), {(1, 1): 10, (1, 2): 20, (2, 1): 30, (2, 2): 40})
-        terms = [(1.0, (i, j)) for i in (1, 2) for j in (1, 2)]
-        val, sig = uk.weighted_estimate(counts, terms)
-        assert val == pytest.approx(1.0)
-        assert sig == pytest.approx(0.0, abs=1e-6)
-
-
 class TestBruteForceOracle:
     @pytest.mark.parametrize(
         "c,expected,tol",
         [(0.0, 1 / 3, 2e-3), (4 / 9, 1 / 36, 2e-3), (1 / 36, 4 / 9, 2e-3)],
     )
     def test_anchors(self, pair23, c, expected, tol):
-        val = uk.brute_force_constrained_sup(pair23[0], pair23[1], c, resolution=200)
+        val = brute_force_constrained_sup(pair23[0], pair23[1], c, resolution=200)
         assert val == pytest.approx(expected, abs=tol)
 
     def test_equal_operators_return_c(self, pair23):
-        val = uk.brute_force_constrained_sup(pair23[1], pair23[1], 0.2, resolution=100)
+        val = brute_force_constrained_sup(pair23[1], pair23[1], 0.2, resolution=100)
         assert val == pytest.approx(0.2, abs=1e-6)
 
     def test_unattainable(self, pair23):
         with pytest.raises(ValueError):
-            uk.brute_force_constrained_sup(pair23[0], pair23[1], 0.9)
+            brute_force_constrained_sup(pair23[0], pair23[1], 0.9)
 
     def test_dims_validation(self, pair23):
         with pytest.raises(ValueError):
-            uk.brute_force_constrained_sup(uk.identity((2,)), uk.identity((2,)), 0.1)
+            brute_force_constrained_sup(uk.identity((2,)), uk.identity((2,)), 0.1)
         with pytest.raises(ValueError):
-            uk.brute_force_constrained_sup(pair23[0], pair23[1], 0.1, resolution=1000)
+            brute_force_constrained_sup(pair23[0], pair23[1], 0.1, resolution=1000)
 
 
 def test_ppt_oracle_wrapper():

@@ -8,8 +8,8 @@ import uewkit as uk
 from uewkit import witness as witness_module
 from uewkit.multipartite import _Block
 
-from conftest import bell_state, decimal_pair_bound, devices, gradient_rel_errors, qutrit_device_qutrit
-from conftest import random_hermitian, random_povm
+from conftest import bell_state, devices, gradient_rel_errors, qutrit_device_qutrit, random_hermitian, random_povm
+from oracles import bridge_mixture, decimal_pair_bound
 
 X = 2.0 / 3.0
 C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
@@ -154,6 +154,20 @@ def test_optimizer_settings_validation():
         uk.OptimizerSettings(restarts=0)
     with pytest.raises(ValueError, match="restarts must be >= 1, got -2"):
         uk.OptimizerSettings(restarts=-2)
+
+
+def test_check_range_slack_is_relative():
+    # the slack is RANGE_TOL times the larger of |lo| and |hi|: a c 5e10 times
+    # the top of a tiny C is refused, and the ends of an all-negative C are kept
+    from uewkit._optimize import RANGE_TOL, check_range
+
+    check_range(1e-20 * (1 + RANGE_TOL / 2), 0.0, 1e-20)
+    with pytest.raises(ValueError, match="outside the spectrum"):
+        check_range(5e-10, 0.0, 1e-20)
+    for c in (-3.0 * (1 + RANGE_TOL / 2), -2.0):
+        check_range(c, -3.0, -2.0)
+    with pytest.raises(ValueError, match="outside the spectrum"):
+        check_range(-2.0 + 2 * RANGE_TOL * 3.0, -3.0, -2.0)
 
 
 def _bound_entry_points():
@@ -558,6 +572,15 @@ class TestTighten:
         qutrit = uk.Povm(tuple(uk.Effect(uk.HermitianOperator((3,), np.diag(d))) for d in ([0, 0.3, 0.9], [0.6, 0.5, 0], [0.4, 0.2, 0.1])))
         uk.tighten([qutrit, povm23], [(0.6, (2, 2)), (0.4, (3, 3))], 0.1, (1, 1), settings=uk.OptimizerSettings(restarts=1))
         assert calls == {"optimize_product_bound": 2, "product_operator": 3}
+
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: tighten writes g(c), not its concave hull")
+    def test_item17_bounds_a_separable_mixture(self):
+        # x = 0.8: the product touch states at the bridge's ends, c = 0.044672
+        # and 0.622016, mixed to <C> = 0.32 give <L> = 0.19499999957, a
+        # separable state above the g(0.32) = 0.176971376626 written today
+        c, l_value = bridge_mixture(0.8, 0.044672, 0.622016, 0.32)
+        assert uk.tighten(devices(0.8, 2), [(1.0, (2, 2))], c, (1, 1)).g_of_c >= l_value - 1e-12
 
 
 class TestEntangledMax:
