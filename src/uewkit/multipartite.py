@@ -56,11 +56,14 @@ MAX_AGENTS = 12
 STACK_ENTRIES = 2**16
 # unit roundoff of a float: the relative rounding of c and of the block tops
 ROUNDING = 2.0**-53
-# `_QubitPair._search`: grid points per coordinate, grid maxima refined, pattern-search rounds
+# `_QubitPair._search`: grid points per coordinate and grid maxima refined; `_refine`: its
+# smallest stencil spacing for the Newton model, as a share of the first, and its round cap
 GRID = 24
 STARTS = 4
-PATTERN_ROUNDS = 200
-STENCIL = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+FLOOR = 1e-4
+ROUNDS = 100
+# `_refine`'s 3 x 3 stencil: offsets (i, j) along theta and phi, in row-major order
+OFFSETS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -333,9 +336,10 @@ class _QubitPair:
     so <L> = M^T S N with S = sum_i beta_i b_i a_i^T in the two frames.  For
     a fixed N, party 2 sees the Bloch form S N with <C_2> held at c / <C_1>:
     its best <L> is the ellipse frontier (`_Ellipse.arc`), or l0 + |l| with
-    no constraint, and `_search` maximizes that over party 1.  A party that
-    is not `live` has one <C_k> and is free; it is made party 2 when the
-    other is live.
+    no constraint, and `_search` maximizes that over party 1: a grid, then a
+    Newton solve in coordinates smooth at both parties' poles (`_chart`,
+    `_refine`).  A party that is not `live` has one <C_k> and is free; it is
+    made party 2 when the other is live.
     """
 
     def __init__(self, terms: Sequence[tuple[float, np.ndarray, np.ndarray]], c_mats: Sequence[np.ndarray]):
@@ -383,75 +387,137 @@ class _QubitPair:
         norm = math.hypot(*form[1:])
         return np.concatenate([[1.0], form[1:] / norm if norm > 0.0 else [1.0, 0.0, 0.0]]), form[0] + norm
 
-    def _coords(self, s_total: Optional[float], x, phi):
-        """Party 1's N at (x, phi), x being u with no constraint and else the log-deficit
-        log(hi_1 / <C_1>), which resolves <C_1> near c / hi_2 and near hi_1 however small c is."""
-        t, side = (1.0 - np.abs(x), np.sign(x)) if s_total is None else self.parties[0].deficits(x)
-        u, w, _ = _Ellipse.arc(np.maximum(t, 0.0), side, 0.0, 0.0, 0.0)  # u and w only: party 1 has no form of its own
-        return np.array([np.ones_like(u), u, w * np.cos(phi), w * np.sin(phi)])
+    def _chart(self, s_total: Optional[float], theta, phi):
+        """Party 1's N at (theta, phi), and party 2's deficit and side (`_Ellipse.deficits`; None with no
+        constraint or no range).  theta spans the band (`_band`), x = a + (b - a) sin^2(theta / 2): each end
+        is a pole of one party, where <L> goes as the square root of the distance from it, smooth in theta;
+        party 2's log-deficit is read from the nearer end, so it keeps its digits at its top.  With no
+        constraint (theta, phi) are party 1's polar angles.  Past party 1's pole theta goes on down its far
+        side."""
+        if s_total is None:
+            u, w, reply = -np.cos(theta), np.sin(theta), None
+        else:
+            (a, b), p = self._band(s_total), self.parties
+            near_a, near_b = (b - a) * np.sin(0.5 * theta) ** 2, (b - a) * np.cos(0.5 * theta) ** 2
+            t, side = p[0].deficits(a + near_a)
+            t = np.maximum(t, 0.0)
+            u, w = side * (1.0 - t), np.where(np.sin(theta) < 0.0, -1.0, 1.0) * np.sqrt(t * (2.0 - t))
+            s2 = np.where(near_a <= near_b, s_total - a - near_a, s_total - b + near_b)
+            reply = p[1].deficits(s2) if p[1].live else None
+        return np.array([np.ones_like(u), u, w * np.cos(phi), w * np.sin(phi)]), reply
 
-    def _reply(self, s_total: Optional[float], x, form):
+    def _band(self, s_total: float) -> tuple[float, float]:
+        """The x = log(hi_1 / <C_1>) at which both <C_k> lie in their ranges, from the exact total log-deficit."""
+        return max(s_total - self.parties[1].depth, 0.0), min(self.parties[0].depth, s_total)
+
+    def _reply(self, deficit, form):
         """Party 2's u, w and best <L> under its Bloch form `form`, (l0, alpha,
-        gamma_1, gamma_2) in its frame: on its frontier at the log-deficit
-        s_total - x, or free (u and w None) with no constraint or no range."""
+        gamma_1, gamma_2) in its frame: on its frontier at `deficit` (t and
+        side, `_chart`), or free (u and w None) where that is None."""
         l0, alpha, g1, g2 = form
-        if s_total is None or not self.parties[1].live:
+        if deficit is None:
             return None, None, l0 + np.sqrt(alpha**2 + g1**2 + g2**2)
-        t, side = self.parties[1].deficits(s_total - x)
-        return _Ellipse.arc(np.maximum(t, 0.0), side, l0, alpha, np.hypot(g1, g2))
+        return _Ellipse.arc(np.maximum(deficit[0], 0.0), deficit[1], l0, alpha, np.hypot(g1, g2))
 
-    def _values(self, s_total: Optional[float], x, phi):
-        """Party 2's best <L> with party 1 at (x, phi)."""
-        return self._reply(s_total, x, self.s @ self._coords(s_total, x, phi))[2]
+    def _values(self, s_total: Optional[float], theta, phi):
+        """Party 2's best <L> with party 1 at (theta, phi) (`_chart`)."""
+        n, deficit = self._chart(s_total, theta, phi)
+        return self._reply(deficit, self.s @ n)[2]
 
     def _search(self, c: Optional[float]) -> BoundResult:
-        """Max of `_values` over party 1: a GRID x GRID grid of x on its band
-        and of phi, then a pattern search from the grid's STARTS best local
-        maxima, each step halved when no neighbour gains, down to float
-        resolution; `converged` says every start got there within
-        PATTERN_ROUNDS.  With a constraint the band holds the x at which both
-        <C_k> lie in their ranges, from the exact total log-deficit
-        (`_log_deficit`)."""
-        if c is None:
-            s_total, a, b = None, -1.0, 1.0
-        else:
-            s_total = _log_deficit([p.hi for p in self.parties], c)
-            a, b = max(s_total - self.parties[1].depth, 0.0), min(self.parties[0].depth, s_total)
-        xs = a + (b - a) * (np.arange(GRID) + 0.5) / GRID
-        phis = 2.0 * np.pi * np.arange(GRID) / GRID
-        grid = self._values(s_total, np.repeat(xs, GRID), np.tile(phis, GRID)).reshape(GRID, GRID)
+        """Max of `_values` over party 1: a GRID x GRID grid, even in x on
+        its band and in phi, then a local solve from the grid's STARTS best
+        local maxima (`_refine`).  With a constraint the band holds the x at
+        which both <C_k> lie in their ranges, from the exact total
+        log-deficit (`_log_deficit`)."""
+        s_total = None if c is None else _log_deficit([p.hi for p in self.parties], c)
+        theta = np.repeat(2.0 * np.arcsin(np.sqrt((np.arange(GRID) + 0.5) / GRID)), GRID)
+        phi = np.tile(2.0 * np.pi * np.arange(GRID) / GRID, GRID)
+        grid = self._values(s_total, theta, phi).reshape(GRID, GRID)
         ends = np.full((1, GRID), -np.inf)
         padded = np.vstack([ends, grid, ends])
         peaks = (grid >= padded[:-2]) & (grid >= padded[2:]) & (grid >= np.roll(grid, 1, 1)) & (grid >= np.roll(grid, -1, 1))
         starts = np.flatnonzero(peaks)
         starts = starts[np.argsort(grid.ravel()[starts])[::-1][:STARTS]]
-        x, phi, f = xs[starts // GRID], phis[starts % GRID], grid.ravel()[starts]
-        hx, hp = np.full(x.size, (b - a) / GRID), np.full(x.size, 2.0 * np.pi / GRID)
-        rows, eps = np.arange(x.size), np.finfo(float).eps
-
-        def settled() -> bool:
-            return bool(hx.max() <= eps * b and hp.max() <= 2.0 * np.pi * eps)
-
-        for _ in range(PATTERN_ROUNDS):
-            if settled():
-                break
-            cx = np.clip(x[:, None] + STENCIL[:, 0] * hx[:, None], a, b)
-            cp = phi[:, None] + STENCIL[:, 1] * hp[:, None]
-            cf = self._values(s_total, cx.ravel(), cp.ravel()).reshape(cx.shape)
-            k = cf.argmax(axis=1)
-            gain = cf[rows, k] > f
-            x, phi, f = np.where(gain, cx[rows, k], x), np.where(gain, cp[rows, k], phi), np.where(gain, cf[rows, k], f)
-            hx, hp = np.where(gain, hx, hx / 2.0), np.where(gain, hp, hp / 2.0)
+        points, f, converged = self._refine(s_total, np.column_stack([theta[starts], phi[starts]]), grid.ravel()[starts])
         j = int(np.argmax(f))
-        n = self._coords(s_total, x[j], phi[j])
+        n, deficit = self._chart(s_total, *points[j])
         form = self.s @ n
-        u, w, _ = self._reply(s_total, x[j], form)
+        u, w, _ = self._reply(deficit, form)
         if u is None:
             m, _ = self._free(form)
         else:
             psi = math.atan2(form[3], form[2])  # party 2 faces the part of its form across its axis
             m = np.array([1.0, u, w * math.cos(psi), w * math.sin(psi)])
-        return self._result(float(f[j]), n, m, c, settled())
+        return self._result(float(f[j]), n, m, c, converged)
+
+    def _refine(self, s_total: Optional[float], points: np.ndarray, f: np.ndarray):
+        """Local maxima of `_values` from the starts, rows (theta, phi) of `points` with values f.
+
+        Each round reads a 3 x 3 stencil of spacings h about every start in
+        one call and fits its quadratic model by central differences.  Where
+        the model is concave a start takes the Newton step, kept only if it
+        gains, and h becomes the step's length, down to FLOOR of the first h;
+        a coordinate along which the stencil is flat to rounding, or theta
+        where <L> rises out of its range, is held.  Where the model fails (a
+        kink, curvature that is not negative definite, a step that lost) the
+        start moves to its best stencil point if that gains, else h halves.
+        A start is done where the model at the floor spacing predicts a gain
+        below a rounding of <L>, or where no stencil point gains at float
+        resolution.  Returns the points, values and whether every start was
+        done within ROUNDS rounds.
+        """
+        eps, first = np.finfo(float).eps, 0.5 * np.pi / GRID  # first: half the grid's step in phi
+        floor, rounding = FLOOR * first, 4.0 * eps * np.abs(self.s).sum()  # |S| bounds each term of `_values`
+        # past an end at party 1's pole theta goes on down its far side; an end at party 2's pole stops it
+        a, b = (0.0, math.inf) if s_total is None else self._band(s_total)
+        lo, hi = -np.pi if a == 0.0 else 0.0, 2.0 * np.pi if s_total is None or b == self.parties[0].depth else np.pi
+
+        def propose(grid, stencil, value, h, tried):
+            """The next stencil about a start, (centre, spacings, whether it is a Newton trial), or None where
+            the start is done; `grid` holds the stencil's points, centre `grid[4]`, and `stencil` their values."""
+            s = stencil.tolist()  # central differences along theta (s[1], s[7]) and phi (s[3], s[5])
+            grad = [(s[7] - s[1]) / (2.0 * h[0]), (s[5] - s[3]) / (2.0 * h[1])]
+            curv = [(s[7] + s[1] - 2.0 * s[4]) / h[0] ** 2, (s[5] + s[3] - 2.0 * s[4]) / h[1] ** 2]
+            cross = (s[8] + s[0] - s[6] - s[2]) / (4.0 * h[0] * h[1])
+            # a coordinate is held where the stencil is flat to rounding along it, and theta where <L> rises out of
+            # its range
+            out = (grid[4, 0] >= hi and grad[0] >= 0.0) or (grid[4, 0] <= lo and grad[0] <= 0.0)
+            flat = [max(abs(s[m] - s[4]) for m in pair) <= rounding for pair in ((1, 7), (3, 5))]
+            for j, held in enumerate((out or flat[0], flat[1])):
+                if held:
+                    grad[j], curv[j], cross = 0.0, -1.0, 0.0
+            det = curv[0] * curv[1] - cross**2
+            if curv[0] < 0.0 and det > 0.0 and not tried:  # concave: the Newton step
+                step = [(cross * grad[1] - curv[1] * grad[0]) / det, (cross * grad[0] - curv[0] * grad[1]) / det]
+                if 0.5 * (grad[0] * step[0] + grad[1] * step[1]) <= eps * abs(value):  # the top is within a rounding
+                    return None if max(h) <= floor else (grid[4], np.full(2, floor), False)
+                step = np.array(step) * min([1.0] + [2.0 * first / abs(d) for d in step if d != 0.0])
+                centre = grid[4] + step
+                return np.array([min(max(centre[0], lo), hi), centre[1]]), np.clip(np.abs(step), floor, first), True
+            best = int(np.argmax(stencil))
+            if stencil[best] > value:
+                return grid[best], h, False
+            return None if max(h) <= 2.0 * np.pi * eps else (grid[4], h / 2.0, False)
+
+        grids, stencils, spans = [None] * f.size, [None] * f.size, [None] * f.size
+        todo = {i: (points[i], np.full(2, first), False) for i in range(f.size)}  # the next stencil of each start
+        for _ in range(ROUNDS):
+            rows = list(todo)
+            grid = np.array([todo[i][0] for i in rows])[:, None] + np.array([todo[i][1] for i in rows])[:, None] * OFFSETS
+            grid[..., 0] = np.clip(grid[..., 0], lo, hi)
+            values = self._values(s_total, grid[..., 0].ravel(), grid[..., 1].ravel()).reshape(-1, 9)
+            for i, g, v in zip(rows, grid, values):
+                _, h, trial = todo.pop(i)
+                tried = trial and not v[4] > f[i]
+                if not tried:  # a Newton trial is kept only if it gains
+                    grids[i], stencils[i], spans[i], f[i] = g, v, h, v[4]
+                nxt = propose(grids[i], stencils[i], f[i], spans[i], tried)
+                if nxt is not None:
+                    todo[i] = nxt
+            if not todo:
+                break
+        return np.array([g[4] for g in grids]), f, not todo
 
     def _result(self, value: float, n: np.ndarray, m: np.ndarray, c: Optional[float], converged: bool) -> BoundResult:
         """`value` with the product state of N = n (party 1) and M = m (party 2)."""

@@ -60,6 +60,21 @@ def random_povm(rng, dim):
     )
 
 
+def qubit_sum_sweep(trials):
+    """The first `trials` draws of a seeded sweep of two-qubit sums, as
+    (povms, betas, pairs, constraint pair, u): two random qubit POVMs, one to
+    three terms beta_i (outcome pair_i) with normal betas, a constraint pair
+    and u in [0.01, 0.99], the share of the range of <C> at which c lies."""
+    rng = np.random.default_rng(0)
+    for _ in range(trials):
+        povms = [random_povm(rng, 2) for _ in range(2)]
+        n = rng.integers(1, 4)
+        pairs = [tuple(int(i) for i in rng.integers(1, 4, size=2)) for _ in range(n)]
+        betas = rng.normal(size=n)
+        cpair = tuple(int(i) for i in rng.integers(1, 4, size=2))
+        yield povms, betas, pairs, cpair, rng.uniform(0.01, 0.99)
+
+
 def qutrit_device_qutrit():
     """Three parties (qutrit, x = 2/3 device, qutrit), the qutrits sharing a
     two-outcome POVM with a random eigenbasis."""

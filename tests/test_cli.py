@@ -17,7 +17,7 @@ import uewkit as uk
 from uewkit import cli
 from uewkit.cli import main
 
-from conftest import qutrit_device_qutrit, random_hermitian
+from conftest import qubit_sum_sweep, qutrit_device_qutrit, random_hermitian
 
 
 def run(*argv):
@@ -784,6 +784,22 @@ def test_tighten_unconverged_exits_3(tmp_path, monkeypatch):
             patched.setattr(owner, engine, unconverged)
             assert run(*argv) == 3, decomposition
         assert json.loads(out.read_text())["converged"] is False
+
+
+def test_tighten_sum_near_party_1s_pole(tmp_path):
+    # trial 15 of the seeded sweep (`conftest.qubit_sum_sweep`): the unconstrained maximum lies near a
+    # pole of party 1's sphere; the search converges, and old_bound (which does not depend on c) is the
+    # 128-restart multistart's 0.7758494850020451 rounded up at 12 digits
+    povms = list(qubit_sum_sweep(16))[15][0]
+    povm_file, counts, out = tmp_path / "povm.json", tmp_path / "counts.json", tmp_path / "tighten.json"
+    uk.qcore.save_json(povm_file, uk.povm_to_dict(povms))
+    counts.write_text(json.dumps({"shots": 10000, "parties": 2, "outcomes_per_party": [3, 3],
+                                  "counts": {"1,1": 8000, "3,1": 2000}}))
+    decomposition = "2.2273860809131754:3,2;-0.05251938229307366:2,3"
+    argv = ("tighten", "--counts", counts, "--povm", povm_file, "--decomposition", decomposition, "--constraint", "3,1")
+    assert run(*argv, "--out", out) == 0
+    result = json.loads(out.read_text())
+    assert result["converged"] is True and result["old_bound"] == 0.775849485003
 
 
 class TestMalformedInput:

@@ -10,6 +10,7 @@ from uewkit import multipartite
 from uewkit._optimize import RANGE_TOL
 from uewkit.multipartite import STACK_ENTRIES, _Block, _Ellipse, _RankOneBlock
 
+import conftest
 from conftest import devices
 from oracles import decimal_frontier
 
@@ -898,3 +899,80 @@ class TestQubitPair:
             assert res.converged and res.value >= self.expect(l_op.mat, vec) - 1e-15, c
             vec = res.maximizer.amplitudes
             assert abs(self.expect(l_op.mat, vec) - res.value) <= 1e-15 and res.feasibility_residual <= 1e-15, c
+
+    # searches of the seeded sweep (`conftest.qubit_sum_sweep`) whose maximum lies 7.6e-7 to 1.6e-4 from a
+    # pole of party 1's sphere (1 - |u_1|), where phi loses meaning: trial -> the 128-restart multistart's
+    # value with no constraint, or its own (<C>, <L>) at c, which it reaches only to ~7e-13 while g falls
+    # there by ~2.4 per unit of c (trial 3)
+    POLE_SWEEP = {
+        "free": {15: 0.7758494850020451, 111: 0.25248619798744615, 120: 0.7742029063191203,
+                 187: 0.7074936892887418, 245: -0.035602361696265496},
+        "at_c": {3: (0.45159680570088956, 0.4516121797689083), 111: (0.2063910226031565, 0.19951071984014862),
+                 218: (0.08349156223092155, -0.14376446631573606)},
+    }
+
+    @staticmethod
+    def sweep(trials):
+        """Each sum of the seeded sweep (`conftest.qubit_sum_sweep`) as a `_QubitPair`, with its c."""
+        for povms, betas, pairs, cpair, u in conftest.qubit_sum_sweep(trials):
+            terms = [(b, *(e.op.mat for e in uk.povm.selected_effects(povms, q))) for b, q in zip(betas, pairs)]
+            pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, cpair)])
+            lo, hi = multipartite._product_range(pair.parties)
+            yield pair, lo + (hi - lo) * u
+
+    def test_maxima_near_party_1s_pole_converge(self):
+        for trial, (pair, c) in enumerate(self.sweep(246)):
+            if trial in self.POLE_SWEEP["free"]:
+                res = pair.bound()
+                assert res.converged and res.value >= self.POLE_SWEEP["free"][trial] - 1e-12, trial
+            if trial in self.POLE_SWEEP["at_c"]:
+                assert pair.bound(c).converged, trial
+                c_ref, l_ref = self.POLE_SWEEP["at_c"][trial]
+                res = pair.bound(c_ref)
+                assert res.converged and res.value >= l_ref - 1e-12, trial
+
+    @staticmethod
+    def count_values(monkeypatch):
+        """A list that gains an entry at each call of `_QubitPair._values`."""
+        calls, values = [], multipartite._QubitPair._values
+        monkeypatch.setattr(multipartite._QubitPair, "_values", lambda *args: calls.append(1) or values(*args))
+        return calls
+
+    def test_bench_sum_search_calls(self, monkeypatch):
+        # L = 0.6 Pi_2 x Pi_2 + 0.4 Pi_3 x Pi_3 and C = Pi_1 x Pi_1 at x = 2/3, the `tighten` sum of the
+        # benchmark: the grid and the local solve call `_values` 6 times with no constraint and 5 times at
+        # c = 0.097658; a count, so it holds on any machine
+        povms = [uk.build_three_outcome(uk.ThreeOutcomeParams(X, 0.0))] * 2
+        terms = [(b, *(e.op.mat for e in uk.povm.selected_effects(povms, q))) for b, q in ((0.6, (2, 2)), (0.4, (3, 3)))]
+        pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, (1, 1))])
+        calls, counts = self.count_values(monkeypatch), []
+        for c in (None, 0.097658):
+            calls.clear()
+            assert pair.bound(c).converged
+            counts.append(len(calls))
+        assert counts[0] <= 6 and counts[1] <= 5, counts
+
+    def test_sweep_converges_in_few_calls(self, monkeypatch):
+        # the 600 searches of the seeded sweep, each sum with no constraint and at one c inside its range:
+        # every one converges, at the median in six calls of `_values` (the grid and five rounds), 3650 in
+        # all here; the bound leaves room for rounding elsewhere, not for searches that halve to float
+        # resolution
+        calls, counts = self.count_values(monkeypatch), []
+        for trial, (pair, c) in enumerate(self.sweep(300)):
+            for at in (None, c):
+                calls.clear()
+                assert pair.bound(at).converged, (trial, at)
+                counts.append(len(calls))
+        assert np.median(counts) <= 6 and sum(counts) <= 3800, (np.median(counts), sum(counts))
+
+    def test_chart_points_are_pure_states(self):
+        # every (theta, phi) is a unit Bloch vector of party 1 at <C_1> = hi_1 exp(-x), also at theta = 0 and pi,
+        # the ends of the band, where one of the parties sits at a pole
+        theta, phi = np.repeat(np.linspace(0.0, np.pi, 9), 4), np.tile([0.0, 1.0, 2.0, 4.0], 9)
+        for pair, c in self.sweep(40):
+            s_total = multipartite._log_deficit([p.hi for p in pair.parties], c)
+            n, _ = pair._chart(s_total, theta, phi)
+            assert np.abs(np.linalg.norm(n[1:], axis=0) - 1.0).max() <= 4e-16
+            p1, (a, b) = pair.parties[0], pair._band(s_total)
+            q = p1.c0 + p1.width * n[1]
+            assert np.allclose(q, p1.hi * np.exp(-(a + (b - a) * np.sin(theta / 2.0) ** 2)), rtol=1e-13, atol=0.0)
