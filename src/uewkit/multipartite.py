@@ -22,7 +22,9 @@ reply to each Bloch vector of party 1 is that ellipse's frontier in closed
 form, and party 1's sphere is searched.  Both engines, and
 `witness.attainable_constraint_range`, read the range of C from the blocks
 in one place (`_product_range`); both engines hold the blocks at its ends
-by one rule (`_end_sides`).
+by one rule (`_end_sides`).  Parties, or partition blocks, that hold the
+same objects share one block object (`_shared_blocks`), so a block of
+identical devices is built, tabled and solved once per request.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ def optimal_separable_multi(x: float, partition: Partition, theta: float = 0.0) 
     expectations unchanged because the operators are products of identical
     per-agent effects.
     """
-    blocks = [_RankOneBlock([build_three_outcome(ThreeOutcomeParams(x, theta))] * len(b)) for b in partition.blocks]
+    device = build_three_outcome(ThreeOutcomeParams(x, theta))
+    blocks = _shared_blocks(lambda *agents: _RankOneBlock(agents), [(device,) * len(b) for b in partition.blocks])
     return _block_bound(blocks, 0.0).maximizer
 
 
@@ -330,8 +333,9 @@ class _RankOneBlock(_Ellipse):
 class _QubitPair:
     """Two qubit parties, L = sum_i beta_i A_i (x) B_i and C = C_1 (x) C_2, on party 1's Bloch sphere.
 
-    Each party's <C_k> is the `_Ellipse` of C_k alone (`_constraint_range`):
-    its ends, and the `frame` of its state N = (1, u, w cos phi, w sin phi),
+    Each party's <C_k> is the `_Ellipse` of C_k alone (`_constraint_range`),
+    handed in as `parties` by the caller, which reads the range of C from
+    them too: its ends, and the `frame` of its state N = (1, u, w cos phi, w sin phi),
     where <C_k> = c0 + |c| u.  Each effect is a 4-vector (`qcore.bloch_form`),
     so <L> = M^T S N with S = sum_i beta_i b_i a_i^T in the two frames.  For
     a fixed N, party 2 sees the Bloch form S N with <C_2> held at c / <C_1>:
@@ -342,12 +346,12 @@ class _QubitPair:
     made party 2 when the other is live.
     """
 
-    def __init__(self, terms: Sequence[tuple[float, np.ndarray, np.ndarray]], c_mats: Sequence[np.ndarray]):
+    def __init__(self, terms: Sequence[tuple[float, np.ndarray, np.ndarray]], parties: Sequence[_Range]):
         betas = np.array([b for b, _, _ in terms])
         a0, a = bloch_form(np.array([m for _, m, _ in terms]))
         b0, b = bloch_form(np.array([m for _, _, m in terms]))
         t = np.column_stack([b0, b]).T @ (betas[:, None] * np.column_stack([a0, a]))
-        self.parties = [_constraint_range(HermitianOperator((2,), m)) for m in c_mats]
+        self.parties = list(parties)
         self.swapped = [p.live for p in self.parties] == [False, True]
         if self.swapped:
             t, self.parties = t.T, self.parties[::-1]
@@ -638,10 +642,11 @@ class _Block(_Range):
 
 def _split(blocks: Sequence[_Range], s_total: float) -> np.ndarray:
     """Deficits s_B = log hi_B - log <C_B>, summing to s_total, that maximize
-    the product of the block frontiers read at a grid of s (`log_frontier_at`):
-    dynamic programming over that grid."""
+    the product of the block frontiers read at a grid of s (`log_frontier_at`,
+    one table per distinct block): dynamic programming over that grid."""
     s = np.linspace(0.0, s_total, 1001)
-    tables = [b.log_frontier_at(s) for b in blocks]
+    distinct = {b: b.log_frontier_at(s) for b in dict.fromkeys(blocks)}
+    tables = [distinct[b] for b in blocks]
     j = np.arange(s.size)
     best, picks = tables[0], []
     for f in tables[1:-1]:
@@ -711,7 +716,7 @@ def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> flo
     raise RuntimeError("Brent's method did not converge in 100 iterations")
 
 
-def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]:
+def _settle(blocks: Sequence[_Range], s_total: float, point: Callable[[_Range, float], tuple]) -> tuple[np.ndarray, bool]:
     """Shares s_B of s_total that maximize sum log m_B(hi_B exp(-s_B)), and whether they settled.
 
     From `_split`'s grid (two blocks can have two local maxima), each round
@@ -719,19 +724,22 @@ def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]
     furthest apart until the rates meet: doubling steps from the grid spacing
     bracket the sign change, and `_brentq` closes it to float resolution.  The
     rounds end when no pair gains or the pair just settled is picked again.
+    The rates are read from `point`, `_block_bound`'s memo of the blocks'
+    frontier points by block and share.
     """
     @cache  # `_brentq` and the next round read again the rates the last step read
-    def rate(k: int, s: float) -> float:
-        _, value, slope = blocks[k].point(s)
+    def rate(block: _Range, s: float) -> float:
+        _, value, slope = point(block, s)
         if value <= 0.0:  # m = 0 at an end of the block's range: log m falls without bound away from it
             return math.copysign(math.inf, -slope)
-        return -blocks[k].hi * math.exp(-s) * slope / value
+        return -block.hi * math.exp(-s) * slope / value
 
     ends = [min(s_total, b.depth) for b in blocks]
     shares, settled = _split(blocks, s_total), None
     for _ in range(100 * len(blocks)):
         gain, i, j = max(
-            ((rate(i, shares[i]) - rate(j, shares[j]), i, j) for i, j in permutations(range(len(blocks)), 2)
+            ((rate(blocks[i], shares[i]) - rate(blocks[j], shares[j]), i, j)
+             for i, j in permutations(range(len(blocks)), 2)
              if shares[i] < ends[i] and shares[j] > 0),
             default=(0.0, 0, 0),
         )
@@ -739,7 +747,7 @@ def _settle(blocks: Sequence[_Range], s_total: float) -> tuple[np.ndarray, bool]
             return shares, True
 
         def gap(d: float) -> float:  # the pair's rate gap with d more deficit on block i
-            return rate(i, shares[i] + d) - rate(j, shares[j] - d)
+            return rate(blocks[i], shares[i] + d) - rate(blocks[j], shares[j] - d)
 
         a, b, step, top = 0.0, 0.0, s_total / 1000, min(shares[j], ends[i] - shares[i])
         while b < top:
@@ -762,7 +770,19 @@ def numeric_partition_bound(povms: Sequence[Povm], partition: Partition, c: floa
     if partition.n_agents != len(povms):
         raise ValueError(f"partition covers {partition.n_agents} agents, got {len(povms)} devices")
     _check_agents(len(povms))
-    return _block_bound([_partition_block([povms[i - 1] for i in b]) for b in partition.blocks], c)
+    agents = [tuple(povms[i - 1] for i in b) for b in partition.blocks]
+    return _block_bound(_shared_blocks(lambda *block: _partition_block(block), agents), c)
+
+
+def _shared_blocks(build: Callable[..., _Range], parties: Sequence[tuple]) -> list[_Range]:
+    """`build(*party)` for each party, once per distinct party: parties holding the same objects (by identity)
+    share one block, bitwise the block each would build; equal but separate objects get their own."""
+    built: dict[tuple[int, ...], _Range] = {}
+    for party in parties:
+        key = tuple(map(id, party))
+        if key not in built:
+            built[key] = build(*party)
+    return [built[tuple(map(id, party))] for party in parties]
 
 
 def _partition_block(agents: Sequence[Povm]) -> _Range:
@@ -851,24 +871,32 @@ def _block_bound(blocks: Sequence[_Range], c: float) -> BoundResult:
     expanded by `amplitudes`.
     """
     lo, hi = _product_range(blocks, c)
+    # keyed by the block, not its position: parties sharing a block, and `_settle`'s last rates, solve a point once
+    point = cache(lambda b, s: b.point(s))
     converged, on_frontier = True, {}
     if lo < c < hi:
         vecs = [None if b.live else b.free for b in blocks]  # a live block's state is its frontier point
         live = [k for k, v in enumerate(vecs) if v is None]
         s_total = _log_deficit([b.hi for b in blocks], c)
-        shares, converged = _settle([blocks[k] for k in live], s_total) if len(live) > 1 else ([s_total] * len(live), True)
+        if len(live) > 1:
+            shares, converged = _settle([blocks[k] for k in live], s_total, point)
+        else:
+            shares = [s_total] * len(live)
         for k, s in zip(live, shares):
-            vecs[k], on_frontier[k], _ = blocks[k].point(s)
+            vecs[k], on_frontier[k], _ = point(blocks[k], s)
     else:
         options = [
             [b.free if side is None else b.edges[side < 0] for b, side in zip(blocks, sides)]
             for sides in _end_sides(blocks, c, lo)
         ]
         vecs = max(options, key=lambda vs: math.prod(b.values(v)[1] for b, v in zip(blocks, vs)))
-    attained = [b.values(v) for b, v in zip(blocks, vecs)]
+    # (<C_B>, <L_B>) and the factor, once per distinct block and state (`vecs` keeps each id unique)
+    distinct = {(b, id(v)): (b, v) for b, v in zip(blocks, vecs)}
+    read = {key: (b.values(v), PureState(b.dims, b.amplitudes(v))) for key, (b, v) in distinct.items()}
+    attained, factors = zip(*(read[b, id(v)] for b, v in zip(blocks, vecs)))
     return BoundResult(
         value=math.prod(on_frontier.get(k, l) for k, (_, l) in enumerate(attained)),
-        maximizer=ProductState(tuple(PureState(b.dims, b.amplitudes(v)) for b, v in zip(blocks, vecs))),
+        maximizer=ProductState(factors),
         feasibility_residual=abs(math.prod(q for q, _ in attained) - c),
         restarts_used=0,
         converged=converged,

@@ -15,7 +15,9 @@ indices, are solved party by party from eigenproblems, with no random starts:
 `product_constrained_bound` and `separability_curve` from the per-party
 frontiers of `multipartite._block_bound`; `attainable_constraint_range`
 reads the ends of the range of C from those same per-party blocks, so a c
-clipped to it is an end the engines test.  `constrained_pure_state_sup` is
+clipped to it is an end the engines test.  Parties that hold the same effect
+objects, as the parties of one `build_three_outcome` device do, share one
+block, built once per call.  `constrained_pure_state_sup` is
 that frontier on one block, the whole space.  `tighten` uses the same two
 product bounds for a one-term decomposition with a positive weight, and
 solves any other decomposition on two qubit parties on party 1's Bloch
@@ -34,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal
 from functools import cached_property, lru_cache
@@ -49,7 +52,7 @@ from ._optimize import (
     fingerprint_operators,
     optimize_product_bound,
 )
-from .multipartite import _Block, _block_bound, _constraint_range, _product_range, _QubitPair, _range_of
+from .multipartite import _Block, _block_bound, _constraint_range, _product_range, _QubitPair, _range_of, _shared_blocks
 from .povm import Povm, product_operator, selected_effects
 from .qcore import HermitianOperator, ProductState, PureState
 
@@ -227,10 +230,16 @@ def attainable_constraint_range(povms: Sequence[Povm], outcome_indices: Sequence
     Each party's <a|E|a> ranges over the spectrum of its PSD effect E, so the
     range is [prod lambda_min(E), prod lambda_max(E)].  Its ends are read from
     the blocks the bound engines solve on (`multipartite._range_of`): a c
-    clipped to it is exactly an end they test.
+    clipped to it is exactly an end they test.  Parties that hold the same
+    effect object share one such block.
     """
+    return _product_range(_constraint_ranges(povms, outcome_indices))
+
+
+def _constraint_ranges(povms: Sequence[Povm], outcome_indices: Sequence[int]) -> list:
+    """Each party's range of <C_k> alone (`_constraint_range`), one per distinct effect."""
     _require_parties(len(povms))
-    return _product_range([_constraint_range(e.op) for e in selected_effects(povms, outcome_indices)])
+    return _shared_blocks(_constraint_range, [(e.op,) for e in selected_effects(povms, outcome_indices)])
 
 
 def product_sew_bound(povms: Sequence[Povm], l_indices: Sequence[int], direction: str = "sup") -> BoundResult:
@@ -300,10 +309,12 @@ def constrained_pure_state_sup(l_op: HermitianOperator, c_op: HermitianOperator,
 
 
 def _party_blocks(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int]) -> list:
-    """One block per party: its effects at l_indices and c_indices."""
+    """One block per party: its effects at l_indices and c_indices.  Parties that
+    hold the same two effect objects share one block object, so identical
+    parties cost one block, one frontier table and one point per share."""
     _require_parties(len(povms))
     pairs = zip(selected_effects(povms, l_indices), selected_effects(povms, c_indices))
-    return [_range_of(l.op, c.op) for l, c in pairs]
+    return _shared_blocks(_range_of, [(l.op, c.op) for l, c in pairs])
 
 
 def product_constrained_bound(
@@ -320,18 +331,24 @@ def product_constrained_bound(
 
 
 def separability_curve(
-    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c_grid: Sequence[float]
+    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c_grid: Union[Sequence[float], int]
 ) -> SeparabilityCurve:
     """g(c) for L = product_operator(povms, l_indices) and C at c_indices, at every grid value.
 
     Each party is one block, a qubit party's frontier in closed form, built
-    once for the whole grid; every row is the block bound at its c, with `restarts` 0 and
-    `converged` whether its split settled.  Each grid value is first snapped to
+    once for the whole grid, and identical parties (the same effect objects)
+    share one block; every row is the block bound at its c, with `restarts` 0 and
+    `converged` whether its split settled.  `c_grid` holds the c values, or
+    their number n, spread as np.linspace(lo, hi, n) over the range of C read
+    from those blocks.  Each grid value is first snapped to
     the digits `curve_to_csv` writes, so every stored row bounds g at the c
     it states.  A c outside the product-state range, or fewer than 2
     parties, raises ValueError; the curve's `reliable` is read from its
     points.
     """
+    blocks = _party_blocks(povms, l_indices, c_indices)
+    if isinstance(c_grid, numbers.Integral):
+        c_grid = np.linspace(*_product_range(blocks), c_grid)
     grid = np.array([float(_csv_number(c)) for c in c_grid])
     if grid.size < 3:
         raise ValueError("need at least 3 grid points")
@@ -339,7 +356,6 @@ def separability_curve(
         raise ValueError("c grid must be sorted strictly increasing")
 
     l_op, c_op = product_operator(povms, l_indices), product_operator(povms, c_indices)
-    blocks = _party_blocks(povms, l_indices, c_indices)
     points = []
     for c in grid:
         res = _block_bound(blocks, float(c))
@@ -417,22 +433,26 @@ def tighten(
     Finite-shot frequencies can fall slightly outside the range of <C> over
     product states (where the constrained set would be empty); the measured
     value is clipped to `attainable_constraint_range`, whose ends are the
-    ones both engines test, so a clipped c reads the end state's <L>.
+    ones both engines test, so a clipped c reads the end state's <L>; it is
+    read from the blocks the engine solves on.
     """
     betas = [float(b) for b, _ in decomposition]
     pairs = [tuple(int(i) for i in p) for _, p in decomposition]
     if not betas:
         raise ValueError("decomposition must be nonempty")
-    attainable = attainable_constraint_range(povms, constraint_pair)
-    c_used = min(max(float(c_measured), attainable[0]), attainable[1])
-    if len(betas) == 1 and betas[0] > 0:
+    one_term = len(betas) == 1 and betas[0] > 0
+    # the blocks the engine solves on, or each party's range of C_k alone
+    blocks = _party_blocks(povms, pairs[0], constraint_pair) if one_term else _constraint_ranges(povms, constraint_pair)
+    lo, hi = _product_range(blocks)
+    c_used = min(max(float(c_measured), lo), hi)
+    if one_term:
         scale = betas[0]
         old = product_sew_bound(povms, pairs[0])
-        new = product_constrained_bound(povms, pairs[0], constraint_pair, c_used)
+        new = _block_bound(blocks, c_used)  # `product_constrained_bound` on the blocks already built
     elif len(povms) == 2 and all(p.dims == (2,) for p in povms):
         scale = 1.0
         terms = [(b, *(e.op.mat for e in selected_effects(povms, pair))) for b, pair in zip(betas, pairs)]
-        qubits = _QubitPair(terms, [e.op.mat for e in selected_effects(povms, constraint_pair)])
+        qubits = _QubitPair(terms, blocks)
         old, new = qubits.bound(), qubits.bound(c_used)
     else:
         scale = 1.0

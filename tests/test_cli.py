@@ -770,8 +770,9 @@ def test_tighten_unconverged_exits_3(tmp_path, monkeypatch):
         "simulate", "--preset", "optimal-entangled", "--c", 0, "--shots", 1000, "--seed", 5, "--out", counts
     ) == 0
     out = tmp_path / "tighten.json"
-    # the default one-term decomposition takes the block engine, a sum the Bloch-sphere search
-    engines = (("1:2,2", uk.witness, "product_constrained_bound"), ("0.6:2,2;0.4:3,3", uk.multipartite._QubitPair, "bound"))
+    # the default one-term decomposition takes the block engine on the party blocks tighten builds, a sum the
+    # Bloch-sphere search
+    engines = (("1:2,2", uk.witness, "_block_bound"), ("0.6:2,2;0.4:3,3", uk.multipartite._QubitPair, "bound"))
     for decomposition, owner, engine in engines:
         argv = ("tighten", "--counts", counts, "--decomposition", decomposition, "--restarts", 4, "--out", out)
         assert run(*argv) == 0

@@ -810,6 +810,12 @@ class TestQubitPair:
         return terms, c_mats
 
     @staticmethod
+    def pair(terms, c_mats):
+        """The `_QubitPair` of a sum, handed each party's range of <C_k> as `witness.tighten` builds it."""
+        parties = [multipartite._constraint_range(uk.HermitianOperator((2,), m)) for m in c_mats]
+        return multipartite._QubitPair(terms, parties)
+
+    @staticmethod
     def dense(terms, c_mats):
         l_mat = sum(b * np.kron(a1, a2) for b, a1, a2 in terms)
         return uk.HermitianOperator((2, 2), l_mat), uk.HermitianOperator((2, 2), np.kron(*c_mats))
@@ -824,7 +830,7 @@ class TestQubitPair:
         rng, settings = np.random.default_rng(2800 + chunk), uk.OptimizerSettings(restarts=4)
         for i in range(50):
             terms, c_mats = self.random_sum(rng, i)
-            pair, (l_op, c_op) = multipartite._QubitPair(terms, c_mats), self.dense(terms, c_mats)
+            pair, (l_op, c_op) = self.pair(terms, c_mats), self.dense(terms, c_mats)
             old = pair.bound()
             assert old.converged and abs(old.value - uk.sew_bound(l_op, settings=settings).value) <= 1e-14, i
             (w1, v1), (w2, v2) = (np.linalg.eigh(m) for m in c_mats)
@@ -862,7 +868,7 @@ class TestQubitPair:
         for device in TestQubitEllipse.devices():
             povms = [device, device]
             terms = [(1.0, *(e.op.mat for e in uk.povm.selected_effects(povms, l_indices)))]
-            pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, c_indices)])
+            pair = self.pair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, c_indices)])
             old = pair.bound().value
             assert abs(old - uk.product_sew_bound(povms, l_indices).value) <= 1e-15
             lo, hi = uk.attainable_constraint_range(povms, c_indices)
@@ -875,7 +881,7 @@ class TestQubitPair:
         # ends hold both parties as the block engine does
         povms = [uk.build_three_outcome(uk.ThreeOutcomeParams(1e-10, 0.3))] * 2
         terms = [(1.0, *(e.op.mat for e in uk.povm.selected_effects(povms, (2, 2))))]
-        pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, (1, 1))])
+        pair = self.pair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, (1, 1))])
         lo, hi = uk.attainable_constraint_range(povms, (1, 1))
         for c in (lo, 0.3 * hi, hi):
             ref = uk.product_constrained_bound(povms, (2, 2), (1, 1), c).value
@@ -890,7 +896,7 @@ class TestQubitPair:
         c_mats = [e1, np.eye(2) / 2]
         if flat == 0:  # the same pair with the parties exchanged
             terms, c_mats = [(b, a2, a1) for b, a1, a2 in terms], c_mats[::-1]
-        pair, (l_op, c_op) = multipartite._QubitPair(terms, c_mats), self.dense(terms, c_mats)
+        pair, (l_op, c_op) = self.pair(terms, c_mats), self.dense(terms, c_mats)
         settings = uk.OptimizerSettings(restarts=4)
         assert abs(pair.bound().value - uk.sew_bound(l_op, settings=settings).value) <= 1e-14
         for c in (0.1, 0.2, 0.3, 0.45):
@@ -911,12 +917,12 @@ class TestQubitPair:
                  218: (0.08349156223092155, -0.14376446631573606)},
     }
 
-    @staticmethod
-    def sweep(trials):
+    @classmethod
+    def sweep(cls, trials):
         """Each sum of the seeded sweep (`conftest.qubit_sum_sweep`) as a `_QubitPair`, with its c."""
         for povms, betas, pairs, cpair, u in conftest.qubit_sum_sweep(trials):
             terms = [(b, *(e.op.mat for e in uk.povm.selected_effects(povms, q))) for b, q in zip(betas, pairs)]
-            pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, cpair)])
+            pair = cls.pair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, cpair)])
             lo, hi = multipartite._product_range(pair.parties)
             yield pair, lo + (hi - lo) * u
 
@@ -944,7 +950,7 @@ class TestQubitPair:
         # c = 0.097658; a count, so it holds on any machine
         povms = [uk.build_three_outcome(uk.ThreeOutcomeParams(X, 0.0))] * 2
         terms = [(b, *(e.op.mat for e in uk.povm.selected_effects(povms, q))) for b, q in ((0.6, (2, 2)), (0.4, (3, 3)))]
-        pair = multipartite._QubitPair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, (1, 1))])
+        pair = self.pair(terms, [e.op.mat for e in uk.povm.selected_effects(povms, (1, 1))])
         calls, counts = self.count_values(monkeypatch), []
         for c in (None, 0.097658):
             calls.clear()
