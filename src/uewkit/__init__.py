@@ -16,7 +16,6 @@ from .multipartite import (
     closed_form_bound,
     multi_operators,
     numeric_partition_bound,
-    optimal_separable_multi,
 )
 from .povm import (
     AdmissibilityReport,

@@ -128,7 +128,7 @@ def cmd_curve(args) -> int:
     povms, l_op, c_op = _operator_pair(args)
     report = povm.uew_admissibility_check(c_op, l_op)
     # the grid spans the range of C read from the curve's own party blocks, its ends as written
-    curve = witness.separability_curve(povms, args.l_indices, args.c_indices, args.grid)
+    curve = witness.separability_curve(povms, args.l_indices, args.c_indices, args.grid, operators=(l_op, c_op))
     lo, hi = curve.c_range
     # exact for a product of effects, the value `bound` writes, rounded up like every bound
     g_s = _safe(witness.product_sew_bound(povms, args.l_indices).value)

@@ -41,7 +41,7 @@ import numpy as np
 
 from ._optimize import RANGE_TOL, BoundResult, check_range
 from ._optimize import optimize_product_bound  # noqa: F401  (patched by perfbench/tracing.py)
-from .povm import Povm, ThreeOutcomeParams, ThreeOutcomePovm, build_three_outcome, chi_vectors, product_operator
+from .povm import Povm, ThreeOutcomePovm, chi_vectors, product_operator
 from .qcore import CapacityError, HermitianOperator, ProductState, PureState, bloch_form, bloch_state
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "MultiBound",
     "multi_operators",
     "closed_form_bound",
-    "optimal_separable_multi",
     "numeric_partition_bound",
 ]
 
@@ -163,24 +162,6 @@ def closed_form_bound(x: float, n_agents: int, largest_block: int) -> MultiBound
     b = (1.0 - x) / 2.0
     g = a**n_agents - a ** (n_agents - largest_block) * b**largest_block
     return MultiBound(x=x, n_agents=n_agents, largest_block=largest_block, g=g)
-
-
-def optimal_separable_multi(x: float, partition: Partition, theta: float = 0.0) -> ProductState:
-    """Block-product state achieving the c = 0 bound for the partition.
-
-    The maximizer of `_block_bound` at c = 0 (`_end_sides`): a largest
-    block sits on the kernel of its C_B, the |chi+> tensor less its |V..V>
-    projection, normalized (hence <C> = 0), and every other block on the
-    top eigenvector of its L_B, the normalized tensor power of |chi+>.
-
-    Factors are returned in the partition's normalized block order; agents
-    are implicitly relabeled to make blocks contiguous, which leaves all
-    expectations unchanged because the operators are products of identical
-    per-agent effects.
-    """
-    device = build_three_outcome(ThreeOutcomeParams(x, theta))
-    blocks = _shared_blocks(lambda *agents: _RankOneBlock(agents), [(device,) * len(b) for b in partition.blocks])
-    return _block_bound(blocks, 0.0).maximizer
 
 
 class _Range:
@@ -664,56 +645,34 @@ def _split(blocks: Sequence[_Range], s_total: float) -> np.ndarray:
     return s[shares[::-1]]
 
 
-def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
-    """A root of f between a and b, where f changes sign: Brent's method, step
-    for step scipy's C `brentq` at its rtol = 4 eps and 100 iterations, so
-    the root is bitwise scipy's.  Where C divides by zero, the inf or nan
-    step fails the step test and it bisects; here ZeroDivisionError does.
-    """
+def _root(f: Callable[[float], float], a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b], where f changes sign, within xtol + 4 eps |root|: a secant step, then
+    Chandrupatla's inverse quadratic steps where the last three points make them safe, else bisection
+    (Adv. Eng. Softw. 28, 145 (1997)), so an infinite f at an end bisects.  An end where f is 0 is
+    returned; no sign change or a nan f raises ValueError, 100 steps without convergence RuntimeError."""
     def at(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
+        if math.isnan(fx := float(f(x))):
             raise ValueError(f"f is nan at {x}")
         return fx
-
-    xtol, rtol = float(xtol), 4 * math.ulp(1.0)  # Python floats, so a division by zero raises
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = at(xpre), at(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    x1, x2, xtol = float(a), float(b), float(xtol)  # x1 the newest point, x2 across the root, x3 dropped
+    f1, f2 = at(x1), at(x2)
+    if min(f1, f2) > 0.0 or max(f1, f2) < 0.0:
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    t = f1 / (f1 - f2) if math.isfinite(f1 - f2) and f1 != f2 else 0.5
     for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # xcur is the better end, xblk the other side of the root
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        short = False
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic through the last three points
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-            except ZeroDivisionError:
-                pass
-        spre, scur = (scur, stry) if short else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = at(xcur)
-    raise RuntimeError("Brent's method did not converge in 100 iterations")
+        best, f_best = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol, width = xtol + 4.0 * math.ulp(1.0) * abs(best), abs(x2 - x1)
+        if f_best == 0.0 or width < tol:
+            return best
+        x = x1 + min(max(t, 0.5 * tol / width), 1.0 - 0.5 * tol / width) * (x2 - x1)  # a step of at least tol / 2
+        fx = at(x)
+        x3, f3, x2, f2 = (x1, f1, x2, f2) if (fx > 0.0) == (f1 > 0.0) else (x2, f2, x1, f1)
+        x1, f1 = x, fx
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)  # inf - inf is nan: no quadratic step
+        t = 0.5
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3)
+    raise RuntimeError("the root did not converge in 100 steps")
 
 
 def _settle(blocks: Sequence[_Range], s_total: float, point: Callable[[_Range, float], tuple]) -> tuple[np.ndarray, bool]:
@@ -722,12 +681,12 @@ def _settle(blocks: Sequence[_Range], s_total: float, point: Callable[[_Range, f
     From `_split`'s grid (two blocks can have two local maxima), each round
     moves deficit between the pair whose marginal rates d log m_B / ds_B lie
     furthest apart until the rates meet: doubling steps from the grid spacing
-    bracket the sign change, and `_brentq` closes it to float resolution.  The
+    bracket the sign change, and `_root` closes it to float resolution.  The
     rounds end when no pair gains or the pair just settled is picked again.
     The rates are read from `point`, `_block_bound`'s memo of the blocks'
-    frontier points by block and share.
+    frontier points by block and share, the split's one memo: a rate is a
+    few flops from its point.
     """
-    @cache  # `_brentq` and the next round read again the rates the last step read
     def rate(block: _Range, s: float) -> float:
         _, value, slope = point(block, s)
         if value <= 0.0:  # m = 0 at an end of the block's range: log m falls without bound away from it
@@ -753,7 +712,7 @@ def _settle(blocks: Sequence[_Range], s_total: float, point: Callable[[_Range, f
         while b < top:
             a, b, step = b, min(b + step, top), 2.0 * step
             if gap(b) <= 0.0:
-                b = _brentq(gap, a, b, xtol=np.finfo(float).eps * s_total)
+                b = _root(gap, a, b, xtol=np.finfo(float).eps * s_total)
                 break
         shares[i], shares[j], settled = shares[i] + b, shares[j] - b, {i, j}
     return shares, False

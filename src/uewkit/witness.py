@@ -247,17 +247,19 @@ def product_sew_bound(povms: Sequence[Povm], l_indices: Sequence[int], direction
 
     Each party's PSD effect contributes its extreme eigenvalue, so the bound
     is their product, attained by the product of the matching eigenvectors;
-    no multistart.  An eigenvalue that rounding puts below 0 is read as 0,
-    so a product with a singular effect has infimum exactly 0.  Fewer than
-    2 parties raise ValueError, as in `sew_bound`.
+    no multistart.  An eigenvalue within rounding of 0 (dim eps times the
+    effect's top) or below it is read as 0, so a product with a singular
+    effect, such as the rank-one Pi_2, has infimum exactly 0.  Fewer than 2
+    parties raise ValueError, as in `sew_bound`.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
     _require_parties(len(povms))
     column = -1 if direction == "sup" else 0
     eigen = [(e.op.dims, np.linalg.eigh(e.op.mat)) for e in selected_effects(povms, l_indices)]
+    eps = np.finfo(float).eps
     return BoundResult(
-        value=math.prod(max(float(w[column]), 0.0) for _, (w, _) in eigen),
+        value=math.prod(float(w[column]) if w[column] > w.size * eps * w[-1] else 0.0 for _, (w, _) in eigen),
         maximizer=ProductState(tuple(PureState(dims, v[:, column]) for dims, (_, v) in eigen)),
         feasibility_residual=0.0,
         restarts_used=0,
@@ -331,7 +333,8 @@ def product_constrained_bound(
 
 
 def separability_curve(
-    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c_grid: Union[Sequence[float], int]
+    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c_grid: Union[Sequence[float], int],
+    *, operators: Optional[tuple[HermitianOperator, HermitianOperator]] = None,
 ) -> SeparabilityCurve:
     """g(c) for L = product_operator(povms, l_indices) and C at c_indices, at every grid value.
 
@@ -344,7 +347,8 @@ def separability_curve(
     the digits `curve_to_csv` writes, so every stored row bounds g at the c
     it states.  A c outside the product-state range, or fewer than 2
     parties, raises ValueError; the curve's `reliable` is read from its
-    points.
+    points.  The dense L and C serve only the curve's fingerprint: a caller
+    that has built them passes them as `operators`, (L, C).
     """
     blocks = _party_blocks(povms, l_indices, c_indices)
     if isinstance(c_grid, numbers.Integral):
@@ -355,7 +359,7 @@ def separability_curve(
     if np.any(np.diff(grid) <= 0):
         raise ValueError("c grid must be sorted strictly increasing")
 
-    l_op, c_op = product_operator(povms, l_indices), product_operator(povms, c_indices)
+    l_op, c_op = operators or (product_operator(povms, l_indices), product_operator(povms, c_indices))
     points = []
     for c in grid:
         res = _block_bound(blocks, float(c))

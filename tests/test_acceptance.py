@@ -188,17 +188,17 @@ def test_criterion_06_multipartite_bounds():
         assert res.converged
         assert res.value == pytest.approx(expected, abs=1e-12), text
 
-    # (4,1) and (4,3) via the optimal-state certificate; (4,1) numerically too
+    # (4,1) and (4,3) via the optimal-state certificate, the numeric bound's maximizer
     res = uk.numeric_partition_bound(devices(X, 4), uk.Partition.parse("1|2|3|4"), c=0.0)
     assert res.converged
     assert res.value == pytest.approx(uk.closed_form_bound(X, 4, 1).g, abs=1e-12), "1|2|3|4"
     l4, c4 = uk.multi_operators(devices(X, 4))
     for text, m in [("1|2|3|4", 1), ("1|2,3,4", 3)]:
         part = uk.Partition.parse(text)
-        state = uk.optimal_separable_multi(X, part)
-        assert uk.expectation(c4, state) == pytest.approx(0.0, abs=1e-12)
+        state = uk.numeric_partition_bound(devices(X, 4), part, 0.0).maximizer
+        assert uk.expectation(c4, state) == pytest.approx(0.0, abs=1e-30)
         assert uk.expectation(l4, state) == pytest.approx(
-            uk.closed_form_bound(X, 4, m).g, abs=1e-9
+            uk.closed_form_bound(X, 4, m).g, abs=1e-14
         )
 
     # every partition of N <= 5 achieves the closed form via the certificate
@@ -217,10 +217,10 @@ def test_criterion_06_multipartite_bounds():
         l_n, c_n = uk.multi_operators(devices(X, n))
         for blocks in all_partitions(n):
             part = uk.Partition(blocks)
-            state = uk.optimal_separable_multi(X, part)
-            assert uk.expectation(c_n, state) == pytest.approx(0.0, abs=1e-12)
+            state = uk.numeric_partition_bound(devices(X, n), part, 0.0).maximizer
+            assert uk.expectation(c_n, state) == pytest.approx(0.0, abs=1e-30)
             assert uk.expectation(l_n, state) == pytest.approx(
-                uk.closed_form_bound(X, n, part.largest_block).g, abs=1e-9
+                uk.closed_form_bound(X, n, part.largest_block).g, abs=1e-14
             )
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0

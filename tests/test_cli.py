@@ -492,6 +492,17 @@ def test_bound_inf_of_singular_effects_is_zero(tmp_path, x):
     assert json.loads(out.read_text())["value"] == 0.0
 
 
+@pytest.mark.parametrize("theta", ["0", "0.3", "1.7"])
+@pytest.mark.parametrize("x, sup", [("1/2", 0.5625), ("2/3", 0.444444444445), ("0.8", 0.36)])
+def test_bound_sew_is_free_of_theta(tmp_path, x, sup, theta):
+    # theta rotates Pi_2's eigenvectors, not its spectrum: the infimum is exactly 0 at every theta, not the
+    # product of two bottom eigenvalues a rounding above 0 (1.7e-33 at x = 2/3, theta = 0.3)
+    out = tmp_path / "bound.json"
+    for direction, value in (("inf", 0.0), ("sup", sup)):
+        assert run("bound", "--x", x, "--theta", theta, "--direction", direction, "--out", out) == 0
+        assert json.loads(out.read_text())["value"] == value, direction
+
+
 def test_bound_inf_takes_no_c(tmp_path, capsys):
     assert run("bound", "--x", "2/3", "--c", "0.1", "--direction", "inf", "--out", tmp_path / "b.json") == 2
     assert "--direction inf takes no --c" in capsys.readouterr().err

@@ -13,6 +13,7 @@ import pytest
 
 import uewkit as uk
 from uewkit import multipartite, witness
+from uewkit._optimize import fingerprint_operators
 from uewkit.cli import main
 from uewkit.multipartite import _Block, _Ellipse
 from uewkit.qcore import operator_to_dict
@@ -156,6 +157,22 @@ class TestWorkFollowsTheInput:
         assert run("tighten", "--counts", counts, "--decomposition", decomposition, "--out", tmp_path / "t.json") == 0
         # the one-term block engine and the two-qubit sum each build one block for the shared device
         assert work["built"] == ["_Ellipse"]
+
+    def test_curve_builds_its_dense_operators_once(self, monkeypatch, tmp_path):
+        calls, real = [], uk.povm.product_operator
+
+        def counted(povms, indices):
+            calls.append(tuple(indices))
+            return real(povms, indices)
+
+        for module in (uk.povm, witness, multipartite):
+            monkeypatch.setattr(module, "product_operator", counted)
+        assert run("curve", "--x", "2/3", "--grid", 5, "--out", tmp_path / "curve.csv") == 0
+        # L for the admissibility check and the fingerprint, C likewise
+        assert calls == [(2, 2), (1, 1)]
+        pair = [uk.build_three_outcome(uk.ThreeOutcomeParams(2.0 / 3.0))] * 2
+        fingerprint = fingerprint_operators(real(pair, (2, 2)).mat, real(pair, (1, 1)).mat)
+        assert json.loads((tmp_path / "curve.json").read_text())["fingerprint"] == fingerprint
 
     def test_equal_agent_tuples_share_a_block(self):
         device = uk.build_three_outcome(uk.ThreeOutcomeParams(0.8))
