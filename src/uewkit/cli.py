@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import multipartite, povm, qcore, sampler, witness
-from ._optimize import OptimizerSettings
+from ._optimize import OptimizerSettings, fingerprint_operators
 
 __all__ = ["main"]
 
@@ -123,12 +123,10 @@ def _operator_pair(args, parties: int = 2):
 
 
 def cmd_curve(args) -> int:
-    if args.grid < 3:
-        raise ValueError("need at least 3 grid points")
     povms, l_op, c_op = _operator_pair(args)
     report = povm.uew_admissibility_check(c_op, l_op)
     # the grid spans the range of C read from the curve's own party blocks, its ends as written
-    curve = witness.separability_curve(povms, args.l_indices, args.c_indices, args.grid, operators=(l_op, c_op))
+    curve = witness.separability_curve(povms, args.l_indices, args.c_indices, args.grid)
     lo, hi = curve.c_range
     # exact for a product of effects, the value `bound` writes, rounded up like every bound
     g_s = _safe(witness.product_sew_bound(povms, args.l_indices).value)
@@ -136,7 +134,7 @@ def cmd_curve(args) -> int:
     out_csv = Path(args.out)
     witness.curve_to_csv(curve, out_csv)
     summary = {
-        "fingerprint": curve.operator_fingerprint,
+        "fingerprint": fingerprint_operators(l_op.mat, c_op.mat),
         "reliable": curve.reliable,
         "g_s": g_s,
         "sew_optimum_c": curve.peak.c,
@@ -172,8 +170,7 @@ def cmd_certify(args) -> int:
     summary = qcore.load_json(sidecar) if sidecar.exists() else {}
     if not isinstance(summary, dict):
         raise ValueError(f"curve summary {sidecar} is not a JSON object")
-    fingerprint = summary.get("fingerprint", "")
-    curve = witness.curve_from_csv(curve_path, fingerprint=fingerprint)
+    curve = witness.curve_from_csv(curve_path)
     if not curve.reliable:
         raise UnreliableComputation("curve file is marked unreliable")
     est = sampler.estimate(counts, args.c_indices, args.l_indices)

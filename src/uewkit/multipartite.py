@@ -221,12 +221,15 @@ class _Ellipse(_Range):
         self.lo, self.hi = self.c0 - self.width, self.c0 + self.width
         self.along = c / self.width if self.width > 0 else np.array([0.0, 0.0, 1.0])
         self.alpha = float(self.l @ self.along)
-        across = self.l - self.alpha * self.along
-        self.beta = math.hypot(*across)
-        if self.beta == 0.0:
-            # a straight frontier: <C_B> and <L_B> only see u, and any unit normal to c serves
-            across = np.cross(self.along, np.eye(3)[np.argmin(np.abs(self.along))])
-        self.across = across / math.hypot(*across)
+        self.beta = math.hypot(*(self.l - self.alpha * self.along))
+
+    @cached_property
+    def across(self) -> np.ndarray:
+        """The unit part of l across c, for the frontier states and `frame`; a block read for its ends needs none.
+        Where beta = 0 the frontier is straight, <C_B> and <L_B> only see u, and any unit normal to c serves."""
+        normal = np.eye(3)[np.argmin(np.abs(self.along))]
+        across = np.cross(self.along, normal) if self.beta == 0.0 else self.l - self.alpha * self.along
+        return across / math.hypot(*across)
 
     @cached_property
     def free(self) -> np.ndarray:
@@ -755,11 +758,13 @@ def _partition_block(agents: Sequence[Povm]) -> _Range:
 def _range_of(l_op: HermitianOperator, c_op: HermitianOperator) -> _Range:
     """A block's range: the closed-form ellipse on one qubit, eigenproblems on any other space.
 
-    C_B is an effect, so PSD: a bottom lo that rounding puts below 0 is read
-    as 0, as `product_sew_bound` reads it, and c = 0 stays an end of the range.
+    The one owner of a product range's ends.  C_B is an effect, so PSD: a
+    bottom lo below 0, or within dim eps hi of it, is exactly 0, whatever the
+    scale of C_B, and only such a block has a kernel (`_end_sides`).
     """
     block = _Ellipse(l_op, c_op) if l_op.dims == (2,) else _Block(l_op, c_op)
-    block.lo = max(block.lo, 0.0)
+    if block.lo <= math.prod(block.dims) * np.finfo(float).eps * block.hi:
+        block.lo = 0.0
     return block
 
 
@@ -802,11 +807,11 @@ def _end_sides(blocks: Sequence[_Range], c: float, lo: float) -> list[list[Optio
     edge, None free; the engines keep the candidate with the largest <L>.
 
     At the top (c above lo) every block sits on its top, and at a positive
-    bottom on its bottom; at c = 0 one block with lo_B <= RANGE_TOL sits on
-    its kernel and the others are free, one candidate per such block.  A
+    bottom on its bottom; at c = 0 one block with lo_B = 0 (`_range_of`) sits
+    on its kernel and the others are free, one candidate per such block.  A
     block that is not `live` is always free.
     """
-    n, kernels = len(blocks), [k for k, b in enumerate(blocks) if b.lo <= RANGE_TOL]
+    n, kernels = len(blocks), [k for k, b in enumerate(blocks) if b.lo == 0.0]
     if c > lo or not kernels:
         options = [[1.0 if c > lo else -1.0] * n]
     else:

@@ -10,12 +10,11 @@ from g(0.192) to g(0.320)); a curve that fails the chord test is unreliable,
 because the bound over mixed separable states is the concave hull of g.
 
 Product operators L = (x)L_k, C = (x)C_k, given as devices and outcome
-indices, are solved party by party from eigenproblems, with no random starts:
-`product_sew_bound` from each party's extreme eigenvalue, and
-`product_constrained_bound` and `separability_curve` from the per-party
-frontiers of `multipartite._block_bound`; `attainable_constraint_range`
-reads the ends of the range of C from those same per-party blocks, so a c
-clipped to it is an end the engines test.  Parties that hold the same effect
+indices, are solved party by party from per-party blocks, with no random
+starts: `product_constrained_bound` and `separability_curve` from their
+frontiers (`multipartite._block_bound`), and `attainable_constraint_range`
+and `product_sew_bound` from the ends of their ranges (`_range_of`), so a c
+clipped to the range is an end the engines test.  Parties that hold the same effect
 objects, as the parties of one `build_three_outcome` device do, share one
 block, built once per call.  `constrained_pure_state_sup` is
 that frontier on one block, the whole space.  `tighten` uses the same two
@@ -49,7 +48,6 @@ from ._optimize import (
     RANGE_TOL,
     BoundResult,
     OptimizerSettings,
-    fingerprint_operators,
     optimize_product_bound,
 )
 from .multipartite import _Block, _block_bound, _constraint_range, _product_range, _QubitPair, _range_of, _shared_blocks
@@ -99,7 +97,6 @@ class SeparabilityCurve:
     """Sampled bound g(c) with optimizer metadata; derived values are cached."""
 
     points: tuple[CurvePoint, ...]
-    operator_fingerprint: str
 
     def __post_init__(self):
         for i, p in enumerate(self.points, 1):
@@ -166,10 +163,12 @@ class SeparabilityCurve:
         The largest of the row values in [lo, hi] and, on each grid interval
         the box meets, the envelope at the interval's clipped ends (its
         one-sided limits) and at the crossing of its two lines.  A box that
-        misses the range by more than RANGE_TOL raises ValueError.
+        misses the range by more than RANGE_TOL max(|c_min|, |c_max|) raises
+        ValueError, as in `check_range`.
         """
         c_min, c_max = self.c_range
-        if not (lo <= hi and hi >= c_min - RANGE_TOL and lo <= c_max + RANGE_TOL):
+        slack = RANGE_TOL * max(abs(c_min), abs(c_max))
+        if not (lo <= hi and hi >= c_min - slack and lo <= c_max + slack):
             raise ValueError(f"[{lo}, {hi}] does not meet the curve range {self.c_range}")
         lo, hi = min(max(lo, c_min), c_max), min(max(hi, c_min), c_max)
         cs, pts = self.c_values, self.points
@@ -245,22 +244,19 @@ def _constraint_ranges(povms: Sequence[Povm], outcome_indices: Sequence[int]) ->
 def product_sew_bound(povms: Sequence[Povm], l_indices: Sequence[int], direction: str = "sup") -> BoundResult:
     """Extremum of <L> over product states, L = product_operator(povms, l_indices).
 
-    Each party's PSD effect contributes its extreme eigenvalue, so the bound
-    is their product, attained by the product of the matching eigenvectors;
-    no multistart.  An eigenvalue within rounding of 0 (dim eps times the
-    effect's top) or below it is read as 0, so a product with a singular
-    effect, such as the rank-one Pi_2, has infimum exactly 0.  Fewer than 2
-    parties raise ValueError, as in `sew_bound`.
+    An end of the range of L over product states, read from the blocks of its
+    effects as `attainable_constraint_range` reads C's, and attained by their
+    edge states; no multistart.  A bottom within rounding of 0 is exactly 0
+    (`_range_of`), so a product with a singular effect, such as the rank-one
+    Pi_2, has infimum exactly 0.  Fewer than 2 parties raise ValueError.
     """
     if direction not in ("sup", "inf"):
         raise ValueError(f"direction must be 'sup' or 'inf', got {direction!r}")
-    _require_parties(len(povms))
-    column = -1 if direction == "sup" else 0
-    eigen = [(e.op.dims, np.linalg.eigh(e.op.mat)) for e in selected_effects(povms, l_indices)]
-    eps = np.finfo(float).eps
+    blocks = _constraint_ranges(povms, l_indices)
+    top = direction == "sup"
     return BoundResult(
-        value=math.prod(float(w[column]) if w[column] > w.size * eps * w[-1] else 0.0 for _, (w, _) in eigen),
-        maximizer=ProductState(tuple(PureState(dims, v[:, column]) for dims, (_, v) in eigen)),
+        value=_product_range(blocks)[top],
+        maximizer=ProductState(tuple(PureState(b.dims, b.edges[not top]) for b in blocks)),
         feasibility_residual=0.0,
         restarts_used=0,
         converged=True,
@@ -333,38 +329,35 @@ def product_constrained_bound(
 
 
 def separability_curve(
-    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c_grid: Union[Sequence[float], int],
-    *, operators: Optional[tuple[HermitianOperator, HermitianOperator]] = None,
+    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], c_grid: Union[Sequence[float], int]
 ) -> SeparabilityCurve:
     """g(c) for L = product_operator(povms, l_indices) and C at c_indices, at every grid value.
 
     Each party is one block, a qubit party's frontier in closed form, built
     once for the whole grid, and identical parties (the same effect objects)
     share one block; every row is the block bound at its c, with `restarts` 0 and
-    `converged` whether its split settled.  `c_grid` holds the c values, or
-    their number n, spread as np.linspace(lo, hi, n) over the range of C read
-    from those blocks.  Each grid value is first snapped to
-    the digits `curve_to_csv` writes, so every stored row bounds g at the c
-    it states.  A c outside the product-state range, or fewer than 2
-    parties, raises ValueError; the curve's `reliable` is read from its
-    points.  The dense L and C serve only the curve's fingerprint: a caller
-    that has built them passes them as `operators`, (L, C).
+    `converged` whether its split settled; no dense operator is built.
+    `c_grid` holds the c values, or their number n, spread as
+    np.linspace(lo, hi, n) over the range of C read from those blocks.  Each
+    grid value is first snapped to the digits `curve_to_csv` writes, so every
+    stored row bounds g at the c it states.  Fewer than 3 grid values, a c
+    outside the product-state range, or fewer than 2 parties raise
+    ValueError; the curve's `reliable` is read from its points.
     """
     blocks = _party_blocks(povms, l_indices, c_indices)
     if isinstance(c_grid, numbers.Integral):
-        c_grid = np.linspace(*_product_range(blocks), c_grid)
+        c_grid = np.linspace(*_product_range(blocks), c_grid) if c_grid >= 3 else ()
     grid = np.array([float(_csv_number(c)) for c in c_grid])
     if grid.size < 3:
         raise ValueError("need at least 3 grid points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("c grid must be sorted strictly increasing")
 
-    l_op, c_op = operators or (product_operator(povms, l_indices), product_operator(povms, c_indices))
     points = []
     for c in grid:
         res = _block_bound(blocks, float(c))
         points.append(CurvePoint(float(c), res.value, res.converged, res.restarts_used))
-    return SeparabilityCurve(tuple(points), fingerprint_operators(l_op.mat, c_op.mat))
+    return SeparabilityCurve(tuple(points))
 
 
 def detect(
@@ -381,16 +374,18 @@ def detect(
     over [c_hat - k*sigma_c, c_hat + k*sigma_c]; being conservative over the
     whole interval is required because the curve is non-monotone.  Boundary
     points are "not entangled": witnessing certifies strict violation only.
-    A measured c outside the curve range (after clipping) yields an
-    inconclusive verdict rather than an exception.
+    A c interval that `max_upper_on` refuses, one no product state reaches,
+    yields an inconclusive verdict rather than an exception.
     """
     if not curve.reliable:
         raise ValueError("curve is marked unreliable; recompute before certifying")
     if not math.isfinite(k) or k < 0:
         raise ValueError(f"sigma level k must be finite and >= 0, got {k}")
-    lo, hi = curve.c_range
     a, b = c_hat - k * sigma_c, c_hat + k * sigma_c
-    if b < lo - RANGE_TOL or a > hi + RANGE_TOL:
+    try:
+        threshold = curve.max_upper_on(a, b)
+    except ValueError:
+        lo, hi = curve.c_range
         return Verdict(
             entangled=False,
             margin=None,
@@ -398,7 +393,6 @@ def detect(
             branch="inconclusive",
             note=f"measured c interval [{a:.6g}, {b:.6g}] lies outside the curve range [{lo:.6g}, {hi:.6g}]",
         )
-    threshold = curve.max_upper_on(a, b)
     margin = (l_hat - k * sigma_l) - threshold
     peak_c = curve.peak.c
     if c_hat == peak_c:
@@ -516,14 +510,15 @@ def witness_from_bound(l_op: HermitianOperator, bound: BoundResult) -> Hermitian
     """Witness operator g*I - L for a converged bound, g = bound.value.
 
     The bound's maximizer is the optimal point: its witness expectation
-    vanishes (tangency), which is validated here.
+    vanishes (tangency), validated here to TANGENCY_TOL times L's largest
+    entry, the scale `uew_admissibility_check` reads.
     """
     if not bound.converged:
         raise ValueError("refusing to build a witness from an unconverged bound")
     w = HermitianOperator(l_op.dims, bound.value * np.eye(l_op.total_dim) - l_op.mat)
     vec = bound.maximizer.amplitudes
     tangency = float((vec.conj() @ (w.mat @ vec)).real)
-    if abs(tangency) > TANGENCY_TOL:
+    if abs(tangency) > TANGENCY_TOL * float(np.max(np.abs(l_op.mat))):
         raise ValueError(f"optimal point not tangent: <W> = {tangency:.3e}")
     return w
 
@@ -578,21 +573,21 @@ def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
             writer.writerow([_csv_number(p.c), _csv_number(round_up(p.g)), str(p.converged).lower(), p.restarts])
 
 
-def curve_from_csv(path: Union[str, Path], fingerprint: str = "") -> SeparabilityCurve:
+def curve_from_csv(path: Union[str, Path]) -> SeparabilityCurve:
     """Load a curve written by curve_to_csv; its `reliable` is read from the rows.
 
     Each row holds exactly the four header fields: finite numbers c and g,
     converged `true` or `false` and an integer restarts; any other row
     raises ValueError naming it.  The file is read on every call and parsed
-    once per distinct (text, fingerprint): a repeat returns the same frozen
-    curve, and a rewritten file is parsed afresh.
+    once per distinct text: a repeat returns the same frozen curve, and a
+    rewritten file is parsed afresh.
     """
     with open(path, newline="") as fh:
-        return _parse_curve(fh.read(), fingerprint)
+        return _parse_curve(fh.read())
 
 
 @lru_cache(maxsize=4)
-def _parse_curve(text: str, fingerprint: str) -> SeparabilityCurve:
+def _parse_curve(text: str) -> SeparabilityCurve:
     points = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames != ["c", "g", "converged", "restarts"]:
@@ -609,4 +604,4 @@ def _parse_curve(text: str, fingerprint: str) -> SeparabilityCurve:
         except ValueError:
             raise ValueError(f"{where}: c and g must be numbers and restarts an integer") from None
         points.append(CurvePoint(c, g, row["converged"] == "true", restarts))
-    return SeparabilityCurve(tuple(points), fingerprint)
+    return SeparabilityCurve(tuple(points))

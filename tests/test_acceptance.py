@@ -312,7 +312,7 @@ def test_criterion_09_commuting_diagonal_property():
     grid = np.linspace(0.0, 0.7, 29)
     rows = [uk.constrained_bound(l_op, c_op, c) for c in grid]
     points = tuple(uk.CurvePoint(float(c), r.value, r.converged, r.restarts_used) for c, r in zip(grid, rows))
-    curve = uk.SeparabilityCurve(points, "")
+    curve = uk.SeparabilityCurve(points)
     assert curve.reliable
     for p in curve.points:
         assert p.g == pytest.approx(hull_value(p.c), abs=1e-6)

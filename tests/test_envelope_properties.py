@@ -35,9 +35,7 @@ def oracle(x, c):
 @lru_cache(maxsize=None)
 def oracle_curve(x, n):
     cs = np.linspace(0.0, x * x, n)
-    return uk.SeparabilityCurve(
-        tuple(uk.CurvePoint(float(c), oracle(x, float(c)), True, 1) for c in cs), ""
-    )
+    return uk.SeparabilityCurve(tuple(uk.CurvePoint(float(c), oracle(x, float(c)), True, 1) for c in cs))
 
 
 @st.composite

@@ -856,8 +856,9 @@ class TestQubitPair:
             old = pair.bound()
             assert old.converged and abs(old.value - uk.sew_bound(l_op, settings=settings).value) <= 1e-14, i
             (w1, v1), (w2, v2) = (np.linalg.eigh(m) for m in c_mats)
-            # a singular C_k's bottom eigenvalue is 0 up to rounding
-            lo, hi = math.prod(w[0] if w[0] > RANGE_TOL else 0.0 for w in (w1, w2)), w1[-1] * w2[-1]
+            # a singular C_k's bottom eigenvalue is 0 up to rounding: within dim eps of its top
+            kernel = [w[0] <= w.size * np.finfo(float).eps * w[-1] for w in (w1, w2)]
+            lo, hi = math.prod(0.0 if k else w[0] for k, w in zip(kernel, (w1, w2))), w1[-1] * w2[-1]
             # an end, read half the range slack RANGE_TOL hi beyond it, as eigenvalues and Bloch forms place it
             # a rounding apart
             # the top: one state, both parties on the top eigenvectors of their C_k
@@ -870,7 +871,7 @@ class TestQubitPair:
                 l4 = l_op.mat.reshape(2, 2, 2, 2)
                 ends = [np.linalg.eigvalsh(np.einsum("i,ijkl,k->jl", v.conj(), l4, v) if k == 0 else
                                            np.einsum("j,ijkl,l->ik", v.conj(), l4, v))[-1]
-                        for k, (w, v) in enumerate(((w1, v1[:, 0]), (w2, v2[:, 0]))) if w[0] <= RANGE_TOL]
+                        for k, v in enumerate((v1[:, 0], v2[:, 0])) if kernel[k]]
             assert pair.bound(lo - RANGE_TOL * hi / 2).value == pytest.approx(max(ends), abs=1e-15), i
             # inside, away from the ends, where one rounding of <C> moves g by < 1e-14: at the
             # multistart's own <C> the search reads no lower than the <L> it reached

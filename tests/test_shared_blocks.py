@@ -122,8 +122,8 @@ class TestWorkFollowsTheInput:
         assert run("curve", "--x", "2/3", "--grid", n, "--out", tmp_path / "curve.csv") == 0
         built = work["built"][:]
         rows = self.interior_rows(tmp_path / "curve.csv", device)
-        # each interior row reads the one shared block's table once
-        assert rows >= n - 2 and work["tables"] == rows and built == ["_Ellipse"]
+        # each interior row reads the one shared block's table once; `g_s` reads the range of L from one more
+        assert rows >= n - 2 and work["tables"] == rows and built == ["_Ellipse", "_Ellipse"]
 
     @pytest.mark.parametrize("n", [5, 21])
     def test_copies_read_a_table_each(self, work, tmp_path, n):
@@ -133,7 +133,7 @@ class TestWorkFollowsTheInput:
         assert run("curve", "--povm", povm_file, "--grid", n, "--out", tmp_path / "curve.csv") == 0
         built = work["built"][:]
         rows = self.interior_rows(tmp_path / "curve.csv", device)
-        assert rows >= n - 2 and work["tables"] == 2 * rows and built == ["_Ellipse", "_Ellipse"]
+        assert rows >= n - 2 and work["tables"] == 2 * rows and built == ["_Ellipse"] * 4
 
     @pytest.mark.parametrize(
         "argv, blocks",
@@ -155,8 +155,9 @@ class TestWorkFollowsTheInput:
             "simulate", "--preset", "optimal-entangled", "--c", 0.1, "--shots", 10**4, "--seed", 1, "--out", counts
         ) == 0
         assert run("tighten", "--counts", counts, "--decomposition", decomposition, "--out", tmp_path / "t.json") == 0
-        # the one-term block engine and the two-qubit sum each build one block for the shared device
-        assert work["built"] == ["_Ellipse"]
+        # the one-term block engine and the two-qubit sum each build one block for the shared device, and the
+        # one term's unconstrained bound one range of L
+        assert work["built"] == ["_Ellipse"] * (2 if decomposition == "1:2,2" else 1)
 
     def test_curve_builds_its_dense_operators_once(self, monkeypatch, tmp_path):
         calls, real = [], uk.povm.product_operator
@@ -167,10 +168,14 @@ class TestWorkFollowsTheInput:
 
         for module in (uk.povm, witness, multipartite):
             monkeypatch.setattr(module, "product_operator", counted)
+        pair = [uk.build_three_outcome(uk.ThreeOutcomeParams(2.0 / 3.0))] * 2
+        # the library curve and its g_s build no dense operator
+        uk.separability_curve(pair, (2, 2), (1, 1), 5)
+        uk.product_sew_bound(pair, (2, 2))
+        assert calls == []
         assert run("curve", "--x", "2/3", "--grid", 5, "--out", tmp_path / "curve.csv") == 0
         # L for the admissibility check and the fingerprint, C likewise
         assert calls == [(2, 2), (1, 1)]
-        pair = [uk.build_three_outcome(uk.ThreeOutcomeParams(2.0 / 3.0))] * 2
         fingerprint = fingerprint_operators(real(pair, (2, 2)).mat, real(pair, (1, 1)).mat)
         assert json.loads((tmp_path / "curve.json").read_text())["fingerprint"] == fingerprint
 

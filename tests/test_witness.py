@@ -238,6 +238,10 @@ class TestSeparabilityCurve:
             uk.separability_curve(*pair, [0.2, 0.1, 0.3])
         with pytest.raises(ValueError):
             uk.separability_curve(*pair, [0.0, 0.2, 0.7])
+        # a grid given by its size is checked by the same rule, before numpy sees the count
+        for n in (-1, 0, 2):
+            with pytest.raises(ValueError, match="need at least 3 grid points"):
+                uk.separability_curve(*pair, n)
 
     @pytest.mark.parametrize("indices", [(1, 1), (2, 2)])
     def test_commuting_product_pair_is_its_constraint(self, povm23, indices):
@@ -373,7 +377,7 @@ class TestSeparabilityCurve:
         # by less than one unit in the twelfth significant digit
         assert np.all(back.g_values - small_curve.g_values <= 1e-11 * np.abs(small_curve.g_values))
 
-    def test_csv_parsed_once_per_text_and_fingerprint(self, tmp_path, monkeypatch):
+    def test_csv_parsed_once_per_text(self, tmp_path, monkeypatch):
         built = []
         curve_type = uk.witness.SeparabilityCurve
 
@@ -384,14 +388,14 @@ class TestSeparabilityCurve:
         monkeypatch.setattr(uk.witness, "SeparabilityCurve", counting)
         path = tmp_path / "curve.csv"
         path.write_text("c,g,converged,restarts\n0,0.31,true,0\n0.1,0.3125,true,0\n0.2,0.2,true,0\n")
-        first = uk.curve_from_csv(path, fingerprint="a")
+        first = uk.curve_from_csv(path)
+        assert uk.curve_from_csv(path) is first
         assert len(built) == 1
-        assert uk.curve_from_csv(path, fingerprint="a") is first
-        assert len(built) == 1
-        other = uk.curve_from_csv(path, fingerprint="b")
-        assert len(built) == 2
-        assert (first.operator_fingerprint, other.operator_fingerprint) == ("a", "b")
-        assert other.points == first.points
+        # a rewritten file is parsed afresh, once
+        path.write_text("c,g,converged,restarts\n0,0.31,true,0\n0.1,0.3125,true,0\n0.2,0.25,true,0\n")
+        other = uk.curve_from_csv(path)
+        assert len(built) == 2 and other is not first and other.g_values[-1] == 0.25
+        assert uk.curve_from_csv(path) is other and len(built) == 2
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -478,7 +482,7 @@ class TestDetect:
     def test_unreliable_curve_rejected(self, small_curve):
         points = list(small_curve.points)
         points[3] = replace(points[3], converged=False)
-        bad = uk.SeparabilityCurve(tuple(points), small_curve.operator_fingerprint)
+        bad = uk.SeparabilityCurve(tuple(points))
         assert not bad.reliable
         with pytest.raises(ValueError):
             uk.detect(bad, 0.1, 0.5)
@@ -486,8 +490,7 @@ class TestDetect:
         # test must fail, since the secant envelope majorizes a concave g only
         cs = np.linspace(0.0, 0.64, 11)
         exact = uk.SeparabilityCurve(
-            tuple(uk.CurvePoint(float(c), uk.semianalytic_pair_bound(0.8, float(c)), True, 8) for c in cs),
-            "",
+            tuple(uk.CurvePoint(float(c), uk.semianalytic_pair_bound(0.8, float(c)), True, 8) for c in cs)
         )
         assert not exact.reliable
         with pytest.raises(ValueError):
@@ -641,6 +644,18 @@ class TestWitnessOperator:
         assert np.array_equal(w.mat, bound.value * np.eye(4) - l_op.mat)
         val = uk.expectation(w, bound.maximizer)
         assert abs(val) <= 1e-8
+
+    @pytest.mark.parametrize("k", [0, 40])
+    def test_tangency_is_read_at_the_scale_of_l(self, povm23, k):
+        # L scaled by 2^-k: the exact maximizer is tangent at every k, and |HH> (<W> ~ 0.19 2^-k) at none
+        pair = [povm23, povm23]
+        l_op = uk.HermitianOperator((2, 2), 2.0**-k * uk.product_operator(pair, (2, 2)).mat)
+        sew = uk.product_sew_bound(pair, (2, 2))
+        bound = replace(sew, value=2.0**-k * sew.value)
+        uk.witness_from_bound(l_op, bound)
+        hh = uk.ProductState((uk.PureState((2,), np.array([1.0, 0.0])),) * 2)
+        with pytest.raises(ValueError, match="not tangent"):
+            uk.witness_from_bound(l_op, replace(bound, maximizer=hh))
 
     def test_identity_gives_zero_witness(self, fast):
         l_op = uk.identity((2, 2))
