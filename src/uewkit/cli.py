@@ -32,8 +32,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNRELIABLE = 3
 
-SAMPLE_BLOCK = 8192  # rows of the `sample` CSV formatted per write
-
 
 class UnreliableComputation(RuntimeError):
     pass
@@ -222,12 +220,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    pts = sampler.scatter(_build_povms(args, 2), args.l_indices, args.c_indices, n=args.n, seed=args.seed)
+    blocks = sampler.scatter_blocks(_build_povms(args, 2), args.l_indices, args.c_indices, n=args.n, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write("c,l\n")
-        # one %-format per block of rows; a whole-array string would hold every row in memory at once
-        for i in range(0, len(pts), SAMPLE_BLOCK):
-            block = pts[i:i + SAMPLE_BLOCK]
+        # one %-format per block, written as it is drawn, so memory holds one block whatever --n
+        for block in blocks:
             fh.write("%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
     print(f"sampled {args.n} product states -> {args.out}")
     return EXIT_OK

@@ -85,7 +85,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class HermitianOperator:
     """Square complex matrix on a tensor product of subsystems, A = A† up to
-    1e-12 in max-entry norm."""
+    1e-12 times its largest entry, in max-entry norm."""
 
     dims: tuple[int, ...]
     mat: np.ndarray
@@ -100,9 +100,9 @@ class HermitianOperator:
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", _freeze(mat))
-        dev = np.max(np.abs(self.mat - self.mat.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian: max |A - A†| = {dev:.3e}")
+        dev, scale = np.max(np.abs(self.mat - self.mat.conj().T)), np.max(np.abs(self.mat))
+        if dev > HERMITICITY_TOL * scale:
+            raise ValueError(f"not Hermitian: max |A - A†| = {dev:.3e} exceeds {HERMITICITY_TOL} x max |A_ij| = {scale:.3e}")
 
     @property
     def total_dim(self) -> int:
@@ -218,8 +218,9 @@ def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
 def expectation(op: HermitianOperator, state: State) -> float:
     """Real expectation value Tr(O rho) or <psi|O|psi>.
 
-    Raises if the imaginary residual exceeds 1e-10 (more than rounding on an
-    operator Hermitian to 1e-12 can give) or on dimension mismatch.
+    Raises if the imaginary residual exceeds 1e-10 times the operator's largest
+    entry (more than rounding on an operator Hermitian to 1e-12 of it can
+    give) or on dimension mismatch.
     """
     if isinstance(state, DensityMatrix):
         if state.total_dim != op.total_dim:
@@ -232,8 +233,9 @@ def expectation(op: HermitianOperator, state: State) -> float:
         val = vec.conj() @ (op.mat @ vec)
     else:
         raise ValueError(f"unsupported state type {type(state).__name__}")
-    if abs(val.imag) > IMAG_TOL:
-        raise ValueError(f"imaginary residual {val.imag:.3e} exceeds {IMAG_TOL}")
+    scale = np.max(np.abs(op.mat))
+    if abs(val.imag) > IMAG_TOL * scale:
+        raise ValueError(f"imaginary residual {val.imag:.3e} exceeds {IMAG_TOL} x max |O_ij| = {scale:.3e}")
     return float(val.real)
 
 
@@ -271,10 +273,18 @@ def bloch_state(r: np.ndarray) -> np.ndarray:
 
     theta is atan2(|r_xy|, r_z), which keeps the digits of a small |r_xy|
     near a pole, where arccos(r_z) would lose them to the rounding of r_z.
+    On the z axis the state is the basis vector, and at r_y = 0 the phase is
+    sign(r_x), exactly: cos(pi/2) and exp(i pi) would leave rounding residue.
     """
-    theta = math.atan2(math.hypot(r[0], r[1]), r[2])
-    phi = math.atan2(r[1], r[0]) if abs(r[0]) + abs(r[1]) > 1e-15 else 0.0
-    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi)])
+    r_xy = math.hypot(r[0], r[1])
+    if r_xy == 0.0:
+        return np.array([1.0, 0.0] if r[2] >= 0.0 else [0.0, 1.0], dtype=complex)
+    theta = math.atan2(r_xy, r[2])
+    if r[1] == 0.0 or abs(r[0]) + abs(r[1]) <= 1e-15:
+        phase = -1.0 if r[0] < -1e-15 else 1.0
+    else:
+        phase = np.exp(1j * math.atan2(r[1], r[0]))
+    return np.array([np.cos(theta / 2.0), np.sin(theta / 2.0) * phase], dtype=complex)
 
 
 def min_eigenvalue(h: HermitianOperator) -> float:

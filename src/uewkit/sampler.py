@@ -9,10 +9,11 @@ test suite.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "EstimateResult",
     "sample_product_state",
     "scatter",
+    "scatter_blocks",
     "random_density_matrix",
     "simulate_counts",
     "estimate",
@@ -38,6 +40,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 PROB_SUM_TOL = 1e-9
+SAMPLE_BLOCK = 8192  # rows per block of `scatter_blocks`: the most `uewkit sample` holds at once
 
 
 def stream(seed: int, task: int = 0) -> np.random.Generator:
@@ -107,60 +110,78 @@ class EstimateResult:
     shots: int
 
 
-def _bloch_angles(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cos(theta), phi) of n points uniform on the Bloch sphere: cos(theta) ~ U(-1,1)."""
-    cos_t = rng.uniform(-1.0, 1.0, size=n)
-    return cos_t, rng.uniform(0.0, 2.0 * np.pi, size=n)
+def _factor_draws(d: int) -> tuple:
+    """The arrays one factor of dimension d draws, in stream order, each as
+    (rng, rows) -> array: cos(theta) ~ U(-1, 1) and phi for a qubit, the real
+    and imaginary standard normals of a Haar vector above."""
+    if d == 2:
+        return (lambda rng, k: rng.uniform(-1.0, 1.0, size=k), lambda rng, k: rng.uniform(0.0, 2.0 * np.pi, size=k))
+    return (lambda rng, k: rng.standard_normal((k, d)),) * 2
 
 
-def _bloch_vectors(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n qubit states uniform on the Bloch sphere, as amplitudes."""
-    cos_t, phi = _bloch_angles(rng, n)
-    half = np.arccos(cos_t) / 2.0
-    out = np.empty((n, 2), dtype=np.complex128)
-    out[:, 0] = np.cos(half)
-    out[:, 1] = np.sin(half) * np.exp(1j * phi)
-    return out
-
-
-def _haar_vectors(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+def _factor(d: int, drawn: Sequence[np.ndarray]) -> np.ndarray:
+    """Amplitudes of one factor's states, a row per row of its drawn arrays:
+    uniform on the Bloch sphere for a qubit, Haar above."""
+    if d == 2:
+        half = np.arccos(drawn[0]) / 2.0
+        return np.stack([np.cos(half) + 0j, np.sin(half) * np.exp(1j * drawn[1])], axis=1)
+    z = drawn[0] + 1j * drawn[1]
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def sample_product_state(dims: Sequence[int], seed: int) -> ProductState:
     """One uniformly random pure product state (Bloch for qubits, Haar above)."""
     rng = stream(seed)
-    factors = []
-    for d in dims:
-        vec = _bloch_vectors(rng, 1)[0] if d == 2 else _haar_vectors(rng, 1, d)[0]
-        factors.append(PureState((d,), vec))
-    return ProductState(tuple(factors))
+    return ProductState(tuple(PureState((d,), _factor(d, [draw(rng, 1) for draw in _factor_draws(d)])[0]) for d in dims))
 
 
 def scatter(povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], n: int, seed: int) -> np.ndarray:
-    """(n, 2) array of (<C>, <L>) over random pure product states, C and L the
-    `product_operator`s at `c_indices` and `l_indices`: each value is a product
-    of per-party <f|E|f>, the factors drawn per subsystem in dims order.  A
-    qubit party's <f|E|f> is e0 + e.n from its Bloch vector n, read off the
-    same two draws that give its amplitudes."""
-    pairs = zip(selected_effects(povms, c_indices), selected_effects(povms, l_indices))
+    """(n, 2) array of (<C>, <L>) over random pure product states: the blocks
+    of `scatter_blocks`, joined."""
+    return np.concatenate(list(scatter_blocks(povms, l_indices, c_indices, n, seed)))
+
+
+def scatter_blocks(
+    povms: Sequence[Povm], l_indices: Sequence[int], c_indices: Sequence[int], n: int, seed: int
+) -> Iterator[np.ndarray]:
+    """The rows of `scatter`, (<C>, <L>) over n random pure product states, C
+    and L the `product_operator`s at `c_indices` and `l_indices`, yielded in
+    blocks of at most SAMPLE_BLOCK rows.  Each value is a product of per-party
+    <f|E|f>, the factors drawn per subsystem in dims order; a qubit party's
+    <f|E|f> is e0 + e.n from its Bloch vector n, read off the same two draws
+    that give its amplitudes.
+
+    The draws are one party-major pass over the stream of (seed, 0), each
+    array n rows long.  A first pass skips each array a block at a time and
+    keeps a copy of the stream where it starts; each array is then read a
+    block at a time from its copy, as one whole draw would give it."""
+    parties = list(zip(povms, zip(selected_effects(povms, c_indices), selected_effects(povms, l_indices))))
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = stream(seed)
-    vals = np.ones((n, 2))
-    for povm, effects in zip(povms, pairs):
+    rng, readers = stream(seed), []
+    for draw in (draw for povm in povms for d in povm.dims for draw in _factor_draws(d)):
+        readers.append((copy.deepcopy(rng), draw))
+        for start in range(0, n, SAMPLE_BLOCK):
+            draw(rng, min(SAMPLE_BLOCK, n - start))
+    sizes = (min(SAMPLE_BLOCK, n - start) for start in range(0, n, SAMPLE_BLOCK))
+    return (_scatter_rows(parties, [draw(r, rows) for r, draw in readers]) for rows in sizes)
+
+
+def _scatter_rows(parties: list, drawn: list[np.ndarray]) -> np.ndarray:
+    """One block of `scatter_blocks` from its drawn arrays, in stream order."""
+    rows, drawn = len(drawn[0]), iter(drawn)
+    vals = np.ones((rows, 2))
+    for povm, effects in parties:
         if povm.dims == (2,):
-            cos_t, phi = _bloch_angles(rng, n)
+            cos_t, phi = next(drawn), next(drawn)
             sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
             bloch = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
             e0, e = bloch_form(np.stack([effect.op.mat for effect in effects]))
             vals *= e0 + bloch @ e.T
             continue
-        f = np.ones((n, 1))
+        f = np.ones((rows, 1))
         for d in povm.dims:
-            g = _bloch_vectors(rng, n) if d == 2 else _haar_vectors(rng, n, d)
-            f = np.einsum("ni,nj->nij", f, g).reshape(n, -1)
+            f = np.einsum("ni,nj->nij", f, _factor(d, (next(drawn), next(drawn)))).reshape(rows, -1)
         for col, effect in enumerate(effects):
             vals[:, col] *= np.einsum("ni,ni->n", f.conj() @ effect.op.mat, f).real
     return vals

@@ -7,6 +7,8 @@
   g(c), in `decimal` arithmetic from the exact values of the float entries.
 - `bridge_mixture`: a separable mixture of two product touch states, the
   points that g(c) alone does not bound where g is not concave.
+- `scatter_reference`: the whole-array scatter, every draw n rows at once
+  from one stream, against which the block-streamed `scatter` is pinned.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
 
 import uewkit as uk
+from uewkit.povm import selected_effects
 from uewkit.qcore import DensityMatrix, HermitianOperator, bloch_form, bloch_state
 
 
@@ -190,3 +193,43 @@ def bridge_mixture(x, c_a, c_b, c):
     w = (q_b - c) / (q_b - q_a)
     rho = DensityMatrix((2, 2), w * uk.pure_density(a).mat + (1.0 - w) * uk.pure_density(b).mat)
     return uk.expectation(c_op, rho), uk.expectation(l_op, rho)
+
+
+def bloch_vectors(rng, n):
+    """n qubit states uniform on the Bloch sphere, drawn from rng as `scatter` draws them."""
+    cos_t, phi = rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.0, 2.0 * np.pi, size=n)
+    half = np.arccos(cos_t) / 2.0
+    out = np.empty((n, 2), dtype=np.complex128)
+    out[:, 0] = np.cos(half)
+    out[:, 1] = np.sin(half) * np.exp(1j * phi)
+    return out
+
+
+def haar_vectors(rng, n, dim):
+    """n Haar-random states of dimension dim, drawn from rng as `scatter` draws them."""
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def scatter_reference(povms, l_indices, c_indices, n, seed):
+    """(n, 2) array of (<C>, <L>) over n random pure product states, each
+    drawn array n rows long from the one stream of (seed, 0) in party-major
+    order, as `uk.scatter` drew it before it streamed its rows in blocks."""
+    pairs = zip(selected_effects(povms, c_indices), selected_effects(povms, l_indices))
+    rng = uk.stream(seed)
+    vals = np.ones((n, 2))
+    for povm, effects in zip(povms, pairs):
+        if povm.dims == (2,):
+            cos_t, phi = rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.0, 2.0 * np.pi, size=n)
+            sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
+            bloch = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=1)
+            e0, e = bloch_form(np.stack([effect.op.mat for effect in effects]))
+            vals *= e0 + bloch @ e.T
+            continue
+        f = np.ones((n, 1))
+        for d in povm.dims:
+            g = bloch_vectors(rng, n) if d == 2 else haar_vectors(rng, n, d)
+            f = np.einsum("ni,nj->nij", f, g).reshape(n, -1)
+        for col, effect in enumerate(effects):
+            vals[:, col] *= np.einsum("ni,ni->n", f.conj() @ effect.op.mat, f).real
+    return vals

@@ -2,10 +2,12 @@ import argparse
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import uewkit as uk
-from uewkit import cli
+from uewkit import cli, sampler
 from uewkit.cli import main
 
 from conftest import qubit_sum_sweep, qutrit_device_qutrit, random_hermitian
@@ -294,7 +296,7 @@ def test_sample_output(tmp_path):
     assert out.read_bytes() == again.read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, cli.SAMPLE_BLOCK, cli.SAMPLE_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, sampler.SAMPLE_BLOCK, sampler.SAMPLE_BLOCK + 1])
 def test_sample_csv_bytes(tmp_path, n):
     # the block writer gives the bytes of one f"{v:.12g}" row at a time, for
     # an exact and a partial last block alike
@@ -304,6 +306,46 @@ def test_sample_csv_bytes(tmp_path, n):
     pts = uk.scatter([device, device], (2, 2), (1, 1), n=n, seed=5)
     expected = "c,l\n" + "".join(f"{c:.12g},{l:.12g}\n" for c, l in pts.tolist())
     assert out.read_text() == expected
+
+
+# a qutrit party of two fixed effects with exact entries
+QUTRIT = {"effects": [
+    {"dims": [3], "entries": [[0.5, 0], [0.1, 0.2], [0, 0], [0.1, -0.2], [0.4, 0], [0, 0.05], [0, 0], [0, -0.05], [0.3, 0]]},
+    {"dims": [3], "entries": [[0.5, 0], [-0.1, -0.2], [0, 0], [-0.1, 0.2], [0.6, 0], [0, -0.05], [0, 0], [0, 0.05], [0.7, 0]]},
+]}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--x", "2/3", "--n", "20000", "--seed", "1"],
+         "674a97a11af83c2807c1fb103844365a3c96b4f0c905e7a85463f32e3eba82cb"),
+        (["--povm", "{povm}", "--l-indices", "1,2,1", "--c-indices", "2,1,2", "--n", "20001", "--seed", "2"],
+         "0e37c7af7b28beb5a7daa683095ecf2121113e39b219f5f7e4ad9f7ae734988d"),
+    ],
+    ids=["default", "qutrit-povm"],
+)
+def test_sample_csv_digest(tmp_path, argv, digest):
+    # the bytes of the whole-array scatter, written before rows were streamed in blocks
+    povm_file, out = tmp_path / "povm.json", tmp_path / "scatter.csv"
+    povm_file.write_text(json.dumps({"parties": [QUTRIT, {"x": 0.6666666666666666, "theta": 0.0}, QUTRIT]}))
+    assert run("sample", *(a.format(povm=povm_file) for a in argv), "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_sample_memory_does_not_grow_with_n(tmp_path):
+    # rows are drawn, formatted and written one block at a time
+    def peak(n):
+        tracemalloc.start()
+        try:
+            assert run("sample", "--x", "2/3", "--n", n, "--seed", 1, "--out", tmp_path / "s.csv") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call imports and caches
+    small, large = peak(20000), peak(200000)
+    assert large <= 4 * 2**20 and large <= 1.5 * small, (small, large)
 
 
 def test_multiparty_table(tmp_path):
@@ -501,6 +543,15 @@ def test_bound_sew_is_free_of_theta(tmp_path, x, sup, theta):
     for direction, value in (("inf", 0.0), ("sup", sup)):
         assert run("bound", "--x", x, "--theta", theta, "--direction", direction, "--out", out) == 0
         assert json.loads(out.read_text())["value"] == value, direction
+
+
+@pytest.mark.parametrize("argv", [["--direction", "inf"], ["--c", "4/9"]])
+def test_bound_maximizer_is_exact_on_the_bloch_axes(tmp_path, argv):
+    # the inf maximizer's phase is -1 and the top state is |VV>: no rounding residue is written for either
+    out = tmp_path / "bound.json"
+    assert run("bound", "--x", "2/3", *argv, "--out", out) == 0
+    entries = [part for f in json.loads(out.read_text())["maximizer"] for amp in f["entries"] for part in amp]
+    assert all(abs(v) >= 1e-3 or str(v) == "0.0" for v in entries), entries
 
 
 def test_bound_inf_takes_no_c(tmp_path, capsys):

@@ -181,6 +181,19 @@ def test_bloch_form_rebuilds_the_matrices():
     np.testing.assert_allclose(rebuilt, mats, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "r", [(0, 0, 1), (0, 0, -1), (-0.0, -0.0, -1), (1, 0, 0), (-1, 0, 0), (-0.6, 0, 0.8), (-0.6, -0.0, -0.8), (0.6, -0.0, 0.8)]
+)
+def test_bloch_state_is_exact_on_the_xz_plane(r):
+    # on the z axis a basis state, at r_y = 0 the real phase sign(r_x): no residue of cos(pi/2) or exp(i pi), and no -0.0
+    amps = qcore.bloch_state(np.array(r, dtype=float))
+    parts = np.concatenate([amps.real, amps.imag])
+    assert not np.any(np.signbit(parts) & (parts == 0.0))
+    half = math.atan2(math.hypot(r[0], r[1]), r[2]) / 2.0
+    expected = [float(r[2] > 0), float(r[2] < 0)] if r[:2] == (0, 0) else [math.cos(half), math.copysign(math.sin(half), r[0])]
+    assert amps.tolist() == expected
+
+
 class TestInvariantValidation:
     def test_rejects_non_hermitian(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])

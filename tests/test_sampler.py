@@ -8,7 +8,7 @@ import uewkit as uk
 from uewkit import sampler
 
 from conftest import qutrit_device_qutrit, random_povm
-from oracles import brute_force_constrained_sup
+from oracles import bloch_vectors, brute_force_constrained_sup, haar_vectors, scatter_reference
 
 X = 2.0 / 3.0
 
@@ -53,7 +53,7 @@ class TestSampleProductState:
 
     def test_bloch_uniformity(self):
         rng = uk.stream(2024)
-        qubits = sampler._bloch_vectors(rng, 100000)
+        qubits = bloch_vectors(rng, 100000)
         mean_sz = float(np.mean(np.abs(qubits[:, 0]) ** 2 - np.abs(qubits[:, 1]) ** 2))
         assert abs(mean_sz) <= 0.01
         mean_pi1 = float(X * np.mean(np.abs(qubits[:, 1]) ** 2))
@@ -97,7 +97,7 @@ class TestScatterAgainstDense:
         rng = uk.stream(seed)
         psi = np.ones((n, 1))
         for d in (3, 2, 3):
-            f = sampler._bloch_vectors(rng, n) if d == 2 else sampler._haar_vectors(rng, n, d)
+            f = bloch_vectors(rng, n) if d == 2 else haar_vectors(rng, n, d)
             psi = np.einsum("ni,nj->nij", psi, f).reshape(n, -1)
         l_mat = uk.product_operator(povms, l_idx).mat
         c_mat = uk.product_operator(povms, c_idx).mat
@@ -120,7 +120,7 @@ class TestScatterAgainstDense:
         draws = uk.stream(seed)
         psi = np.ones((n, 1))
         for _ in povms:
-            psi = np.einsum("ni,nj->nij", psi, sampler._bloch_vectors(draws, n)).reshape(n, -1)
+            psi = np.einsum("ni,nj->nij", psi, bloch_vectors(draws, n)).reshape(n, -1)
         l_mat = uk.product_operator(povms, l_idx).mat
         c_mat = uk.product_operator(povms, c_idx).mat
         dense_c = np.einsum("ni,ij,nj->n", psi.conj(), c_mat, psi).real
@@ -132,6 +132,45 @@ class TestScatterAgainstDense:
     def test_index_length_mismatch(self, povm23):
         with pytest.raises(ValueError, match="2 parties but 1 outcome indices"):
             uk.scatter([povm23, povm23], (2,), (1, 1), 10, seed=1)
+
+
+B = sampler.SAMPLE_BLOCK
+
+
+def _qubit_parties():
+    """Random qubit POVMs, with complex off-diagonals, around a device at
+    theta = 1.7: three qubit parties, each read in closed form."""
+    rng = np.random.default_rng(1)
+    device = uk.build_three_outcome(uk.ThreeOutcomeParams(2.0 / 3.0, 1.7))
+    return [random_povm(rng, 2), device, random_povm(rng, 2)], (1, 2, 3), (3, 3, 2)
+
+
+class TestScatterBlocks:
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+    @pytest.mark.parametrize("case", ["default", "qubit-povms"])
+    def test_bitwise_equal_to_the_whole_array_draw(self, povm23, case, n):
+        povms, l_idx, c_idx = ([povm23, povm23], (2, 2), (1, 1)) if case == "default" else _qubit_parties()
+        blocks = list(sampler.scatter_blocks(povms, l_idx, c_idx, n, seed=7))
+        assert [len(b) for b in blocks] == [min(B, n - start) for start in range(0, n, B)]
+        ref = scatter_reference(povms, l_idx, c_idx, n, seed=7)
+        np.testing.assert_array_equal(np.concatenate(blocks), ref)
+        np.testing.assert_array_equal(uk.scatter(povms, l_idx, c_idx, n, seed=7), ref)
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 5])
+    def test_qutrit_parties_within_rounding(self, n):
+        # a one-row block sends f.conj() @ E down another BLAS path than the
+        # whole-array product, so Haar parties agree to rounding, not bitwise;
+        # the 12 digits the CSV writes are the same
+        povms, l_idx, c_idx = qutrit_device_qutrit(), (2, 3, 1), (1, 2, 2)
+        pts, ref = uk.scatter(povms, l_idx, c_idx, n, seed=8), scatter_reference(povms, l_idx, c_idx, n, seed=8)
+        assert np.all(np.abs(pts - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+        assert [f"{v:.12g}" for v in pts.ravel()] == [f"{v:.12g}" for v in ref.ravel()]
+
+    def test_invalid_input_raises_before_any_block(self, povm23):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sampler.scatter_blocks([povm23, povm23], (2, 2), (1, 1), 0, seed=1)
+        with pytest.raises(ValueError, match="2 parties but 1 outcome indices"):
+            sampler.scatter_blocks([povm23, povm23], (2,), (1, 1), 10, seed=1)
 
 
 class TestJointProbabilities:

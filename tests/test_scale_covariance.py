@@ -97,3 +97,25 @@ def test_a_claim_needs_a_reachable_c():
     assert not verdict.entangled and verdict.branch == "inconclusive" and verdict.margin is None
     with pytest.raises(ValueError):
         curve.max_upper_on(5e-10, 5e-10)
+
+
+@pytest.mark.parametrize("k", [-40, 0, 20, 60])
+def test_hermitian_checks_read_the_operator_scale(k):
+    # a matrix Hermitian up to the rounding of its product is accepted, and its
+    # expectations are read, at every scale; an asymmetry the size of its
+    # entries is refused at every scale
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    m = u @ np.diag([0.1, 0.2, 0.3, 0.4]) @ u.conj().T
+    assert np.max(np.abs(m - m.conj().T)) > 0.0
+    s = 2.0**-k
+    state = uk.sample_product_state((2, 2), seed=5)
+    ref = uk.expectation(uk.HermitianOperator((2, 2), m), state)
+    assert uk.expectation(uk.HermitianOperator((2, 2), s * m), state) == s * ref
+    with pytest.raises(ValueError, match="not Hermitian"):
+        uk.HermitianOperator((2,), s * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_a_tiny_asymmetric_matrix_is_not_hermitian():
+    with pytest.raises(ValueError, match=r"not Hermitian: max \|A - A†\| = 1\.000e-20 exceeds 1e-12 x max \|A_ij\| = 1\.000e-20"):
+        uk.HermitianOperator((2,), 1e-20 * np.array([[1, 1], [0, 1]]))
