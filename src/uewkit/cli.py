@@ -1,9 +1,9 @@
 """Command-line interface: curves, certification, simulation, and bounds.
 
 Every subcommand is reproducible byte-for-byte given identical flags and
-seed; numeric output is serialized with 12 significant digits.  Exit codes:
-0 success (a negative verdict is still success), 2 invalid input,
-3 computation unreliable.
+seed; every number is written by `witness.written` or `witness.round_up`.
+Exit codes: 0 success (a negative verdict is still success), 2 invalid
+input, 3 computation unreliable.
 
 The protocol cost is intentionally small: one fixed three-outcome device per
 agent, i.e. the number of distinct measurement outcomes grows as 3N with the
@@ -38,21 +38,14 @@ class UnreliableComputation(RuntimeError):
 
 
 def _fmt(value):
-    """Round-trip floats at 12 significant digits for stable serialization;
-    bounds come rounded toward their safe side by `_safe` already."""
+    """Floats at their written form, for stable serialization; bounds come from `witness.round_up` already."""
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(witness.written(value))
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_fmt(v) for v in value]
     return value
-
-
-def _safe(bound: float, direction: str = "sup") -> float:
-    """A bound at 12 significant digits, rounded away from the states it
-    bounds: up for a supremum, down for an infimum."""
-    return witness.round_up(bound) if direction == "sup" else -witness.round_up(-bound)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -113,21 +106,14 @@ def _build_povms(args, parties: int) -> list[povm.Povm]:
     return _devices(args, parties)
 
 
-def _operator_pair(args, parties: int = 2):
-    povms = _build_povms(args, parties)
-    l_op = povm.product_operator(povms, list(args.l_indices))
-    c_op = povm.product_operator(povms, list(args.c_indices))
-    return povms, l_op, c_op
-
-
 def cmd_curve(args) -> int:
-    povms, l_op, c_op = _operator_pair(args)
+    povms = _build_povms(args, 2)
+    l_op, c_op = (povm.product_operator(povms, list(i)) for i in (args.l_indices, args.c_indices))
     report = povm.uew_admissibility_check(c_op, l_op)
     # the grid spans the range of C read from the curve's own party blocks, its ends as written
     curve = witness.separability_curve(povms, args.l_indices, args.c_indices, args.grid)
-    lo, hi = curve.c_range
     # exact for a product of effects, the value `bound` writes, rounded up like every bound
-    g_s = _safe(witness.product_sew_bound(povms, args.l_indices).value)
+    g_s = witness.round_up(witness.product_sew_bound(povms, args.l_indices).value)
 
     out_csv = Path(args.out)
     witness.curve_to_csv(curve, out_csv)
@@ -136,7 +122,7 @@ def cmd_curve(args) -> int:
         "reliable": curve.reliable,
         "g_s": g_s,
         "sew_optimum_c": curve.peak.c,
-        "c_range": [lo, hi],
+        "c_range": list(curve.c_range),
         "grid_points": args.grid,
         "admissibility": dataclasses.asdict(report),
     }
@@ -146,16 +132,16 @@ def cmd_curve(args) -> int:
             "entanglement (the constrained separable bound equals the bound "
             "over all states)"
         )
-    # entangled_max is the closed form for x = 2/3 devices on the default pair, from --x or --povm
+    # entangled_max, the closed form for x = 2/3 devices on the default pair (--x or --povm), is a bound: rounded up
     closed_form_devices = all(
         isinstance(p, povm.ThreeOutcomePovm) and abs(p.params.x - witness.X_CLOSED_FORM) < 1e-12 for p in povms
     )
     if closed_form_devices and tuple(args.c_indices) == (1, 1) and tuple(args.l_indices) == (2, 2):
         summary["entangled_max"] = [
-            {"c": float(c), "value": witness.entangled_max(float(c))} for c in curve.c_values
+            {"c": float(c), "value": witness.round_up(witness.entangled_max(float(c)))} for c in curve.c_values
         ]
     _write_json(out_csv.with_suffix(".json"), summary)
-    print(f"curve: {len(curve.points)} points, g_s={g_s:.12g}, reliable={curve.reliable}")
+    print(f"curve: {len(curve.points)} points, g_s={witness.written(g_s)}, reliable={curve.reliable}")
     if not curve.reliable:
         raise UnreliableComputation("curve has unconverged or non-concave points")
     return EXIT_OK
@@ -221,11 +207,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_sample(args) -> int:
     blocks = sampler.scatter_blocks(_build_povms(args, 2), args.l_indices, args.c_indices, n=args.n, seed=args.seed)
+    row = "%.{0}g,%.{0}g\n".format(witness.DIGITS)  # `witness.written` for both numbers, as a %-format
     with open(args.out, "w") as fh:
         fh.write("c,l\n")
         # one %-format per block, written as it is drawn, so memory holds one block whatever --n
         for block in blocks:
-            fh.write("%.12g,%.12g\n" * len(block) % tuple(block.ravel().tolist()))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
     print(f"sampled {args.n} product states -> {args.out}")
     return EXIT_OK
 
@@ -233,6 +220,9 @@ def cmd_sample(args) -> int:
 def cmd_multiparty(args) -> int:
     if not 2 <= args.agents <= 6:
         raise ValueError("the bounds table covers 2 <= N <= 6 agents")
+    if args.c is not None and not args.partition:
+        raise ValueError("--c is the partition bound's constraint value: give it with --partition")
+    c = 0.0 if args.c is None else args.c
     rows = [
         multipartite.closed_form_bound(args.x, args.agents, m)
         for m in range(1, args.agents + 1)
@@ -240,18 +230,18 @@ def cmd_multiparty(args) -> int:
     if args.partition:
         # bad input must fail before the table is written
         part = multipartite.Partition.parse(args.partition)
-        res = multipartite.numeric_partition_bound(_devices(args, args.agents), part, c=args.c)
+        res = multipartite.numeric_partition_bound(_devices(args, args.agents), part, c=c)
     with open(args.out, "w") as fh:
         fh.write("N,M_k,g\n")
         for r in rows:
-            fh.write(f"{r.n_agents},{r.largest_block},{r.g:.12g}\n")
+            fh.write(f"{r.n_agents},{r.largest_block},{witness.written(witness.round_up(r.g))}\n")
     print(f"bounds table for N={args.agents} -> {args.out}")
     if args.partition:
         payload = {
             "partition": part.label,
             "normalized": multipartite.Partition.format_blocks(part.blocks),
-            "c": args.c,
-            "bound": _safe(res.value),
+            "c": c,
+            "bound": witness.round_up(res.value),
             "converged": res.converged,
         }
         print(json.dumps(_fmt(payload), sort_keys=True))
@@ -265,10 +255,10 @@ def cmd_tighten(args) -> int:
     povms = _build_povms(args, counts.n_parties)
     c_measured = counts.frequency(args.constraint)
     result = witness.tighten(povms, args.decomposition, c_measured, args.constraint, settings=_settings(args))
-    result = dataclasses.replace(result, g_of_c=_safe(result.g_of_c), old_bound=_safe(result.old_bound))
-    payload = {**dataclasses.asdict(result), "constraint": list(args.constraint)}
+    old, new = witness.round_up(result.old_bound), witness.round_up(result.g_of_c)
+    payload = {**dataclasses.asdict(result), "old_bound": old, "g_of_c": new, "constraint": list(args.constraint)}
     _write_json(Path(args.out), payload)
-    print(f"tighten: {result.old_bound:.12g} -> {result.g_of_c:.12g} (improvement {result.improvement:.12g})")
+    print(f"tighten: {witness.written(old)} -> {witness.written(new)} (improvement {witness.written(result.improvement)})")
     if not result.converged:
         raise UnreliableComputation("a tighten bound did not converge")
     return EXIT_OK
@@ -294,8 +284,8 @@ def cmd_bound(args) -> int:
             res = witness.product_sew_bound(povms, args.l_indices, direction=args.direction)
         else:
             res = witness.product_constrained_bound(povms, args.l_indices, args.c_indices, args.c)
-    kind = f"sew-{args.direction}" if args.c is None else f"constrained(c={args.c:.12g})"
-    value = _safe(res.value, args.direction)
+    kind = f"sew-{args.direction}" if args.c is None else f"constrained(c={witness.written(args.c)})"
+    value = witness.round_up(res.value, args.direction)
     payload = {
         "kind": kind,
         "value": value,
@@ -307,7 +297,7 @@ def cmd_bound(args) -> int:
     if args.L:
         payload["settings"] = dataclasses.asdict(settings)
     _write_json(Path(args.out), payload)
-    print(f"{kind}: {value:.12g} (converged={res.converged})")
+    print(f"{kind}: {witness.written(value)} (converged={res.converged})")
     if not res.converged:
         raise UnreliableComputation("bound optimization did not converge")
     return EXIT_OK
@@ -382,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="no effect: the partition bound draws no random starts")
     p.add_argument("--agents", type=int, required=True, help="number of agents N (2..6)")
     p.add_argument("--partition", help='partition like "1,2|3" for a numeric bound')
-    p.add_argument("--c", type=_number, default=0.0, help="constraint value for the partition bound")
+    p.add_argument("--c", type=_number, help="constraint value for the partition bound (default 0); needs --partition")
     p.add_argument("--out", default="bounds.csv")
     p.set_defaults(func=cmd_multiparty)
 

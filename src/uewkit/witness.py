@@ -37,7 +37,7 @@ import io
 import math
 import numbers
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -74,6 +74,8 @@ __all__ = [
     "optimal_entangled_state",
     "witness_from_bound",
     "semianalytic_pair_bound",
+    "DIGITS",
+    "written",
     "round_up",
     "curve_to_csv",
     "curve_from_csv",
@@ -82,6 +84,7 @@ __all__ = [
 CHORD_TOL = 1e-6
 TANGENCY_TOL = 1e-8
 X_CLOSED_FORM = 2.0 / 3.0
+DIGITS = 12  # significant digits of every number uewkit writes
 
 
 @dataclass(frozen=True)
@@ -347,7 +350,7 @@ def separability_curve(
     blocks = _party_blocks(povms, l_indices, c_indices)
     if isinstance(c_grid, numbers.Integral):
         c_grid = np.linspace(*_product_range(blocks), c_grid) if c_grid >= 3 else ()
-    grid = np.array([float(_csv_number(c)) for c in c_grid])
+    grid = np.array([float(written(c)) for c in c_grid])
     if grid.size < 3:
         raise ValueError("need at least 3 grid points")
     if np.any(np.diff(grid) <= 0):
@@ -468,6 +471,14 @@ def tighten(
     )
 
 
+def _closed_form_c(c: float) -> float:
+    """c checked against the range [0, x^2] of C at x = 2/3, within 1e-12, and clipped to it."""
+    x = X_CLOSED_FORM
+    if not -1e-12 <= c <= x * x + 1e-12:  # also refuses nan
+        raise ValueError(f"c={c} outside [0, {x * x}]")
+    return min(max(c, 0.0), x * x)
+
+
 def entangled_max(c: float) -> float:
     """Largest <L> over all two-qubit states with <C> = c, for x = 2/3.
 
@@ -477,10 +488,7 @@ def entangled_max(c: float) -> float:
     exactly at the unconstrained optimum c* = 1/36 and at the endpoint c = x^2,
     where the feasible state is unique.
     """
-    x = X_CLOSED_FORM
-    if not -1e-12 <= c <= x * x + 1e-12:  # also refuses nan
-        raise ValueError(f"c={c} outside [0, {x * x}]")
-    c = min(max(c, 0.0), x * x)
+    c = _closed_form_c(c)
     return (math.sqrt(5.0 * (4.0 - 9.0 * c) / 48.0) + math.sqrt(c) / 4.0) ** 2
 
 
@@ -493,9 +501,7 @@ def optimal_entangled_state(theta: float, c: float) -> PureState:
     theta-independent.
     """
     x = X_CLOSED_FORM
-    if not -1e-12 <= c <= x * x + 1e-12:  # also refuses nan
-        raise ValueError(f"c={c} outside [0, {x * x}]")
-    c = min(max(c, 0.0), x * x)
+    c = _closed_form_c(c)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     alpha = math.sqrt(3.0 * (4.0 - 9.0 * c) / 20.0)
@@ -549,20 +555,22 @@ def semianalytic_pair_bound(x: float, c: float, refine: int = 200001) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Curve CSV format: header "c,g,converged,restarts", one row per grid point,
-# 12 significant digits (c to nearest, g rounded up), deterministic row order.
+# Written numbers: DIGITS significant digits, to nearest (`written`) or, for a bound, toward its
+# safe side (`round_up`).  Curve CSV: header "c,g,converged,restarts", c to nearest, g rounded up.
 # ---------------------------------------------------------------------------
 
 
-def _csv_number(value: float) -> str:
-    return f"{value:.12g}"
+def written(value: float) -> str:
+    """`value` as uewkit writes it: DIGITS significant digits, to nearest."""
+    return f"{value:.{DIGITS}g}"
 
 
-def round_up(value: float) -> float:
-    """`value` at the 12 significant digits uewkit writes, rounded toward
-    +inf: a written upper bound never reads below the computed one."""
+def round_up(value: float, direction: str = "sup") -> float:
+    """A bound at DIGITS significant digits, rounded away from the states it bounds: up for a
+    supremum ("sup"), down for an infimum ("inf"), so it never reads tighter than computed."""
     exact = Decimal(value)
-    return float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 11), ROUND_CEILING))
+    quantum = Decimal(1).scaleb(exact.adjusted() - DIGITS + 1)
+    return float(exact.quantize(quantum, {"sup": ROUND_CEILING, "inf": ROUND_FLOOR}[direction]))
 
 
 def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
@@ -570,7 +578,7 @@ def curve_to_csv(curve: SeparabilityCurve, path: Union[str, Path]) -> None:
         writer = csv.writer(fh)
         writer.writerow(["c", "g", "converged", "restarts"])
         for p in curve.points:
-            writer.writerow([_csv_number(p.c), _csv_number(round_up(p.g)), str(p.converged).lower(), p.restarts])
+            writer.writerow([written(p.c), written(round_up(p.g)), str(p.converged).lower(), p.restarts])
 
 
 def curve_from_csv(path: Union[str, Path]) -> SeparabilityCurve:

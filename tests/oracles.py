@@ -7,6 +7,8 @@
   g(c), in `decimal` arithmetic from the exact values of the float entries.
 - `bridge_mixture`: a separable mixture of two product touch states, the
   points that g(c) alone does not bound where g is not concave.
+- `device_bridge`: the slope and intercept of the hull's bridge for two of
+  the paper's devices, in closed form.
 - `scatter_reference`: the whole-array scatter, every draw n rows at once
   from one stream, against which the block-streamed `scatter` is pinned.
 """
@@ -193,6 +195,15 @@ def bridge_mixture(x, c_a, c_b, c):
     w = (q_b - c) / (q_b - q_a)
     rho = DensityMatrix((2, 2), w * uk.pure_density(a).mat + (1.0 - w) * uk.pure_density(b).mat)
     return uk.expectation(c_op, rho), uk.expectation(l_op, rho)
+
+
+def device_bridge(x):
+    """(lambda*, h*) = (-(a/x)^2, a/(2x)), a = 1 - x/2: the line h* + lambda* c
+    that bounds g(c) for two parties measuring the device at x (theta = 0),
+    L = Pi_2 x Pi_2, C = Pi_1 x Pi_1, and touches it twice for x > 2/3 and
+    once, at c = 1/4, at x = 2/3 (derivation in the README's curve paragraph)."""
+    a = 1.0 - x / 2.0
+    return -((a / x) ** 2), a / (2.0 * x)
 
 
 def bloch_vectors(rng, n):

@@ -19,7 +19,7 @@ import uewkit as uk
 from uewkit import cli, sampler
 from uewkit.cli import main
 
-from conftest import qubit_sum_sweep, qutrit_device_qutrit, random_hermitian
+from conftest import devices, qubit_sum_sweep, qutrit_device_qutrit, random_hermitian
 
 
 def run(*argv):
@@ -354,6 +354,7 @@ def test_multiparty_table(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "N,M_k,g"
     rows = [line.split(",") for line in lines[1:]]
+    assert lines[1] == "2,1,0.333333333334"  # 1/3 rounded up, never ...333
     assert float(rows[0][2]) == pytest.approx(1 / 3, abs=1e-12)
     assert float(rows[1][2]) == pytest.approx(5 / 12, abs=1e-12)
 
@@ -377,6 +378,47 @@ def test_multiparty_prints_bound_rounded_up(tmp_path, capsys, partition):
     assert run("multiparty", "--x", "2/3", "--agents", part.n_agents, "--partition", partition, "--out", out) == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert payload["bound"] >= uk.closed_form_bound(2 / 3, part.n_agents, part.largest_block).g
+
+
+class TestWrittenBoundsReadOnTheSafeSide:
+    """Every bound is written through `witness.round_up`: a supremum never
+    reads below the value computed, an infimum never above it."""
+
+    @pytest.mark.parametrize("x", ["0.1", "1/2", "2/3", "0.8", "0.95"])
+    def test_multiparty_table_rounds_up(self, tmp_path, x):
+        # rounded to nearest, 30 of these 100 rows read below g's exact binary value, 23 of them
+        # even when read back as floats, e.g. g(2/3; 2, 1) = 1/3 as 0.333333333333
+        out = tmp_path / "bounds.csv"
+        for n in range(2, 7):
+            assert run("multiparty", "--x", x, "--agents", n, "--out", out) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert [(int(r[0]), int(r[1])) for r in rows] == [(n, m) for m in range(1, n + 1)]
+            for _, m, g in rows:
+                exact = uk.closed_form_bound(float(Fraction(x)), n, int(m)).g
+                assert float(g) == uk.witness.round_up(exact) >= exact, (x, n, m)
+                assert g == uk.witness.written(float(g))
+
+    def test_entangled_max_rounds_up(self, curve_files):
+        ceiling = json.loads(curve_files.with_suffix(".json").read_text())["entangled_max"]
+        assert all(e["value"] >= uk.entangled_max(e["c"]) for e in ceiling)
+        assert any(e["value"] > uk.entangled_max(e["c"]) for e in ceiling)
+
+    @pytest.mark.parametrize("x", ["0.1", "1/2", "2/3", "0.8", "0.95"])
+    def test_bound_sup_up_and_inf_down(self, tmp_path, x):
+        pair = devices(float(Fraction(x)), 2)
+        out = tmp_path / "bound.json"
+        c = 0.3 * float(Fraction(x)) ** 2
+        cases = [
+            (["--direction", "inf"], uk.product_sew_bound(pair, (2, 2), "inf"), "inf"),
+            (["--l-indices", "3,3", "--direction", "inf"], uk.product_sew_bound(pair, (3, 3), "inf"), "inf"),
+            ([], uk.product_sew_bound(pair, (2, 2)), "sup"),
+            (["--c", repr(c)], uk.product_constrained_bound(pair, (2, 2), (1, 1), c), "sup"),
+        ]
+        for flags, exact, direction in cases:
+            assert run("bound", "--x", x, *flags, "--out", out) == 0, flags
+            value = json.loads(out.read_text())["value"]
+            assert value == uk.witness.round_up(exact.value, direction), flags
+            assert (value >= exact.value) if direction == "sup" else (value <= exact.value), flags
 
 
 def test_multiparty_range_validation(tmp_path):
@@ -679,6 +721,20 @@ class TestErrorExits:
         argv = ("multiparty", "--agents", 3, "--partition", "1|2|3", "--c", "-0.5", "--out", out)
         assert run(*argv) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("c", ["0.1", "-5"])
+    def test_multiparty_c_needs_partition(self, tmp_path, capsys, c):
+        # --c sets the partition bound's constraint; without --partition it was ignored, even when invalid
+        out = tmp_path / "bounds.csv"
+        assert run("multiparty", "--x", "2/3", "--agents", 3, "--c", c, "--out", out) == 2
+        assert "error: --c is the partition bound's constraint value: give it with --partition" in capsys.readouterr().err
+        assert not out.exists()
+        # with --partition and no --c the bound is taken at c = 0, as with --c 0
+        lines = []
+        for flags in ([], ["--c", "0"]):
+            assert run("multiparty", "--agents", 3, "--partition", "1|2,3", *flags, "--out", out) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        assert lines[0] == lines[1] and json.loads(lines[0])["c"] == 0.0
 
     @pytest.mark.parametrize("partition", ["1|x", "1|2.5"])
     def test_multiparty_rejects_non_integer_agent_labels(self, tmp_path, capsys, partition):

@@ -9,7 +9,7 @@ from uewkit import witness as witness_module
 from uewkit.multipartite import _Block
 
 from conftest import bell_state, devices, gradient_rel_errors, qutrit_device_qutrit, random_hermitian, random_povm
-from oracles import bridge_mixture, decimal_pair_bound
+from oracles import bridge_mixture, decimal_pair_bound, device_bridge
 
 X = 2.0 / 3.0
 C_STAR = 1.0 / 36.0  # constraint value of the unconstrained optimum
@@ -586,6 +586,31 @@ class TestTighten:
         assert uk.tighten(devices(0.8, 2), [(1.0, (2, 2))], c, (1, 1)).g_of_c >= l_value - 1e-12
 
 
+class TestDeviceBridge:
+    """ROADMAP item 21: the line h* + lambda* c of `oracles.device_bridge`
+    bounds the engine's g(c) for two of the paper's devices and, above the
+    onset x = 2/3, touches it on each side of the range."""
+
+    @pytest.mark.parametrize("x", [0.7, 0.8, 0.95])
+    def test_line_bounds_every_row(self, x):
+        lam, h = device_bridge(x)
+        curve = uk.separability_curve(devices(x, 2), (2, 2), (1, 1), 2001)
+        gap = h + lam * curve.c_values - curve.g_values
+        assert gap.min() >= -1e-12, x
+        if x < 0.9:
+            # measured minima 3.1e-10 and 1.3e-10 at x = 0.7, 6.8e-8 and 1.7e-8 at x = 0.8;
+            # at x = 0.95 this grid comes within 7.6e-6 of the touch points only
+            mid = sum(curve.c_range) / 2.0
+            assert gap[curve.c_values < mid].min() <= 1e-7 and gap[curve.c_values > mid].min() <= 1e-7, x
+
+    def test_onset_at_the_papers_device(self):
+        lam, h = device_bridge(2.0 / 3.0)
+        assert lam == pytest.approx(-1.0, abs=1e-15) and h == pytest.approx(0.5, abs=1e-15)
+        # the single touch point: g(1/4) = h* + lambda*/4 = 1/4
+        g = uk.product_constrained_bound(devices(2.0 / 3.0, 2), (2, 2), (1, 1), 0.25).value
+        assert g == pytest.approx(0.25, abs=1e-15)
+
+
 class TestEntangledMax:
     def test_closed_form_anchors(self):
         assert uk.entangled_max(0.0) == pytest.approx(5 / 12, abs=1e-15)
@@ -602,6 +627,16 @@ class TestEntangledMax:
             uk.entangled_max(0.5)
         with pytest.raises(ValueError):
             uk.entangled_max(-0.1)
+
+    @pytest.mark.parametrize("func", [uk.entangled_max, lambda c: uk.optimal_entangled_state(0.0, c)])
+    def test_one_range_check_for_both_closed_forms(self, func):
+        # both take c within 1e-12 of [0, x^2] and clip it there
+        for c in (-5e-13, 4 / 9 + 5e-13):
+            func(c)
+        for c in (-2e-12, 4 / 9 + 2e-12):
+            with pytest.raises(ValueError, match=f"c={c} outside \\[0, {4 / 9}\\]"):
+                func(c)
+        assert uk.entangled_max(-5e-13) == uk.entangled_max(0.0)
 
     @pytest.mark.parametrize(
         "call, message",
